@@ -57,13 +57,18 @@ from .membership import (
     costara_f,
     costara_sup,
     in_b_gamma,
+    in_b_gamma_batch,
     in_g,
+    in_g_batch,
     in_gamma,
+    in_gamma_batch,
     in_tilde_g,
+    in_tilde_g_batch,
     in_tilde_gamma,
     nonvanishing_falsifier,
     scale_point,
     symmetrize,
+    symmetrize_batch,
 )
 from .mobius import CPoint, DiskImage, binom, d_norm, image_disk, phi, sup_on_torus
 from .schwarz import (

@@ -14,6 +14,7 @@ predicate came back false under --assert, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,10 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import distances, geometry, interpolation, membership, sampling, schwarz
-from .errors import PolydiscError
+from .errors import DomainError, PolydiscError
 from .mobius import CPoint, binom
 
 _SETS = ("tilde-g", "tilde-gamma", "g", "gamma", "b-gamma")
+_BATCH = 8192  # points per array batch in oracle and plot-slice; bounds memory
 
 
 def _parse_point(text: str) -> CPoint:
@@ -34,8 +36,13 @@ def _parse_point(text: str) -> CPoint:
     if stripped == "-":
         stripped = sys.stdin.read()
     elif not stripped.startswith("{"):
-        with open(stripped) as fh:
-            stripped = fh.read()
+        try:
+            with open(stripped) as fh:
+                stripped = fh.read()
+        except OSError as exc:
+            raise DomainError(
+                f"--point is neither inline JSON nor a readable file: {exc}"
+            ) from None
     return CPoint.from_json(json.loads(stripped))
 
 
@@ -157,22 +164,25 @@ def _oracle_shard(task) -> tuple[int, int]:
     kind, n, count, seed = task
     rng = np.random.default_rng(seed)
     bad = 0
-    for _ in range(count):
+    for start in range(0, count, _BATCH):
+        m = min(_BATCH, count - start)
         if kind == "open":
-            s = membership.symmetrize(sampling.g_point_disc(n, rng, rmax=0.95))
-            ok = membership.in_g(s).verdict
+            s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=0.95))
+            ok = membership.in_g_batch(s)
         elif kind == "closed":
-            s = membership.symmetrize(sampling.g_point_disc(n, rng, rmax=1.0))
-            ok = membership.in_gamma(s).verdict
+            s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=1.0))
+            ok = membership.in_gamma_batch(s)
         else:
-            s = membership.symmetrize([sampling.torus_point(rng) for _ in range(n)])
-            ok = membership.in_b_gamma(s)
-        bad += 0 if ok else 1
+            s = membership.symmetrize_batch(sampling.torus_points(rng, m, n))
+            ok = membership.in_b_gamma_batch(s)
+        bad += m - int(np.count_nonzero(ok))
     return count, bad
 
 
 def _cmd_oracle(args) -> int:
     dims = [int(d) for d in args.dims.split(",")]
+    if min(dims) < 1:
+        raise DomainError("need at least one coordinate")
     shards = []
     per = max(1, args.samples // (3 * len(dims)))
     seed = args.seed
@@ -197,6 +207,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_plot_slice(args) -> int:
+    res = args.resolution
+    if res < 2:
+        raise ValueError("resolution must be at least 2")
     point = _parse_point(args.point)
     n = point.n
     span = binom(n, 1) + 0.5
@@ -204,17 +217,24 @@ def _cmd_plot_slice(args) -> int:
     re_hi = args.re_max if args.re_max is not None else span
     im_lo = args.im_min if args.im_min is not None else -span
     im_hi = args.im_max if args.im_max is not None else span
+    re_vals = [re_lo + (re_hi - re_lo) * a / (res - 1) for a in range(res)]
+    im_vals = [im_lo + (im_hi - im_lo) * b / (res - 1) for b in range(res)]
+    if not all(math.isfinite(v) for v in re_vals + im_vals):
+        raise DomainError("non-finite coordinate")
+    im_txt = [repr(v) for v in im_vals]
+    tails = ("0,0", "0,1", "1,0", "1,1")  # indexed by 2 * in_tilde_g + in_g
     lines = ["re,im,in_tilde_g,in_g"]
-    for a in range(args.resolution):
-        re = re_lo + (re_hi - re_lo) * a / (args.resolution - 1)
-        for b in range(args.resolution):
-            im = im_lo + (im_hi - im_lo) * b / (args.resolution - 1)
-            coords = list(point.coords)
-            coords[0] = complex(re, im)
-            probe = CPoint(tuple(coords))
-            tg = membership.in_tilde_g(probe, cond="C7", band=args.band).verdict
-            gg = membership.in_g(probe, band=args.band).verdict if tg else False
-            lines.append(f"{re!r},{im!r},{int(tg)},{int(gg)}")
+    rows = max(1, _BATCH // res)  # raster rows (fixed re) per batch
+    for a0 in range(0, res, rows):
+        block = re_vals[a0:a0 + rows]
+        y = np.tile(np.array(point.coords), (len(block) * res, 1))
+        y.real[:, 0] = np.repeat(block, res)
+        y.imag[:, 0] = np.tile(im_vals, len(block))
+        tg = membership.in_tilde_g_batch(y, band=args.band)
+        gg = tg & membership.in_g_batch(y, band=args.band)
+        codes = (2 * tg + gg).reshape(len(block), res).tolist()
+        for re, row in zip(block, codes):
+            lines.extend(f"{re!r},{it},{tails[k]}" for it, k in zip(im_txt, row))
     _emit(args, "\n".join(lines))
     return 0
 
@@ -295,6 +315,7 @@ def _common(sub, point_required: bool = True) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polydisc",

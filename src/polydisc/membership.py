@@ -44,6 +44,11 @@ __all__ = [
     "in_gamma",
     "in_b_gamma",
     "symmetrize",
+    "in_tilde_g_batch",
+    "in_g_batch",
+    "in_gamma_batch",
+    "in_b_gamma_batch",
+    "symmetrize_batch",
     "costara_f",
     "costara_sup",
     "scale_point",
@@ -439,6 +444,154 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
         for k in range(m, 0, -1):
             e[k] = e[k] + zm * e[k - 1]
     return CPoint(tuple(e[1:]))
+
+
+# ---------------------------------------------------------------------------
+# batch forms of the boolean core over (m, n) complex arrays
+#
+# Each row is one point; every result equals the scalar function's on that
+# row bit for bit (up to the sign of zero, which no slack or verdict sees).
+# numpy's complex abs and product round differently from CPython's, so the
+# kernels use np.hypot and CPython's real/imag product formula instead, and
+# float ** 2 stays CPython's (libm pow, not x * x).  Rows that leave a
+# descent early are dropped from the arrays of the next level.
+# ---------------------------------------------------------------------------
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """x ** 2 for a 1-d float array, element by element as CPython computes
+    it (libm pow, which differs from x * x for about 0.1% of inputs)."""
+    return np.array([v**2 for v in x.tolist()], dtype=float)
+
+
+def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _conj_mul(ar, ai, br, bi):
+    """conj(a) * b, rounded as CPython rounds it."""
+    return ar * br + ai * bi, ar * bi - ai * br
+
+
+def _tilde_slack7_batch(
+    y: np.ndarray, closed: bool, band: float, pow_square: bool = False
+) -> np.ndarray:
+    """_tilde_slack7 on every row of y.  With pow_square the factor |q|^2
+    is abs(q) ** 2, as in the C7 branch of _cond_slack that decides
+    in_tilde_g, instead of abs(q) * abs(q)."""
+    n = y.shape[1]
+    h = n // 2
+    c = np.array([float(math.comb(n, j)) for j in range(1, h + 1)])
+    re, im = y.real, y.imag
+    qr, qi = re[:, -1:], im[:, -1:]
+    aq = np.hypot(qr, qi)
+    sq = _pow2(aq[:, 0])[:, None] if pow_square else aq * aq
+    mirror = [n - 1 - j for j in range(1, h + 1)]
+    jr, ji = re[:, :h], im[:, :h]
+    nr, ni = re[:, mirror], im[:, mirror]
+    pr, pi = _conj_mul(jr, ji, qr, qi)
+    a = np.hypot(nr - pr, ni - pi)
+    pr, pi = _conj_mul(nr, ni, qr, qi)
+    s = c * (1.0 - sq) - (a + np.hypot(jr - pr, ji - pi))
+    if closed:
+        t = c - np.hypot(jr, ji)
+        s = np.where((np.abs(aq - 1.0) <= band) & (t < s), t, s)
+    # min() from +inf as in the scalar loop: a NaN term never wins
+    return np.fmin.reduce(s, axis=1, initial=math.inf)
+
+
+def _beta_coords_batch(y: np.ndarray) -> np.ndarray:
+    """_beta_coords on every row of y."""
+    n = y.shape[1]
+    re, im = y.real, y.imag
+    pr, pi = re[:, -1:], im[:, -1:]
+    denom = 1.0 - _pow2(np.hypot(pr[:, 0], pi[:, 0]))[:, None]
+    mirror = list(range(n - 2, -1, -1))
+    br, bi = _conj_mul(re[:, mirror], im[:, mirror], pr, pi)
+    return _cplx((re[:, :-1] - br) / denom, (im[:, :-1] - bi) / denom)
+
+
+def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+    """in_tilde_g(y).verdict for every row of the (m, n) array y."""
+    if y.shape[1] < 2:
+        raise DomainError("extended symmetrized polydisc needs n >= 2")
+    return _tilde_slack7_batch(y, closed=False, band=band, pow_square=True) > 0.0
+
+
+def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+    """in_g(s).verdict for every row of the (m, n) array s."""
+    verdict = np.zeros(s.shape[0], dtype=bool)
+    idx = np.arange(s.shape[0])
+    cur = s
+    while cur.shape[1] > 1 and idx.size:
+        ap = np.hypot(cur[:, -1].real, cur[:, -1].imag)
+        keep = ~((ap >= 1.0) | (_tilde_slack7_batch(cur, False, band) <= 0.0))
+        cur, idx = _beta_coords_batch(cur[keep]), idx[keep]
+    verdict[idx] = np.hypot(cur[:, 0].real, cur[:, 0].imag) < 1.0
+    return verdict
+
+
+def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+    """in_gamma(s).verdict for every row of the (m, n) array s."""
+    verdict = np.zeros(s.shape[0], dtype=bool)
+    idx = np.arange(s.shape[0])
+    cur = s
+    while cur.shape[1] > 1 and idx.size:
+        ap = np.hypot(cur[:, -1].real, cur[:, -1].imag)
+        inside = ~(ap > 1.0 + band)
+        unit = inside & (np.abs(ap - 1.0) <= band)
+        if unit.any():
+            verdict[idx[unit]] = in_b_gamma_batch(cur[unit], band)
+        inside &= ~unit
+        cur, idx = cur[inside], idx[inside]
+        keep = ~(_tilde_slack7_batch(cur, True, band) < -band)
+        cur, idx = _beta_coords_batch(cur[keep]), idx[keep]
+    verdict[idx] = np.hypot(cur[:, 0].real, cur[:, 0].imag) <= 1.0 + band
+    return verdict
+
+
+def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+    """in_b_gamma(s) for every row of the (m, n) array s."""
+    n = s.shape[1]
+    re, im = s.real, s.imag
+    a = np.hypot(re, im)
+    if n == 1:
+        return np.abs(a[:, 0] - 1.0) <= band
+    ok = ~(np.abs(a[:, -1] - 1.0) > band)
+    pr, pi = re[:, -1:], im[:, -1:]
+    mirror = list(range(n - 2, -1, -1))
+    br, bi = _conj_mul(re[:, mirror], im[:, mirror], pr, pi)
+    resid = np.hypot(re[:, :-1] - br, im[:, :-1] - bi)
+    scale = 1.0 + a.max(axis=1)
+    ok &= ~(resid > (band * scale)[:, None]).any(axis=1)
+    factor = np.array([(n - j) / n for j in range(1, n)])
+    verdict = np.zeros(s.shape[0], dtype=bool)
+    rows = s[ok]
+    verdict[ok] = in_gamma_batch(
+        _cplx(factor * rows[:, :-1].real, factor * rows[:, :-1].imag), band
+    )
+    return verdict
+
+
+def symmetrize_batch(z: np.ndarray) -> np.ndarray:
+    """symmetrize(z).coords for every row of the (m, n) array z."""
+    m, n = z.shape
+    if n < 1:
+        raise DomainError("need at least one coordinate")
+    er = np.zeros((n + 1, m))
+    ei = np.zeros((n + 1, m))
+    er[0] = 1.0
+    zr, zi = z.real.T, z.imag.T
+    for k0 in range(n):
+        ar, ai = zr[k0], zi[k0]
+        for k in range(k0 + 1, 0, -1):
+            br, bi = er[k - 1], ei[k - 1]
+            er[k] = er[k] + (ar * br - ai * bi)
+            ei[k] = ei[k] + (ar * bi + ai * br)
+    return _cplx(er[1:].T, ei[1:].T)
 
 
 # ---------------------------------------------------------------------------

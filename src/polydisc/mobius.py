@@ -80,7 +80,17 @@ class CPoint:
 
     @staticmethod
     def from_json(obj: dict) -> "CPoint":
-        coords = [complex(re, im) for re, im in obj["coords"]]
+        pairs = obj.get("coords") if isinstance(obj, dict) else None
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(c, (list, tuple)) and len(c) == 2
+            and all(isinstance(v, (int, float)) for v in c)
+            for c in pairs
+        ):
+            raise DomainError('a point is {"n": int, "coords": [[re, im], ...]}')
+        try:
+            coords = [complex(float(re), float(im)) for re, im in pairs]
+        except OverflowError:
+            raise DomainError("coordinate too large for a double") from None
         if "n" in obj and obj["n"] != len(coords):
             raise DomainError("point 'n' disagrees with coords length")
         return CPoint(tuple(coords))

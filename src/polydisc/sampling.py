@@ -22,6 +22,8 @@ __all__ = [
     "exterior_point",
     "near_boundary_point",
     "g_point_disc",
+    "g_points_disc",
+    "torus_points",
     "j_point",
 ]
 
@@ -34,6 +36,12 @@ def unit_disc(rng: np.random.Generator, rmax: float = 1.0) -> complex:
 
 def torus_point(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * math.pi * rng.random()))
+
+
+def torus_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count * n successive torus_point draws as a (count, n) array,
+    bit for bit."""
+    return np.exp(2j * math.pi * rng.random((count, n)))
 
 
 def _beta_pairs(n: int, rng: np.random.Generator, fill: float) -> list[complex]:
@@ -107,6 +115,16 @@ def g_point_disc(
 ) -> list[complex]:
     """Preimage tuple in the polydisc of radius rmax (feed to symmetrize)."""
     return [unit_disc(rng, rmax=rmax) for _ in range(n)]
+
+
+def g_points_disc(
+    n: int, rng: np.random.Generator, count: int, rmax: float = 0.95
+) -> np.ndarray:
+    """count successive g_point_disc draws as a (count, n) array, bit for
+    bit: one rng.random call read in the scalar draw order (radius, then
+    angle, coordinate after coordinate)."""
+    u = rng.random((count, n, 2))
+    return rmax * np.sqrt(u[..., 0]) * np.exp(2j * math.pi * u[..., 1])
 
 
 def j_point(

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 GAP_POINT = '{"n":3,"coords":[[2.5,0],[1.25,0],[0.5,0]]}'
@@ -179,3 +180,89 @@ def test_report_round_trips_through_own_schema():
     point = CPoint.from_json(rep["point"])
     again = in_tilde_g(point).to_json()
     assert again == rep
+
+
+def _scalar_slice(point_json, res, re_lo, re_hi, im_lo, im_hi):
+    """The plot-slice raster computed point by point through the scalar
+    predicates, as the CSV reports it."""
+    from polydisc.membership import in_g, in_tilde_g
+    from polydisc.mobius import CPoint
+
+    point = CPoint.from_json(json.loads(point_json))
+    lines = ["re,im,in_tilde_g,in_g"]
+    for a in range(res):
+        re = re_lo + (re_hi - re_lo) * a / (res - 1)
+        for b in range(res):
+            im = im_lo + (im_hi - im_lo) * b / (res - 1)
+            probe = CPoint((complex(re, im),) + point.coords[1:])
+            tg = in_tilde_g(probe, cond="C7").verdict
+            gg = in_g(probe).verdict if tg else False
+            lines.append(f"{re!r},{im!r},{int(tg)},{int(gg)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "point, window",
+    [
+        (WORKED_POINT, None),
+        ('{"n":4,"coords":[[0,0],[1.5,0.3],[0.5,-0.2],[0.3,0.1]]}', (-2.0, 3.5, -1.0, 0.25)),
+    ],
+)
+def test_plot_slice_matches_scalar_replay(point, window):
+    res = 23
+    args = ["plot-slice", "--point", point, "--resolution", str(res)]
+    if window is None:
+        span = json.loads(point)["n"] + 0.5
+        window = (-span, span, -span, span)
+    else:
+        for flag, v in zip(("--re-min", "--re-max", "--im-min", "--im-max"), window):
+            args.append(f"{flag}={v!r}")
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert out == _scalar_slice(point, res, *window)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--resolution", "1"), ("--resolution", "0"), ("--resolution", "-3"),
+     ("--re-min", "inf"), ("--im-max", "nan"), ("--re-min=-1e308", "--re-max", "1e308")],
+)
+def test_plot_slice_bad_grid_exit_2(extra):
+    code, out, err = run_cli("plot-slice", "--point", WORKED_POINT, *extra)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_oracle_shard_points_match_scalar_draws(monkeypatch):
+    from polydisc import cli, membership, sampling
+
+    seen = []
+
+    def recording(fn):
+        return lambda s, *args: seen.append(s) or fn(s, *args)
+
+    for name in ("in_g_batch", "in_gamma_batch", "in_b_gamma_batch"):
+        monkeypatch.setattr(membership, name, recording(getattr(membership, name)))
+    for n in (1, 2, 5, 8):
+        for seed, kind in enumerate(("open", "closed", "torus")):
+            seen.clear()
+            assert cli._oracle_shard((kind, n, 70, seed)) == (70, 0)
+            rng = np.random.default_rng(seed)
+            if kind == "torus":
+                draws = [[sampling.torus_point(rng) for _ in range(n)] for _ in range(70)]
+            else:
+                rmax = 0.95 if kind == "open" else 1.0
+                draws = [sampling.g_point_disc(n, rng, rmax=rmax) for _ in range(70)]
+            ref = [list(membership.symmetrize(z).coords) for z in draws]
+            assert seen[0].tolist() == ref  # the shard's first predicate call
+
+
+@pytest.mark.parametrize(
+    "point",
+    ['{"coords":5}', '[["a",0]]', "not-json", '{"coords":[["a",0]]}',
+     '{"coords":[[1,2,3]]}', '[1,2]', '{"coords":[[1e400,0]]}'],
+)
+def test_malformed_point_exit_2(point):
+    code, out, err = run_cli("membership", "--set", "g", "--point", point)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("error:")

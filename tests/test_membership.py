@@ -361,3 +361,93 @@ def test_report_json_round_trip():
     back = json.loads(blob)
     assert back["verdict"] is True
     assert {c["cond"] for c in back["conditions"]} >= {"C7", "C4", "C9"}
+
+
+# --- batch forms against the scalar path -------------------------------------
+
+
+def _batch_points(n, rng, per=60):
+    """Seeded points of every stratum the batch kernels must match on."""
+    pts = []
+    for _ in range(per):
+        pts.append(tilde_g_point(n, rng))
+        pts.append(exterior_point(n, rng))
+        pts.append(near_boundary_point(n, rng, spread=1e-9))
+        pts.append(symmetrize(g_point_disc(n, rng, rmax=1.0)))
+        pts.append(symmetrize([torus_point(rng) for _ in range(n)]))
+        z = [torus_point(rng) for _ in range(n)]
+        z[0] *= 1.0 - 1e-7 * rng.random()  # |p| within the band of 1
+        pts.append(symmetrize(z))
+        s = symmetrize([torus_point(rng) for _ in range(n)]).coords
+        pts.append(CPoint(tuple(1.5 * c for c in s[:-1]) + s[-1:]))  # |y_j| > binom
+    return pts
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batch_slack_bit_identical(n, rng):
+    from polydisc.membership import _tilde_slack7, _tilde_slack7_batch
+
+    band = 1e-7
+    pts = _batch_points(n, rng)
+    y = np.array([p.coords for p in pts])
+    for closed in (False, True):
+        ref = [_tilde_slack7(p.coords, closed, band) for p in pts]
+        assert _tilde_slack7_batch(y, closed, band).tolist() == ref
+    ref = [in_tilde_g(p, cond="C7").condition("C7").slack for p in pts]
+    assert _tilde_slack7_batch(y, False, band, pow_square=True).tolist() == ref
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batch_verdicts_match_scalar(n, rng):
+    from polydisc.membership import (
+        _beta_coords,
+        _beta_coords_batch,
+        in_b_gamma_batch,
+        in_g_batch,
+        in_gamma_batch,
+        in_tilde_g_batch,
+        symmetrize_batch,
+    )
+
+    pts = _batch_points(n, rng)
+    y = np.array([p.coords for p in pts])
+    assert in_tilde_g_batch(y).tolist() == [in_tilde_g(p, cond="C7").verdict for p in pts]
+    assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
+    assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
+    assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+    inner = [p for p in pts if abs(p.q) < 1.0]
+    betas = _beta_coords_batch(np.array([p.coords for p in inner]))
+    assert betas.tolist() == [list(_beta_coords(p.coords)) for p in inner]
+    z = np.array([g_point_disc(n, rng, rmax=2.0) for _ in range(50)])
+    assert symmetrize_batch(z).tolist() == [list(symmetrize(list(w)).coords) for w in z]
+
+
+def test_batch_verdicts_one_coordinate():
+    from polydisc.membership import (
+        in_b_gamma_batch,
+        in_g_batch,
+        in_gamma_batch,
+        in_tilde_g_batch,
+    )
+
+    y = np.array([[0.5], [1.0], [1j], [1.5]])
+    pts = [CPoint(tuple(row)) for row in y]
+    with pytest.raises(DomainError):
+        in_tilde_g_batch(y)
+    assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
+    assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
+    assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+
+
+def test_batch_samplers_equal_scalar_draws():
+    from polydisc.sampling import g_points_disc, torus_points
+
+    for n, rmax in ((2, 0.95), (5, 1.0), (8, 0.5)):
+        r1, r2 = np.random.default_rng(n), np.random.default_rng(n)
+        batch = g_points_disc(n, r1, 40, rmax=rmax)
+        ref = np.array([g_point_disc(n, r2, rmax=rmax) for _ in range(40)])
+        assert batch.tobytes() == ref.tobytes()
+        batch = torus_points(r1, 30, n)
+        ref = np.array([[torus_point(r2) for _ in range(n)] for _ in range(30)])
+        assert batch.tobytes() == ref.tobytes()
+        assert r1.random() == r2.random()  # both consumed the same draws
