@@ -160,7 +160,7 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _oracle_shard(task) -> tuple[int, int]:
+def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> tuple[int, int]:
     kind, n, count, seed = task
     rng = np.random.default_rng(seed)
     bad = 0
@@ -168,13 +168,13 @@ def _oracle_shard(task) -> tuple[int, int]:
         m = min(_BATCH, count - start)
         if kind == "open":
             s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=0.95))
-            ok = membership.in_g_batch(s)
+            ok = membership.in_g_batch(s, band)
         elif kind == "closed":
             s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=1.0))
-            ok = membership.in_gamma_batch(s)
+            ok = membership.in_gamma_batch(s, band)
         else:
             s = membership.symmetrize_batch(sampling.torus_points(rng, m, n))
-            ok = membership.in_b_gamma_batch(s)
+            ok = membership.in_b_gamma_batch(s, band)
         bad += m - int(np.count_nonzero(ok))
     return count, bad
 
@@ -190,11 +190,12 @@ def _cmd_oracle(args) -> int:
         for kind in ("open", "closed", "torus"):
             shards.append((kind, n, per, seed))
             seed += 1
+    shard = functools.partial(_oracle_shard, band=args.band)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_oracle_shard, shards))
+            results = list(ex.map(shard, shards))
     else:
-        results = [_oracle_shard(t) for t in shards]
+        results = [shard(t) for t in shards]
     payload = {"strata": [], "checked": 0, "failures": 0}
     for (kind, n, _, _), (count, bad) in zip(shards, results):
         payload["strata"].append(

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, MarginalProblemError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import BOUNDARY_BAND, in_tilde_g
-from .mobius import CPoint, d_norm
+from .mobius import CPoint, d_norm, phi
 from .schwarz import in_J_n
 
 __all__ = [
@@ -79,17 +79,10 @@ def carath_lower(y: CPoint, grid: int = 4096) -> tuple[float, int, complex]:
         raise DomainError("grid must be at least 8")
     if not in_tilde_g(y, cond="C7").verdict:
         raise DomainError("point must lie in the open domain")
-    from .mobius import binom, degenerate_product
-
     omegas = np.exp(2j * math.pi * np.arange(grid) / grid)
     best = (0.0, 1, 1.0 + 0j)
-    n = y.n
-    for j in range(1, n):
-        if degenerate_product(y, j):
-            vals = np.full(grid, abs(y.y(j)) / binom(n, j))
-        else:
-            c = float(binom(n, j))
-            vals = np.abs((c * y.q * omegas - y.y(j)) / (y.y(n - j) * omegas - c))
+    for j in range(1, y.n):
+        vals = np.abs(phi(j, y, omegas))
         k = int(np.argmax(vals))
         if vals[k] > best[0]:
             best = (float(vals[k]), j, complex(omegas[k]))

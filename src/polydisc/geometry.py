@@ -6,7 +6,6 @@ witnesses.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .membership import BOUNDARY_BAND, MembershipReport, in_tilde_g, in_tilde_gamma
 from .mobius import CPoint, binom, phi
-from .sampling import tilde_g_point
+from .sampling import tilde_g_points
 
 __all__ = [
     "SeparatingPoly",
@@ -46,15 +45,20 @@ class SeparatingPoly:
     _eval: object = field(default=None, compare=False, repr=False)
 
     def __call__(self, x: CPoint) -> complex:
+        return complex(self.values(np.array([x.coords]))[0])
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """f at every row of the (m, n) complex array pts."""
+        cols = pts.T
         if self._eval is not None:
-            return self._eval(x)
-        acc = complex(0.0)
+            return self._eval(cols)
+        acc = np.zeros(len(pts), dtype=complex)
         for expo, coef in self.coeff_table.items():
             term = coef
-            for e, c in zip(expo, x.coords):
+            for e, c in zip(expo, cols):
                 if e:
-                    term *= c**e
-            acc += term
+                    term = term * c**e
+            acc = acc + term
         return acc
 
     def to_json(self) -> dict:
@@ -83,27 +87,21 @@ def _find_witness(y: CPoint) -> tuple[int, complex, float]:
     Radii are swept inward-out so the witness sits at the smallest radius
     that already exceeds 1 + 1e-6 (small |z| keeps the truncation degree of
     the separating polynomial low); among the 1024 angles at that radius the
-    largest value is taken.
+    largest value is taken, the first (j, angle) on ties.
     """
-    n = y.n
-    overall = (0, complex(0.0), 0.0)
-    for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
-        best = (0, complex(0.0), 0.0)
-        for j in range(1, n // 2 + 1):
-            for k in range(1024):
-                z = r * cmath.exp(2j * math.pi * k / 1024)
-                try:
-                    val = abs(phi(j, y, z))
-                except Exception:
-                    continue
-                if val > best[2]:
-                    best = (j, z, val)
-        if best[2] > overall[2]:
-            overall = best
-        if best[2] > 1.0 + 1e-6:
-            return best
+    radii = np.array([0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999])
+    z = radii[:, None] * np.exp(2j * math.pi * np.arange(1024) / 1024)
+    # |Phi_j| indexed (radius, j, angle); the coordinate bounds hold, so
+    # |y_{n-j} z| < binom and Phi_j has no pole on these points
+    vals = np.stack(
+        [np.abs(phi(j, y, z)) for j in range(1, y.n // 2 + 1)], axis=1
+    )
+    for zr, vr in zip(z, vals):
+        i, k = np.unravel_index(np.argmax(vr), vr.shape)
+        if vr[i, k] > 1.0 + 1e-6:
+            return int(i) + 1, complex(zr[k]), float(vr[i, k])
     raise ConstructionError(
-        f"no interior witness |Phi_j| > 1 found (best {overall[2]:.6g}); "
+        f"no interior witness |Phi_j| > 1 found (best {vals.max():.6g}); "
         "the point may be too close to the boundary"
     )
 
@@ -168,24 +166,23 @@ def separating_polynomial(
             table[key] = table.get(key, 0.0) - scale * zi * z
             zi *= z / c
 
-        def evaluator(x: CPoint, j=j, z=z, k=k, c=c, scale=scale) -> complex:
-            # scale * (x_j/c - x_n z) * sum_{i<=k} (x_{n-j} z / c)^i, summed
-            # as a geometric series: term magnitudes stay bounded even when
-            # the split coefficient/power pair would overflow
-            t = x.y(n - j) * z / c
-            if abs(1.0 - t) > 1e-8:
-                series = (1.0 - t ** (k + 1)) / (1.0 - t)
-            else:
-                series = complex(k + 1)
-            return scale * (x.y(j) / c - x.q * z) * series
+        def evaluator(x, j=j, z=z, k=k, c=c, scale=scale) -> np.ndarray:
+            # scale * (x_j/c - x_n z) * sum_{i<=k} (x_{n-j} z / c)^i over
+            # coordinate columns x, summed as a geometric series: term
+            # magnitudes stay bounded even when the split coefficient/power
+            # pair would overflow
+            t = x[n - j - 1] * z / c
+            far = np.abs(1.0 - t) > 1e-8
+            series = np.where(
+                far, (1.0 - t ** (k + 1)) / np.where(far, 1.0 - t, 1.0), k + 1
+            )
+            return scale * (x[j - 1] / c - x[n - 1] * z) * series
 
     poly = SeparatingPoly(
         n=n, coeff_table=table, sup_bound=0.0, value_at_target=0.0, _eval=evaluator
     )
     target_val = abs(poly(y))
-    sup = 0.0
-    for _ in range(samples):
-        sup = max(sup, abs(poly(tilde_g_point(n, rng))))
+    sup = float(np.abs(poly.values(tilde_g_points(n, rng, samples))).max(initial=0.0))
     if target_val <= 1.0 + eps:
         raise ConstructionError(
             f"certificate failed: |f(y)| = {target_val:.6g} <= 1 + eps"

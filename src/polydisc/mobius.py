@@ -10,9 +10,10 @@ membership test and distance formula in the package.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -128,14 +129,17 @@ def degenerate_product(y: CPoint, j: int) -> bool:
     return abs(yj * ynj - c * c * q) <= DEGEN_TOL * c * c * (1.0 + abs(q))
 
 
-def phi(j: int, y: CPoint, z: complex) -> complex:
-    """Phi_j(z, y); the constant branch y_j / binom when the product degenerates."""
+def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Phi_j(z, y) at a point z, or elementwise over an array of points; the
+    constant branch y_j / binom when the product degenerates."""
     c, yj, ynj, q = _parts(y, j)
     if degenerate_product(y, j):
-        return yj / c
+        return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
     den = ynj * z - c
-    if abs(den) < 1e-300:
-        raise PoleError(f"Phi_{j} has a pole at z={z}", at=z)
+    poles = np.abs(den) < 1e-300
+    if np.any(poles):
+        at = complex(np.asarray(z)[poles][0])
+        raise PoleError(f"Phi_{j} has a pole at z={at}", at=at)
     return (c * q * z - yj) / den
 
 
@@ -178,9 +182,5 @@ def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
     c, _, ynj, _ = _parts(y, j)
     if not degenerate_product(y, j) and abs(ynj) >= c:
         raise DomainError("sup is infinite: |y_{n-j}| >= binom(n, j)")
-    best = 0.0
-    step = 2.0 * math.pi / grid
-    for k in range(grid):
-        z = cmath.exp(1j * step * k)
-        best = max(best, abs(phi(j, y, z)))
-    return best
+    z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
+    return float(np.abs(phi(j, y, z)).max())

@@ -12,12 +12,14 @@ import math
 
 import numpy as np
 
+from .membership import _conj_mul
 from .mobius import CPoint, binom
 
 __all__ = [
     "unit_disc",
     "torus_point",
     "tilde_g_point",
+    "tilde_g_points",
     "tilde_gamma_boundary_point",
     "exterior_point",
     "near_boundary_point",
@@ -44,20 +46,19 @@ def torus_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return np.exp(2j * math.pi * rng.random((count, n)))
 
 
-def _beta_pairs(n: int, rng: np.random.Generator, fill: float) -> list[complex]:
-    """beta_1..beta_{n-1} with |beta_j| + |beta_{n-j}| = fill * binom(n, j)."""
+def _beta_pairs(n: int, draw, fill) -> list:
+    """beta_1..beta_{n-1} with |beta_j| + |beta_{n-j}| = fill * binom(n, j);
+    draw() gives the next uniform (or column of uniforms, fill an array)."""
     betas = [0j] * (n - 1)
     for j in range(1, n // 2 + 1):
         c = binom(n, j)
         if 2 * j == n:  # the middle pairs with itself: 2 |beta| = fill * c
-            betas[j - 1] = (
-                0.5 * fill * c * np.exp(2j * math.pi * rng.random())
-            )
+            betas[j - 1] = 0.5 * fill * c * np.exp(2j * math.pi * draw())
             continue
-        split = rng.random()
-        betas[j - 1] = split * fill * c * np.exp(2j * math.pi * rng.random())
+        split = draw()
+        betas[j - 1] = split * fill * c * np.exp(2j * math.pi * draw())
         betas[n - 1 - j] = (1.0 - split) * fill * c * np.exp(
-            2j * math.pi * rng.random()
+            2j * math.pi * draw()
         )
     return betas
 
@@ -77,7 +78,30 @@ def tilde_g_point(
     """Interior point of tilde-G_n with beta-slack at least (1-margin)."""
     fill = margin * rng.random()
     q = unit_disc(rng, rmax=margin)
-    return _from_betas(_beta_pairs(n, rng, fill), q)
+    return _from_betas(_beta_pairs(n, rng.random, fill), q)
+
+
+def tilde_g_points(
+    n: int, rng: np.random.Generator, count: int, margin: float = 0.95
+) -> np.ndarray:
+    """count successive tilde_g_point draws as a (count, n) array of
+    coordinates, bit for bit: one rng.random call whose columns are read in
+    the scalar draw order (fill, the radius and angle of q, then the betas)."""
+    per = 3 + sum(1 if 2 * j == n else 3 for j in range(1, n // 2 + 1))
+    u = iter(rng.random((count, per)).T)
+    fill = margin * next(u)
+    q = margin * np.sqrt(next(u)) * np.exp(2j * math.pi * next(u))
+    betas = _beta_pairs(n, u.__next__, fill)
+    y = np.empty((count, n), dtype=complex)
+    y[:, -1] = q
+    for j in range(1, n):
+        # y_j = beta_j + conj(beta_{n-j}) q, the product rounded as the scalar
+        # draw rounds it: numpy's vector complex multiply may use FMA
+        a, b = betas[j - 1], betas[n - 1 - j]
+        pr, pi = _conj_mul(b.real, b.imag, q.real, q.imag)
+        y[:, j - 1].real = a.real + pr
+        y[:, j - 1].imag = a.imag + pi
+    return y
 
 
 def tilde_gamma_boundary_point(n: int, rng: np.random.Generator) -> CPoint:
@@ -87,7 +111,7 @@ def tilde_gamma_boundary_point(n: int, rng: np.random.Generator) -> CPoint:
     the closure but not the interior.
     """
     q = unit_disc(rng, rmax=0.9)
-    return _from_betas(_beta_pairs(n, rng, 1.0), q)
+    return _from_betas(_beta_pairs(n, rng.random, 1.0), q)
 
 
 def exterior_point(

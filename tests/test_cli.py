@@ -257,6 +257,27 @@ def test_oracle_shard_points_match_scalar_draws(monkeypatch):
             assert seen[0].tolist() == ref  # the shard's first predicate call
 
 
+def test_oracle_band_reaches_predicates(monkeypatch, capsys):
+    from polydisc import cli, membership
+
+    bands = []
+
+    def spy(fn):
+        def wrapped(s, band=membership.BOUNDARY_BAND):
+            bands.append(band)
+            return fn(s, band)
+        return wrapped
+
+    for name in ("in_g_batch", "in_gamma_batch", "in_b_gamma_batch"):
+        monkeypatch.setattr(membership, name, spy(getattr(membership, name)))
+    assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", "--band", "1e-3"]) == 0
+    assert len(bands) >= 6 and set(bands) == {1e-3}  # the descents recurse
+    bands.clear()
+    assert cli.main(["oracle", "--dims", "2,3", "--samples", "60"]) == 0
+    assert len(bands) >= 6 and set(bands) == {membership.BOUNDARY_BAND}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "point",
     ['{"coords":5}', '[["a",0]]', "not-json", '{"coords":[["a",0]]}',

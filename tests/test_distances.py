@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -71,6 +72,21 @@ def test_carath_lower_zero_and_worked():
     val, j, om = carath_lower(WORKED_POINT, grid=4096)
     assert val == pytest.approx(math.atanh(0.8), abs=1e-5)
     assert j == 1
+
+
+def test_carath_lower_matches_scalar_loop(rng):
+    from polydisc.mobius import phi
+
+    omegas = [cmath.exp(2j * math.pi * k / 64) for k in range(64)]
+    for y in [WORKED_POINT] + [j_point(int(rng.integers(2, 6)), rng) for _ in range(20)]:
+        val, j, om = carath_lower(y, grid=64)
+        best = max(
+            (abs(phi(i, y, w)), -i, -k)  # first (j, omega) on ties
+            for i in range(1, y.n)
+            for k, w in enumerate(omegas)
+        )
+        assert abs(math.tanh(val) - best[0]) <= 1e-14
+        assert j == -best[1] and abs(om - omegas[-best[2]]) <= 1e-15
 
 
 def test_carath_never_exceeds_formula(rng):

@@ -1,6 +1,11 @@
+import cmath
+import math
+
+import numpy as np
 import pytest
 
-from polydisc.errors import DomainError
+from polydisc import geometry
+from polydisc.errors import DomainError, PoleError
 from polydisc.geometry import (
     noncircular_witness,
     nonconvex_witness,
@@ -8,7 +13,7 @@ from polydisc.geometry import (
     starlike_scale,
 )
 from polydisc.membership import in_tilde_gamma
-from polydisc.mobius import CPoint, binom
+from polydisc.mobius import CPoint, binom, phi
 from polydisc.sampling import (
     exterior_point,
     tilde_g_point,
@@ -46,6 +51,86 @@ def test_separating_random_exterior(rng):
         assert poly.sup_bound <= 1.0 + 1e-9
         # certificate evaluates its own target consistently
         assert abs(poly(y)) == pytest.approx(poly.value_at_target, rel=1e-12)
+
+
+def _witness_loop(y):
+    """_find_witness as scalar loops over radius, j and angle."""
+    for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        best = (0, 0j, 0.0)
+        for j in range(1, y.n // 2 + 1):
+            for k in range(1024):
+                z = r * cmath.exp(2j * math.pi * k / 1024)
+                val = abs(phi(j, y, z))
+                if val > best[2]:
+                    best = (j, z, val)
+        if best[2] > 1.0 + 1e-6:
+            return best
+    return None
+
+
+def _table_value(poly, x):
+    """f(x) summed term by term from the coefficient table in Python scalars."""
+    acc = 0j
+    for expo, coef in poly.coeff_table.items():
+        term = coef
+        for e, c in zip(expo, x.coords):
+            term *= c**e
+        acc += term
+    return acc
+
+
+def _series_value(poly, j, z, x):
+    """The truncation certificate at x, its series summed term by term in
+    Python scalars (the coefficient table itself can overflow)."""
+    n = x.n
+    c = binom(n, j)
+    t = x.y(n - j) * z / c
+    series, power = 0j, 1 + 0j
+    for _ in range(len(poly.coeff_table) // 2):  # 2 terms per power of t
+        series += power
+        power *= t
+    return (x.y(j) / c - x.q * z) * series / (1.0 + poly.eps)
+
+
+def test_witness_and_certificate_match_scalar_loops(rng):
+    truncation = 0
+    for seed in range(40):
+        n = int(rng.integers(2, 6))
+        y = exterior_point(n, rng)
+        if any(abs(y.y(j)) > binom(n, j) for j in range(1, n)) or abs(y.q) > 1.0:
+            continue  # coordinate case: no witness search
+        truncation += 1
+        j, z, val = geometry._find_witness(y)
+        ref = _witness_loop(y)
+        assert j == ref[0] and abs(z - ref[1]) <= 1e-15
+        assert abs(val - ref[2]) <= 1e-14 * ref[2]
+        for samples in (1, 60):
+            poly = separating_polynomial(
+                y, samples=samples, rng=np.random.default_rng(seed)
+            )
+            draw = np.random.default_rng(seed)
+            pts = [tilde_g_point(n, draw) for _ in range(samples)]
+            ref = [abs(_series_value(poly, j, z, x)) for x in pts]
+            assert abs(poly.sup_bound - max(ref)) <= 1e-13
+            assert abs(poly(pts[0]) - _series_value(poly, j, z, pts[0])) <= 1e-13
+    assert truncation >= 10
+
+
+def test_separating_monomial_certificate_matches_scalar_loop():
+    poly = separating_polynomial(CPoint((0.5, 3.5, 0.2)), samples=80)
+    draw = np.random.default_rng(0)  # the default rng of the certificate
+    pts = [tilde_g_point(3, draw) for _ in range(80)]
+    assert abs(poly.sup_bound - max(abs(_table_value(poly, x)) for x in pts)) <= 1e-15
+    assert abs(poly(pts[0]) - _table_value(poly, pts[0])) <= 1e-15
+
+
+def test_witness_search_propagates_errors(monkeypatch):
+    def broken(j, y, z):
+        raise PoleError("injected")
+
+    monkeypatch.setattr(geometry, "phi", broken)
+    with pytest.raises(PoleError):
+        separating_polynomial(CPoint((3j, 3j, 1j)), samples=10)
 
 
 def test_separating_rejects_interior():

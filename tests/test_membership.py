@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polydisc.clinalg import op_norm
-from polydisc.errors import DomainError
+from polydisc.errors import DomainError, PoleError
 from polydisc.membership import (
     b_matrices,
     beta_recover,
@@ -321,6 +321,40 @@ def test_costara_agrees_with_membership(rng):
         assert (sup < 1.0) == in_g(s, band=band).verdict, s.coords
 
 
+def _costara_sup_loop(s, grid):
+    """costara_sup's boundary scan as a loop of scalar costara_f calls."""
+    step = 2.0 * math.pi / grid
+    return max(abs(costara_f(s, cmath.exp(1j * step * k))) for k in range(grid))
+
+
+def test_costara_sup_matches_scalar_loop(rng):
+    zero = CPoint((0, 0, 0))
+    assert costara_sup(zero, grid=64) == _costara_sup_loop(zero, 64) == 0.0
+    assert math.isinf(costara_sup(GAP_POINT, grid=64))  # pole test, no scan
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        u = rng.random()
+        if u < 0.5:
+            s = symmetrize(g_point_disc(n, rng, rmax=0.9))
+        else:
+            s = tilde_g_point(n, rng) if u < 0.75 else exterior_point(n, rng)
+        sup = costara_sup(s, grid=64)
+        if math.isinf(sup):
+            continue
+        ref = _costara_sup_loop(s, 64)
+        assert abs(sup - ref) <= 1e-13 * (1.0 + ref), s.coords
+        checked += 1
+    assert checked >= 30
+
+
+def test_costara_sup_pole_on_grid_point():
+    # s = symmetrize(1, 1): f_s = (2z - 2) / (2 - 2z) has a removable root at
+    # z = 1, which the root test lets through and the scan lands on
+    with pytest.raises(PoleError):
+        costara_sup(CPoint((2.0, 1.0)), grid=64)
+
+
 # --- scaling ----------------------------------------------------------------
 
 
@@ -351,6 +385,50 @@ def test_nonvanishing_falsifier_finds_zero_outside():
     # interior point: the product stays safely away from zero
     val_in, _, _ = nonvanishing_falsifier(WORKED_POINT, 1, grid=64)
     assert val_in > 0.5
+
+
+def _falsifier_loop(y, j, grid):
+    """The falsifier's search as scalar loops over the same candidates."""
+    n = y.n
+    c = float(binom(n, j))
+    yj, ynj, q = y.y(j), y.y(n - j), y.q
+
+    def val(z, w):
+        return abs(c - yj * z - ynj * w + c * q * z * w)
+
+    step = 2.0 * math.pi / grid
+    circle = [cmath.exp(1j * step * b) for b in range(grid)]
+    best = val(1.0, 1.0)
+    for z in circle:
+        for w in circle:
+            best = min(best, val(z, w))
+    for radius in (0.0, 0.5, 0.9, 1.0):
+        for e in circle:
+            w = radius * e
+            for a, b, swap in ((ynj, yj, False), (yj, ynj, True)):
+                den = c * q * w - b
+                if abs(den) > 1e-300:
+                    z = (a * w - c) / den
+                    if abs(z) > 1.0:
+                        z /= abs(z)
+                    best = min(best, val(w, z) if swap else val(z, w))
+    return best
+
+
+def test_nonvanishing_falsifier_matches_scalar_loop(rng):
+    cases = [(WORKED_POINT, 1), (WORKED_POINT, 2), (CPoint((3.5, 0.0, 0.0)), 1)]
+    cases += [(CPoint((0, 0, 0)), 1), (CPoint((1.0, 0.25)), 1)]
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        y = tilde_g_point(n, rng) if rng.random() < 0.7 else exterior_point(n, rng)
+        cases.append((y, int(rng.integers(1, n))))
+    for y, j in cases:
+        val, z, w = nonvanishing_falsifier(y, j, grid=64)
+        c = float(binom(y.n, j))
+        g = abs(c - y.y(j) * z - y.y(y.n - j) * w + c * y.q * z * w)
+        assert abs(g - val) <= 1e-12 * (1.0 + c)
+        assert abs(z) <= 1.0 + 1e-12 and abs(w) <= 1.0 + 1e-12
+        assert val <= _falsifier_loop(y, j, 64) + 1e-12
 
 
 def test_report_json_round_trip():
@@ -451,3 +529,16 @@ def test_batch_samplers_equal_scalar_draws():
         ref = np.array([[torus_point(r2) for _ in range(n)] for _ in range(30)])
         assert batch.tobytes() == ref.tobytes()
         assert r1.random() == r2.random()  # both consumed the same draws
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tilde_g_points_equal_scalar_draws(n):
+    from polydisc.sampling import tilde_g_points
+
+    for margin in (0.95, 0.5):
+        r1, r2 = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
+        batch = tilde_g_points(n, r1, 37, margin=margin)
+        ref = np.array([tilde_g_point(n, r2, margin=margin).coords for _ in range(37)])
+        assert batch.shape == (37, n)
+        assert batch.tobytes() == ref.tobytes()
+        assert r1.bit_generator.state == r2.bit_generator.state

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydisc.errors import DomainError
+from polydisc.errors import DomainError, PoleError
 from polydisc.mobius import CPoint, binom, d_norm, image_disk, phi, sup_on_torus
 from polydisc.sampling import tilde_g_point, unit_disc
 
@@ -136,6 +137,62 @@ def test_interior_bounded_by_d_norm(rng):
         bound = d_norm(j, y)
         for _ in range(2000):
             assert abs(phi(j, y, unit_disc(rng))) <= bound + 1e-12
+
+
+# --- array evaluation against scalar loops -------------------------------------
+
+
+def _torus_sup_loop(j, y, grid):
+    """sup_on_torus as a loop of scalar phi calls on the same circle points."""
+    step = 2.0 * math.pi / grid
+    return max(abs(phi(j, y, cmath.exp(1j * step * k))) for k in range(grid))
+
+
+def test_phi_array_matches_scalar(rng):
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        y = tilde_g_point(n, rng)
+        j = int(rng.integers(1, n))
+        z = np.array([unit_disc(rng) for _ in range(16)]).reshape(4, 4)
+        vals = phi(j, y, z)
+        assert vals.shape == (4, 4)
+        for v, w in zip(vals.ravel(), z.ravel()):
+            ref = phi(j, y, complex(w))
+            assert abs(v - ref) <= 1e-14 * (1.0 + abs(ref))
+
+
+def test_phi_array_degenerate_and_pole():
+    y = CPoint((1.0, 0.25))  # y_1 y_1 = binom^2 q: Phi_1 is the constant 1/2
+    assert phi(1, y, np.zeros(5, dtype=complex)).tolist() == [0.5 + 0j] * 5
+    pole = CPoint((4.0, 0.0))  # Phi_1 = -4 / (4 z - 2): pole at z = 1/2
+    with pytest.raises(PoleError) as info:
+        phi(1, pole, np.array([0.1, 0.5, 0.9], dtype=complex))
+    assert info.value.at == 0.5
+    with pytest.raises(PoleError):
+        phi(1, pole, 0.5)
+
+
+def test_sup_on_torus_matches_scalar_loop(rng):
+    cases = [(CPoint((0, 0, 0)), 1), (WORKED_POINT, 2)]
+    cases += [(CPoint((1.0, 0.25)), 1), (CPoint((4.0, 4.0)), 1)]  # degenerate
+    while len(cases) < 40:
+        n = int(rng.integers(2, 7))
+        y = tilde_g_point(n, rng)
+        j = int(rng.integers(1, n))
+        if abs(y.y(n - j)) < binom(n, j):
+            cases.append((y, j))
+    for y, j in cases:
+        ref = _torus_sup_loop(j, y, 64)
+        assert abs(sup_on_torus(j, y, 64) - ref) <= 1e-14 * (1.0 + ref)
+    # degenerate with |y_{n-j}| >= binom: the constant map, no DomainError
+    assert sup_on_torus(1, CPoint((4.0, 4.0)), 64) == 2.0
+
+
+def test_sup_on_torus_unbounded_branch():
+    with pytest.raises(DomainError):
+        sup_on_torus(1, CPoint((3.0, 0.0)), 64)  # |y_1| >= binom(2, 1)
+    with pytest.raises(DomainError):
+        sup_on_torus(1, CPoint((0.5, 4.0, 0.3)), 64)
 
 
 @settings(max_examples=40, deadline=None)
