@@ -39,7 +39,7 @@ from .errors import (
 )
 from .membership import BOUNDARY_BAND
 from .mobius import CPoint, binom, d_norm, degenerate_product
-from .schwarz import SchwarzProblem, feasibility_alpha, k_rho
+from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, feasibility_alpha, k_rho
 
 __all__ = [
     "ScalarSchur",
@@ -182,13 +182,6 @@ def np2(a: complex, wa: complex, b: complex, wb: complex, t: complex = 0j) -> Sc
 # ---------------------------------------------------------------------------
 
 
-def _x2_general(c: float, y1: complex, yn1: complex, q: complex, al: float) -> float:
-    knum = abs(y1 * yn1 - c * c * q)
-    return al / knum * (
-        c * c - abs(y1) ** 2 / al**2 - abs(yn1) ** 2 + c * c * abs(q) ** 2 / al**2
-    )
-
-
 def _window_from_x2(x2: float) -> tuple[float, float]:
     if x2 <= 2.0:
         raise MarginalProblemError(
@@ -218,7 +211,7 @@ def nu_window(y0: CPoint, lambda0: complex, band: float = BOUNDARY_BAND) -> tupl
     z + 1/z = X_2.  Their product is 1 and theta_1 < 1 < theta_2, so nu = 1
     always qualifies for a strict problem."""
     _check_n3_ordered(y0, lambda0, band)
-    x2 = _x2_general(3.0, y0.y(1), y0.y(2), y0.q, abs(complex(lambda0)))
+    _, x2, _ = _xj_terms(3.0, y0.y(1), y0.y(2), y0.q, abs(complex(lambda0)))
     return _window_from_x2(x2)
 
 
@@ -276,22 +269,6 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_equal(n: int, F: np.ndarray) -> tuple[complex, ...]:
-    """pi_n(F, ..., F): the point whose j-th coordinate is binom(n, j) times
-    the matching diagonal entry (middle averaged for even n), last the det."""
-    k = n // 2
-    coords: list[complex] = []
-    if n % 2 == 1:
-        coords += [binom(n, j) * F[0, 0] for j in range(1, k + 1)]
-        coords += [binom(n, j) * F[1, 1] for j in range(k, 0, -1)]
-    else:
-        coords += [binom(n, j) * F[0, 0] for j in range(1, k)]
-        coords.append(binom(n, k) * (F[0, 0] + F[1, 1]) / 2.0)
-        coords += [binom(n, j) * F[1, 1] for j in range(k - 1, 0, -1)]
-    coords.append(F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0])
-    return tuple(coords)
-
-
 def _mat_json(M: np.ndarray | None):
     if M is None:
         return None
@@ -347,8 +324,7 @@ class DiscFunction:
         raise DomainError(f"unknown DiscFunction kind {self.kind!r}")
 
     def __call__(self, lam: complex) -> CPoint:
-        coords = _assemble_equal(self.n, self.core(lam))
-        p = CPoint(coords)
+        p = CPoint(_pi_coords(self.n, [self.core(lam)] * (self.n // 2)))
         return p.swap() if self.swap else p
 
     def to_json(self) -> dict:
@@ -709,9 +685,7 @@ def identity_regressions(
             - knum / (9 * al) * (nu**2 + 1 / nu**2)
         )
         worst["det_scaled"] = max(worst["det_scaled"], _rel(det_direct, det_closed))
-        x2 = _x2_general(3.0, y1, yn1, q, al)
-        x1 = al / knum * (9 - abs(y1) ** 2 - abs(yn1) ** 2 / al**2 + 9 * abs(q) ** 2 / al**2)
-        J = al * (9 - abs(yn1) ** 2) / knum
+        x1, x2, J = _xj_terms(3.0, y1, yn1, q, al)
         worst["window_gap"] = max(
             worst["window_gap"],
             _rel(J + 1 / J - x2, 9 * abs(y1 - yn1.conjugate() * q) ** 2 / (al * (9 - abs(yn1) ** 2) * knum)),
@@ -758,7 +732,7 @@ def identity_regressions(
             skipped += 1
             done += 1
             continue
-        x2 = _x2_general(float(binom(n, 1)), yv.y(1), yv.y(n - 1), yv.q, abs(lam0))
+        _, x2, _ = _xj_terms(float(binom(n, 1)), yv.y(1), yv.y(n - 1), yv.q, abs(lam0))
         nu = 1.0
         if x2 > 2.0 and n == 3:
             t1, t2 = _window_from_x2(x2)

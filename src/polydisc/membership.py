@@ -8,8 +8,11 @@ Five sets are decided here, each with explainable per-condition margins:
 * Gamma_n     (closed symmetrized polydisc),
 * b Gamma_n   (distinguished boundary).
 
-Each of these sets admits several equivalent characterizations; all are
-implemented independently so they can be cross-checked.  The authoritative
+Each of these sets admits several equivalent characterizations, most with
+their own formula.  Some condition ids are declared aliases that share one
+implementation, so a sweep comparing them checks nothing: C2 is C7 (the
+C7 slack), C8 is C9 (one `_b_norm`), and the closed condition C10 shares
+`_closed_beta_slack` with Schwarz condition (11).  The authoritative
 verdict is always the beta-representation inequality ("C7"):
 
     |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q| < binom(n,j) (1 - |q|^2)
@@ -139,23 +142,20 @@ def _cond_slack(y: CPoint, cond: str, closed: bool, band: float) -> float:
     """Minimum slack of `cond` over j = 1..floor(n/2) (plus global clauses)."""
     n = y.n
     q = y.q
+    if cond in ("C2", "C7"):
+        return _tilde_slack7(y.coords, closed, band)
+    if cond == "C10":
+        cs = [float(binom(n, j)) for j in range(1, n // 2 + 1)]
+        return _closed_beta_slack(y.coords, band, cs, [1.0] * len(cs))
     slack = math.inf
     if cond == "C6":
         slack = 1.0 - abs(q)  # |q| < 1 (<= 1 closed) folded in once
-    if cond == "C10":
-        return _c10_slack(y, band)
     for j in range(1, n // 2 + 1):
         c = float(binom(n, j))
         yj, ynj = y.y(j), y.y(n - j)
         degen = degenerate_product(y, j)
         det_term = abs(yj * ynj - c * c * q)
-        if cond in ("C2", "C7"):
-            s = c * (1.0 - abs(q) ** 2) - (
-                abs(ynj - yj.conjugate() * q) + abs(yj - ynj.conjugate() * q)
-            )
-            if closed and abs(abs(q) - 1.0) <= band:
-                s = min(s, c - abs(yj))
-        elif cond == "C3":
+        if cond == "C3":
             s = 1.0 - d_norm(j, y)
             if degen:
                 s = min(s, c - abs(ynj))
@@ -203,34 +203,38 @@ def _cond_slack(y: CPoint, cond: str, closed: bool, band: float) -> float:
     return slack
 
 
-def _c10_slack(y: CPoint, band: float) -> float:
-    """Closed beta-representation condition (the closure analogue, C10).
+def _closed_beta_slack(
+    coords: tuple[complex, ...], band: float, cs, ws
+) -> float:
+    """Closed beta-representation test: the minimum over j = 1..floor(n/2)
+    of cs[j-1] - ws[j-1] (|beta_j| + |beta_{n-j}|) for |q| < 1, with the
+    weights ws (1.0 for condition (10); Schwarz condition (11) reweights
+    its lifted point).
 
-    At |q| = 1 the representation y_j = conj(y_{n-j}) q is forced and the
-    free split beta_j = r y_j, beta_{n-j} = (1-r) y_{n-j} (r = 1/2 here;
-    any r in [0,1] works) leaves only |y_j| <= binom to check.
+    At |q| = 1 (within band) the representation y_j = conj(y_{n-j}) q is
+    forced, and the free split beta_j = r y_j, beta_{n-j} = (1-r) y_{n-j}
+    (r = 1/2 here; any r in [0,1] works) leaves only
+    cs[j-1] - ws[j-1] |y_j| to check; a residual of the forced relation
+    above band decides at once with slack -residual.  Beyond the circle
+    the slack is 1 - |q|.
     """
-    n = y.n
-    q = y.q
+    n = len(coords)
+    q = coords[-1]
     if abs(q) > 1.0 + band:
         return 1.0 - abs(q)
-    scale = 1.0 + max(abs(c) for c in y.coords)
+    slack = math.inf
     if abs(abs(q) - 1.0) <= band:
-        slack = math.inf
+        scale = 1.0 + max(abs(c) for c in coords)
         for j in range(1, n // 2 + 1):
-            c = float(binom(n, j))
-            resid = abs(y.y(j) - y.y(n - j).conjugate() * q)
+            resid = abs(coords[j - 1] - coords[n - 1 - j].conjugate() * q)
             if resid > band * scale:
                 return -resid
-            slack = min(slack, c - abs(y.y(j)))
+            slack = min(slack, cs[j - 1] - ws[j - 1] * abs(coords[j - 1]))
         return slack
-    denom = 1.0 - abs(q) ** 2
-    slack = math.inf
+    betas = _beta_coords(coords)
     for j in range(1, n // 2 + 1):
-        c = float(binom(n, j))
-        bj = (y.y(j) - y.y(n - j).conjugate() * q) / denom
-        bnj = (y.y(n - j) - y.y(j).conjugate() * q) / denom
-        slack = min(slack, c - (abs(bj) + abs(bnj)))
+        s = cs[j - 1] - ws[j - 1] * (abs(betas[j - 1]) + abs(betas[n - 1 - j]))
+        slack = min(slack, s)
     return slack
 
 
@@ -275,10 +279,13 @@ def in_tilde_gamma(y: CPoint, cond: str = "ALL", band: float = BOUNDARY_BAND) ->
     return _tilde_report(y, cond, closed=True, band=band)
 
 
-# fast boolean core used by the recursions and bulk sweeps
+# the one C7 slack, behind the C2/C7 reports and the G_n/Gamma_n descents
 
 
 def _tilde_slack7(coords: tuple[complex, ...], closed: bool, band: float) -> float:
+    """The C7 slack: min over j of binom(n, j) (1 - |q|^2) minus
+    |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q|; closed, at |q| = 1
+    within band, also binom(n, j) - |y_j|."""
     n = len(coords)
     q = coords[-1]
     aq = abs(q)
@@ -298,15 +305,9 @@ def _tilde_slack7(coords: tuple[complex, ...], closed: bool, band: float) -> flo
 
 def beta_recover(y: CPoint) -> BetaVector:
     """The forced beta-representation beta_j = (y_j - conj(y_{n-j}) q) / (1 - |q|^2)."""
-    q = y.q
-    if abs(q) >= 1.0:
+    if abs(y.q) >= 1.0:
         raise DomainError("beta recovery needs |q| < 1")
-    n = y.n
-    denom = 1.0 - abs(q) ** 2
-    betas = tuple(
-        (y.y(j) - y.y(n - j).conjugate() * q) / denom for j in range(1, n)
-    )
-    return BetaVector(n=n, betas=betas)
+    return BetaVector(y.n, _beta_coords(y.coords))
 
 
 def b_matrices(y: CPoint) -> list[np.ndarray]:
@@ -333,9 +334,11 @@ def b_matrices(y: CPoint) -> list[np.ndarray]:
 
 
 def _beta_coords(coords: tuple[complex, ...]) -> tuple[complex, ...]:
+    """beta_j = (y_j - conj(y_{n-j}) p) / (1 - |p|^2) for j = 1..n-1."""
     n = len(coords)
     p = coords[-1]
-    denom = 1.0 - abs(p) ** 2
+    ap = abs(p)
+    denom = 1.0 - ap * ap
     return tuple(
         (coords[j - 1] - coords[n - 1 - j].conjugate() * p) / denom
         for j in range(1, n)
@@ -452,16 +455,10 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
 # Each row is one point; every result equals the scalar function's on that
 # row bit for bit (up to the sign of zero, which no slack or verdict sees).
 # numpy's complex abs and product round differently from CPython's, so the
-# kernels use np.hypot and CPython's real/imag product formula instead, and
-# float ** 2 stays CPython's (libm pow, not x * x).  Rows that leave a
-# descent early are dropped from the arrays of the next level.
+# kernels use np.hypot and CPython's real/imag product formula instead;
+# squares are x * x on both paths.  Rows that leave a descent early are
+# dropped from the arrays of the next level.
 # ---------------------------------------------------------------------------
-
-
-def _pow2(x: np.ndarray) -> np.ndarray:
-    """x ** 2 for a 1-d float array, element by element as CPython computes
-    it (libm pow, which differs from x * x for about 0.1% of inputs)."""
-    return np.array([v**2 for v in x.tolist()], dtype=float)
 
 
 def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -476,26 +473,21 @@ def _conj_mul(ar, ai, br, bi):
     return ar * br + ai * bi, ar * bi - ai * br
 
 
-def _tilde_slack7_batch(
-    y: np.ndarray, closed: bool, band: float, pow_square: bool = False
-) -> np.ndarray:
-    """_tilde_slack7 on every row of y.  With pow_square the factor |q|^2
-    is abs(q) ** 2, as in the C7 branch of _cond_slack that decides
-    in_tilde_g, instead of abs(q) * abs(q)."""
+def _tilde_slack7_batch(y: np.ndarray, closed: bool, band: float) -> np.ndarray:
+    """_tilde_slack7 on every row of y."""
     n = y.shape[1]
     h = n // 2
     c = np.array([float(math.comb(n, j)) for j in range(1, h + 1)])
     re, im = y.real, y.imag
     qr, qi = re[:, -1:], im[:, -1:]
     aq = np.hypot(qr, qi)
-    sq = _pow2(aq[:, 0])[:, None] if pow_square else aq * aq
     mirror = [n - 1 - j for j in range(1, h + 1)]
     jr, ji = re[:, :h], im[:, :h]
     nr, ni = re[:, mirror], im[:, mirror]
     pr, pi = _conj_mul(jr, ji, qr, qi)
     a = np.hypot(nr - pr, ni - pi)
     pr, pi = _conj_mul(nr, ni, qr, qi)
-    s = c * (1.0 - sq) - (a + np.hypot(jr - pr, ji - pi))
+    s = c * (1.0 - aq * aq) - (a + np.hypot(jr - pr, ji - pi))
     if closed:
         t = c - np.hypot(jr, ji)
         s = np.where((np.abs(aq - 1.0) <= band) & (t < s), t, s)
@@ -508,7 +500,8 @@ def _beta_coords_batch(y: np.ndarray) -> np.ndarray:
     n = y.shape[1]
     re, im = y.real, y.imag
     pr, pi = re[:, -1:], im[:, -1:]
-    denom = 1.0 - _pow2(np.hypot(pr[:, 0], pi[:, 0]))[:, None]
+    ap = np.hypot(pr, pi)
+    denom = 1.0 - ap * ap
     mirror = list(range(n - 2, -1, -1))
     br, bi = _conj_mul(re[:, mirror], im[:, mirror], pr, pi)
     return _cplx((re[:, :-1] - br) / denom, (im[:, :-1] - bi) / denom)
@@ -518,7 +511,7 @@ def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_tilde_g(y).verdict for every row of the (m, n) array y."""
     if y.shape[1] < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
-    return _tilde_slack7_batch(y, closed=False, band=band, pow_square=True) > 0.0
+    return _tilde_slack7_batch(y, closed=False, band=band) > 0.0
 
 
 def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
@@ -652,7 +645,10 @@ def costara_sup(s: CPoint, grid: int = 4096) -> float:
             if abs(r) <= 1.0 + 1e-10 and abs(_polyval(num, complex(r))) > 1e-10 * nscale:
                 return math.inf
     z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
-    return float(np.abs(costara_f(s, z)).max())
+    sup = float(np.abs(costara_f(s, z)).max())
+    if math.isnan(sup):
+        raise DomainError("sup is not a number: f_s overflows on the grid")
+    return sup
 
 
 def scale_point(s: CPoint, lam: complex) -> CPoint:
@@ -697,4 +693,6 @@ def nonvanishing_falsifier(
     ws = np.concatenate(([1.0], np.tile(e, grid), np.where(first, w, z)[ok]))
     vals = np.abs(c - yj * zs - ynj * ws + c * q * zs * ws)
     k = int(np.argmin(vals))
+    if math.isnan(vals[k]):
+        raise DomainError("minimum is not a number: g overflows on the grid")
     return float(vals[k]), complex(zs[k]), complex(ws[k])

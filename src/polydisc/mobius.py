@@ -183,4 +183,7 @@ def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
     if not degenerate_product(y, j) and abs(ynj) >= c:
         raise DomainError("sup is infinite: |y_{n-j}| >= binom(n, j)")
     z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
-    return float(np.abs(phi(j, y, z)).max())
+    sup = float(np.abs(phi(j, y, z)).max())
+    if math.isnan(sup):
+        raise DomainError("sup is not a number: Phi_j overflows on the grid")
+    return sup

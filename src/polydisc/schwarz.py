@@ -2,10 +2,13 @@
 
 A problem asks for an analytic disc map psi with psi(0) = 0 and
 psi(lambda0) = y0.  Ten checkable conditions (numbered 2..11 after the
-existence statement itself) are each implemented independently with signed
-margins; conditions 3, 4, 6, 7, 8, 9, 10, 11 are mutually equivalent, 2 is
-stronger, and 5 is the constructive Schur-pair certificate that the
-interpolation module consumes.
+existence statement itself) are reported with signed margins; conditions
+3, 4, 6, 7, 8, 9, 10, 11 are mutually equivalent, 2 is stronger, and 5 is
+the constructive Schur-pair certificate that the interpolation module
+consumes.  Some are declared aliases that share one implementation, so a
+sweep comparing them checks nothing: S3 is S6 (the closed-form sup-norm),
+S7 is S10 (the closed inequality), and S11 runs the closed beta test of
+membership condition C10 (`_closed_beta_slack`) on the lifted point.
 
 Branching convention: for each index pair (j, n-j) the inequalities read
 through Phi_j when |y_{n-j}| <= |y_j| ("DivideJ", ties included) and
@@ -25,6 +28,7 @@ from .errors import DegenerateProblemError, DomainError
 from .membership import (
     BOUNDARY_BAND,
     ConditionMargin,
+    _closed_beta_slack,
     costara_sup,
     in_tilde_g,
     in_tilde_gamma,
@@ -146,30 +150,17 @@ def _pair(p: SchwarzProblem, j: int) -> tuple[float, complex, complex]:
 
 
 def _beta_slack_11(p: SchwarzProblem, band: float) -> float:
-    """Condition (11): the beta system solved through the lifted point."""
+    """Condition (11): the closed beta test on the lifted point, with the
+    binomial reweighting (m - j)/m of the even-n lift (m = n + 1)."""
     n = p.n
-    lam, q = p.lambda0, p.target.q
     lifted = lift(p).point
-    qt = lifted.q
-    slack = abs(lam) - abs(q)
     m = lifted.n
-    if abs(qt) > 1.0 + band:
-        return min(slack, 1.0 - abs(qt))
-    scale = 1.0 + max(abs(c) for c in lifted.coords)
-    rescale = (lambda j: (m - j) / m) if n % 2 == 0 else (lambda j: 1.0)
-    if abs(abs(qt) - 1.0) <= band:
-        for j in range(1, n // 2 + 1):
-            resid = abs(lifted.y(j) - lifted.y(m - j).conjugate() * qt)
-            if resid > band * scale:
-                return -resid
-            slack = min(slack, binom(n, j) - rescale(j) * abs(lifted.y(j)))
-        return slack
-    denom = 1.0 - abs(qt) ** 2
-    for j in range(1, n // 2 + 1):
-        bj = (lifted.y(j) - lifted.y(m - j).conjugate() * qt) / denom
-        bnj = (lifted.y(m - j) - lifted.y(j).conjugate() * qt) / denom
-        slack = min(slack, binom(n, j) - rescale(j) * (abs(bj) + abs(bnj)))
-    return slack
+    cs = [binom(n, j) for j in range(1, n // 2 + 1)]
+    ws = [(m - j) / m if n % 2 == 0 else 1.0 for j in range(1, n // 2 + 1)]
+    return min(
+        abs(p.lambda0) - abs(p.target.q),
+        _closed_beta_slack(lifted.coords, band, cs, ws),
+    )
 
 
 def check_condition(
@@ -245,10 +236,16 @@ def xj_quantities(p: SchwarzProblem, j: int) -> tuple[float, float, float]:
         raise DegenerateProblemError(
             "X/J quantities are undefined when y_j y_{n-j} = binom^2 q"
         )
-    c = float(binom(n, j))
-    al = abs(p.lambda0)
-    yj, ynj = y.y(j), y.y(n - j)
-    q = y.q
+    return _xj_terms(
+        float(binom(n, j)), y.y(j), y.y(n - j), y.q, abs(p.lambda0)
+    )
+
+
+def _xj_terms(
+    c: float, yj: complex, ynj: complex, q: complex, al: float
+) -> tuple[float, float, float]:
+    """(X_j, X_{n-j}, J) from binom c, the pair (y_j, y_{n-j}), q and
+    |lambda0|; the product y_j y_{n-j} - c^2 q must not vanish."""
     knum = abs(yj * ynj - c * c * q)
     xj = al / knum * (
         c * c - abs(yj) ** 2 - abs(ynj) ** 2 / al**2 + c * c * abs(q) ** 2 / al**2
@@ -409,22 +406,25 @@ def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:
         if op_norm(M) > 1.0 + 1e-11:
             raise DomainError("assembly matrices must be contractions")
     n = 2 * k + 1 if parity == "odd" else 2 * k
-    if parity == "even" and k < 1:
-        raise DomainError("even assembly needs k >= 1")
+    return CPoint(_pi_coords(n, mats))
+
+
+def _pi_coords(n: int, mats: list[np.ndarray]) -> tuple[complex, ...]:
+    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked: coordinate j is
+    binom(n, j) [M_j]_11 and coordinate n-j is binom(n, j) [M_j]_22 (the
+    middle one averaged for even n), last the determinant of M_1."""
+    k = n // 2
     coords: list[complex] = []
-    if parity == "odd":
-        for j in range(1, k + 1):
-            coords.append(binom(n, j) * mats[j - 1][0, 0])
-        for j in range(k, 0, -1):
-            coords.append(binom(n, j) * mats[j - 1][1, 1])
+    if n % 2 == 1:
+        coords += [binom(n, j) * mats[j - 1][0, 0] for j in range(1, k + 1)]
+        coords += [binom(n, j) * mats[j - 1][1, 1] for j in range(k, 0, -1)]
     else:
-        for j in range(1, k):
-            coords.append(binom(n, j) * mats[j - 1][0, 0])
+        coords += [binom(n, j) * mats[j - 1][0, 0] for j in range(1, k)]
         coords.append(binom(n, k) * (mats[k - 1][0, 0] + mats[k - 1][1, 1]) / 2.0)
-        for j in range(k - 1, 0, -1):
-            coords.append(binom(n, j) * mats[j - 1][1, 1])
-    coords.append(dets[0])
-    return CPoint(tuple(coords))
+        coords += [binom(n, j) * mats[j - 1][1, 1] for j in range(k - 1, 0, -1)]
+    M = mats[0]
+    coords.append(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    return tuple(coords)
 
 
 def gn_schwarz_bound(

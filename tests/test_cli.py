@@ -287,3 +287,40 @@ def test_malformed_point_exit_2(point):
     code, out, err = run_cli("membership", "--set", "g", "--point", point)
     assert code == 2 and out == ""
     assert "Traceback" not in err and err.startswith("error:")
+
+
+def _readme_commands():
+    """(argv, exit code) for every `polydisc ...` line of the README's sh
+    blocks, backslash continuations joined; the code is 0 unless the line
+    ends in a `# exits N` comment."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cmds = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["polydisc"]:
+                code = re.search(r"#\s*exits (\d)", line)
+                cmds.append((argv[1:], int(code.group(1)) if code else 0))
+    return cmds
+
+
+def test_readme_has_cli_commands():
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize(
+    "argv, code", _readme_commands(), ids=lambda a: a[0] if isinstance(a, list) else str(a)
+)
+def test_readme_command_exit_code(argv, code, tmp_path, capsys):
+    from polydisc import cli
+
+    argv = list(argv)
+    if "--output" in argv:
+        k = argv.index("--output") + 1
+        argv[k] = str(tmp_path / argv[k])
+    assert cli.main(argv) == code
+    capsys.readouterr()

@@ -355,6 +355,32 @@ def test_costara_sup_pole_on_grid_point():
         costara_sup(CPoint((2.0, 1.0)), grid=64)
 
 
+def test_costara_sup_overflow_raises():
+    # f_s overflows to NaN on the grid; a NaN sup must not read as a verdict
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        costara_sup(CPoint((0.0, 1e308)), grid=64)
+
+
+def test_nonvanishing_falsifier_overflow_raises():
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        nonvanishing_falsifier(CPoint((0.0, 1e308)), 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_large_q_is_outside_without_overflow(n):
+    # above |q| ~ 1.34e154, |q|^2 is inf: the C7 slack is -inf, no OverflowError
+    from polydisc.membership import in_tilde_g_batch
+
+    for big in (1.4e154, 1e200, 1e308):
+        y = CPoint((0.5,) * (n - 1) + (big,))
+        rep = in_tilde_g(y, cond="C7")
+        assert rep.verdict is False and rep.condition("C7").slack == -math.inf
+        assert in_g(y).verdict is False
+        assert in_gamma(y).verdict is False
+        with np.errstate(over="ignore"):
+            assert in_tilde_g_batch(np.array([y.coords])).tolist() == [False]
+
+
 # --- scaling ----------------------------------------------------------------
 
 
@@ -472,7 +498,7 @@ def test_batch_slack_bit_identical(n, rng):
         ref = [_tilde_slack7(p.coords, closed, band) for p in pts]
         assert _tilde_slack7_batch(y, closed, band).tolist() == ref
     ref = [in_tilde_g(p, cond="C7").condition("C7").slack for p in pts]
-    assert _tilde_slack7_batch(y, False, band, pow_square=True).tolist() == ref
+    assert _tilde_slack7_batch(y, False, band).tolist() == ref
 
 
 @pytest.mark.parametrize("n", range(2, 9))

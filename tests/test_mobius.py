@@ -195,6 +195,12 @@ def test_sup_on_torus_unbounded_branch():
         sup_on_torus(1, CPoint((0.5, 4.0, 0.3)), 64)
 
 
+def test_sup_on_torus_overflow_raises():
+    # c q z overflows to a NaN on the grid; a NaN sup must not read as a verdict
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        sup_on_torus(1, CPoint((0.0, 1e308)), 64)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10**6))
 def test_swap_symmetry(n, seed):
