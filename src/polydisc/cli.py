@@ -107,13 +107,12 @@ def _cmd_interpolate(args) -> int:
         disc = interpolation.build_interpolant(
             point, lam0, nu=args.nu, band=args.band, rng=rng
         )
-    payload = {"disc": disc.to_json(), "evaluations": []}
-    for text in args.eval or []:
-        lam = _parse_complex(text)
-        payload["evaluations"].append(
-            {"lambda": [lam.real, lam.imag], "value": disc(lam).to_json()}
-        )
-    _emit(args, payload)
+    lams = [_parse_complex(text) for text in args.eval or []]
+    evaluations = [
+        {"lambda": [lam.real, lam.imag], "value": CPoint(tuple(value)).to_json()}
+        for lam, value in zip(lams, disc.values(lams))
+    ]
+    _emit(args, {"disc": disc.to_json(), "evaluations": evaluations})
     return 0
 
 

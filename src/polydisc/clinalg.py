@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+_EYE = np.eye(2)
 
 
 def mat2(a11, a12, a21, a22) -> np.ndarray:
@@ -133,12 +134,15 @@ def herm_sqrt(H: np.ndarray) -> np.ndarray:
 
 
 def _inv2(M: np.ndarray) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) < 1e-300:
+    """Inverse of a 2x2 matrix, or of every matrix of a (..., 2, 2) stack."""
+    # M.T holds M[..., i, j] at [j, i] with the stack axes reversed: numpy
+    # scalars for one matrix, arrays for a stack; the final .T undoes it
+    E = M.T
+    a, b, c, d = E[0, 0], E[1, 0], E[0, 1], E[1, 1]
+    det = a * d - b * c
+    if np.count_nonzero(abs(det) < 1e-300):
         raise SingularityError("2x2 matrix is numerically singular")
-    return np.array(
-        [[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex
-    ) / det
+    return (np.array([[d, -c], [-b, a]]) / det).T
 
 
 def takagi(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +172,22 @@ def takagi(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, s
 
 
+def _mobius_frame(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of M_Z that depend on Z alone: (1 - Z Z*)^{-1/2} and
+    (1 - Z* Z)^{1/2}.  Requires ||Z|| < 1."""
+    Z = _check(Z)
+    if op_norm(Z) >= 1.0:
+        raise DomainError("Z must be a strict contraction")
+    return _inv2(herm_sqrt(_EYE - Z @ Z.conj().T)), herm_sqrt(_EYE - Z.conj().T @ Z)
+
+
+def _mobius_apply(Z: np.ndarray, frame, X: np.ndarray) -> np.ndarray:
+    """M_Z(X) for X a 2x2 matrix or a (..., 2, 2) stack, given
+    frame = _mobius_frame(Z)."""
+    left, right = frame
+    return left @ (X - Z) @ _inv2(_EYE - Z.conj().T @ X) @ right
+
+
 def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The contraction-ball automorphism
     M_Z(X) = (1 - Z Z*)^{-1/2} (X - Z) (1 - Z* X)^{-1} (1 - Z* Z)^{1/2}.
@@ -175,10 +195,4 @@ def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     Requires ||Z|| < 1; maps Z to 0 and has inverse M_{-Z}.
     """
     Z = _check(Z)
-    X = _check(X)
-    if op_norm(Z) >= 1.0:
-        raise DomainError("Z must be a strict contraction")
-    I = np.eye(2)
-    left = _inv2(herm_sqrt(I - Z @ Z.conj().T))
-    right = herm_sqrt(I - Z.conj().T @ Z)
-    return left @ (X - Z) @ _inv2(I - Z.conj().T @ X) @ right
+    return _mobius_apply(Z, _mobius_frame(Z), _check(X))

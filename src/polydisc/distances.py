@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, MarginalProblemError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import BOUNDARY_BAND, in_tilde_g
-from .mobius import CPoint, d_norm, phi
+from .mobius import CPoint, circle, d_norm, phi
 from .schwarz import in_J_n
 
 __all__ = [
@@ -79,7 +79,7 @@ def carath_lower(y: CPoint, grid: int = 4096) -> tuple[float, int, complex]:
         raise DomainError("grid must be at least 8")
     if not in_tilde_g(y, cond="C7").verdict:
         raise DomainError("point must lie in the open domain")
-    omegas = np.exp(2j * math.pi * np.arange(grid) / grid)
+    omegas = circle(grid)
     best = (0.0, 1, 1.0 + 0j)
     for j in range(1, y.n):
         vals = np.abs(phi(j, y, omegas))

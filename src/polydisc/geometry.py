@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import BOUNDARY_BAND, MembershipReport, in_tilde_g, in_tilde_gamma
-from .mobius import CPoint, binom, phi
+from .mobius import CPoint, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -90,7 +90,7 @@ def _find_witness(y: CPoint) -> tuple[int, complex, float]:
     largest value is taken, the first (j, angle) on ties.
     """
     radii = np.array([0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999])
-    z = radii[:, None] * np.exp(2j * math.pi * np.arange(1024) / 1024)
+    z = radii[:, None] * circle(1024)
     # |Phi_j| indexed (radius, j, angle); the coordinate bounds hold, so
     # |y_{n-j} z| < binom and Phi_j has no pole on these points
     vals = np.stack(

@@ -16,8 +16,8 @@ infinite family attached to the worked data point (3/2, 3/4, 1/2) with
 lambda0 = -4/5 is exposed separately.
 
 All produced discs are immutable DiscFunction values: evaluable at any
-lambda in the unit disc, serializable to JSON, and re-evaluable bit-exactly
-after a round trip.
+lambda in the unit disc, one lambda or a whole array at once, serializable
+to JSON, and re-evaluable bit-exactly after a round trip.
 """
 
 from __future__ import annotations
@@ -25,20 +25,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .clinalg import herm_sqrt, matricial_mobius, op_norm, takagi
+from .clinalg import _inv2, _mobius_apply, _mobius_frame, op_norm, takagi
 from .errors import (
     ConstructionError,
     DegenerateProblemError,
     DomainError,
     InfeasibleError,
     MarginalProblemError,
-    PoleError,
 )
-from .membership import BOUNDARY_BAND
-from .mobius import CPoint, binom, d_norm, degenerate_product
+from .membership import BOUNDARY_BAND, _tilde_slack7_batch
+from .mobius import CPoint, _check_poles, binom, d_norm, degenerate_product
 from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, feasibility_alpha, k_rho
 
 __all__ = [
@@ -65,13 +65,18 @@ _WF_G_AT_0 = 0.3 + 0j
 _WF_G_AT_L0 = 0.625 + 0j
 
 
-def blaschke(lambda0: complex, lam: complex) -> complex:
+def _lam(lam):
+    """A scalar lambda as a Python complex, anything else as a complex array."""
+    return complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
+
+
+def blaschke(lambda0: complex, lam: complex | np.ndarray) -> complex | np.ndarray:
     """B(l) = (lambda0 - l) / (1 - conj(lambda0) l); vanishes at lambda0,
-    sends 0 to lambda0, unimodular on the circle."""
-    lambda0, lam = complex(lambda0), complex(lam)
+    sends 0 to lambda0, unimodular on the circle.  Elementwise over an
+    array of l."""
+    lambda0, lam = complex(lambda0), _lam(lam)
     den = 1.0 - lambda0.conjugate() * lam
-    if abs(den) < 1e-300:
-        raise PoleError("Blaschke factor pole", at=lam)
+    _check_poles(den, lam, "the Blaschke factor")
     return (lambda0 - lam) / den
 
 
@@ -80,9 +85,18 @@ def blaschke(lambda0: complex, lam: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _disc_auto(w: complex, s: complex) -> complex:
+def _zero_at(a: complex, lam):
+    # e_a(l) = (l - a) / (1 - conj(a) l): the disc automorphism vanishing at a
+    den = 1.0 - a.conjugate() * lam
+    _check_poles(den, lam, f"the Blaschke factor at {a}")
+    return (lam - a) / den
+
+
+def _disc_auto(w: complex, s, lam):
     # mu_w(s) = (w + s) / (1 + conj(w) s): disc automorphism sending 0 to w
-    return (w + s) / (1.0 + w.conjugate() * s)
+    den = 1.0 + w.conjugate() * s
+    _check_poles(den, lam, "a Schur step")
+    return (w + s) / den
 
 
 @dataclass(frozen=True)
@@ -95,6 +109,9 @@ class ScalarSchur:
     kind "np2": the one-step Schur-algorithm solution of a two-node problem,
     mu_{wa}(e_a(l) * mu_{c1}(e_b(l) * t)) with e_x the zero-at-x Blaschke
     factor; parameters are stored, not the closed rational form.
+
+    Called on one lambda it returns a complex; on an array of lambda, the
+    array of values.
     """
 
     kind: str
@@ -106,18 +123,16 @@ class ScalarSchur:
     c1: complex = 0j
     t: complex = 0j
 
-    def __call__(self, lam: complex) -> complex:
-        lam = complex(lam)
+    def __call__(self, lam: complex | np.ndarray) -> complex | np.ndarray:
+        lam = _lam(lam)
         if self.kind == "blaschke":
             acc = self.const
             for z in self.zeros:
-                acc *= (lam - z) / (1.0 - z.conjugate() * lam)
+                acc = acc * _zero_at(z, lam)
             return acc
         if self.kind == "np2":
-            eb = (lam - self.b) / (1.0 - self.b.conjugate() * lam)
-            h = _disc_auto(self.c1, eb * self.t)
-            ea = (lam - self.a) / (1.0 - self.a.conjugate() * lam)
-            return _disc_auto(self.wa, ea * h)
+            h = _disc_auto(self.c1, _zero_at(self.b, lam) * self.t, lam)
+            return _disc_auto(self.wa, _zero_at(self.a, lam) * h, lam)
         raise DomainError(f"unknown ScalarSchur kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -238,13 +253,9 @@ def u_v_vectors(Z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(alpha, dtype=complex).reshape(2)
     if not np.any(np.abs(alpha) > 0):
         raise DomainError("alpha must be nonzero")
-    if op_norm(Z) >= 1.0:
-        raise DomainError("Z must be a strict contraction")
-    I = np.eye(2)
-    left = np.linalg.inv(herm_sqrt(I - Z @ Z.conj().T))
-    right = np.linalg.inv(herm_sqrt(I - Z.conj().T @ Z))
+    left, root = _mobius_frame(Z)
     u = left @ (alpha[0] * Z[:, 0] + alpha[1] * np.array([0.0, 1.0]))
-    v = -right @ (alpha[0] * np.array([1.0, 0.0]) + alpha[1] * Z.conj().T[:, 1])
+    v = -_inv2(root) @ (alpha[0] * np.array([1.0, 0.0]) + alpha[1] * Z.conj().T[:, 1])
     return u, v
 
 
@@ -283,6 +294,14 @@ def _mat_from_json(obj) -> np.ndarray | None:
     )
 
 
+def _diag2(a, b, m: int) -> np.ndarray:
+    """The (m, 2, 2) stack of diag(a_i, b_i); a and b are arrays or scalars."""
+    D = np.zeros((m, 2, 2), dtype=complex)
+    D[:, 0, 0] = a
+    D[:, 1, 1] = b
+    return D
+
+
 @dataclass(frozen=True)
 class DiscFunction:
     """An analytic map of the unit disc into the closed extended symmetrized
@@ -296,6 +315,10 @@ class DiscFunction:
 
     `swap` exchanges coordinates j and n-j of the output (used when the
     input data arrived with |y_{n-1}| > |y_1| and was solved swapped).
+
+    Every evaluation runs over an array of lambda (`values`); one lambda is
+    the array of length one.  The Z-only factors of M_{-Z} are computed at
+    the first evaluation and kept for the life of the disc.
     """
 
     kind: str
@@ -310,22 +333,49 @@ class DiscFunction:
     g: ScalarSchur | None = None
     f: ScalarSchur | None = None
 
-    def core(self, lam: complex) -> np.ndarray:
-        lam = complex(lam)
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mobius_frame(-self.Z)
+
+    def _cores(self, lam: np.ndarray) -> np.ndarray:
+        """F at every lambda of a 1-D array, as an (m, 2, 2) stack."""
+        m = lam.shape[0]
         if self.kind == "matrix_mobius":
-            Q = self.Q0 if self.Qlin is None else self.Q0 + lam * self.Qlin
-            X = blaschke(self.lambda0, lam) * Q
-            return matricial_mobius(-self.Z, X) @ np.diag([lam, 1.0])
-        if self.kind in ("takagi", "worked_family"):
-            mid = np.diag([self.d1, self.g(lam)])
-            return (self.U @ mid @ self.U.T) @ np.diag([lam, 1.0])
-        if self.kind == "diagonal":
-            return np.diag([self.f(lam), self.g(lam)])
-        raise DomainError(f"unknown DiscFunction kind {self.kind!r}")
+            Q = self.Q0 if self.Qlin is None else self.Q0 + lam[:, None, None] * self.Qlin
+            X = blaschke(self.lambda0, lam)[:, None, None] * Q
+            F = _mobius_apply(-self.Z, self._frame, X)
+        elif self.kind in ("takagi", "worked_family"):
+            F = self.U @ _diag2(self.d1, self.g(lam), m) @ self.U.T
+        elif self.kind == "diagonal":
+            return _diag2(self.f(lam), self.g(lam), m)
+        else:
+            raise DomainError(f"unknown DiscFunction kind {self.kind!r}")
+        F[:, :, 0] *= lam[:, None]  # F diag(lambda, 1)
+        return F
+
+    @staticmethod
+    def _lambdas(lams) -> np.ndarray:
+        lam = np.asarray(lams, dtype=complex)
+        if lam.ndim != 1:
+            raise DomainError("lambdas must form a 1-D array")
+        if not np.isfinite(lam).all():
+            raise DomainError("lambda must be finite")
+        return lam
+
+    def values(self, lams) -> np.ndarray:
+        """psi at every lambda of a 1-D array, as an (m, n) complex array."""
+        y = _pi_coords(self.n, [self._cores(self._lambdas(lams))] * (self.n // 2))
+        if self.swap:
+            y = y[:, list(range(self.n - 2, -1, -1)) + [self.n - 1]]
+        if not np.isfinite(y).all():
+            raise DomainError("disc value is not finite")
+        return y
+
+    def core(self, lam: complex) -> np.ndarray:
+        return self._cores(self._lambdas([lam]))[0]
 
     def __call__(self, lam: complex) -> CPoint:
-        p = CPoint(_pi_coords(self.n, [self.core(lam)] * (self.n // 2)))
-        return p.swap() if self.swap else p
+        return CPoint(tuple(self.values([lam])[0]))
 
     def to_json(self) -> dict:
         return {
@@ -362,22 +412,28 @@ class DiscFunction:
 def _verify_endpoints(
     disc: DiscFunction, lambda0: complex, target: CPoint, tol: float
 ) -> None:
-    at0 = disc(0.0)
-    if max(abs(c) for c in at0.coords) > tol:
+    at0, atl = disc.values([0.0, lambda0])
+    if max(abs(c) for c in at0) > tol:
         raise ConstructionError("disc does not vanish at 0")
-    atl = disc(lambda0)
-    err = max(abs(a - b) for a, b in zip(atl.coords, target.coords))
+    err = max(abs(a - b) for a, b in zip(atl, target.coords))
     if err > tol:
         raise ConstructionError(f"disc misses the target by {err:.3g}")
 
 
 def _verify_range(disc: DiscFunction, samples: int, rng, band: float) -> None:
-    from .membership import in_tilde_gamma
-
-    for _ in range(samples):
-        lam = math.sqrt(rng.random()) * 0.999 * cmath.exp(2j * math.pi * rng.random())
-        if not in_tilde_gamma(disc(lam), cond="C7", band=max(band, 1e-9)).verdict:
-            raise ConstructionError(f"disc leaves the closure at lambda={lam}")
+    """psi at `samples` random lambda of the disc |lambda| < 0.999 must pass
+    the closed C7 test at band max(band, 1e-9), the test of
+    in_tilde_gamma(cond="C7").  Sample i is sqrt(r) * 0.999 * exp(2 pi i t)
+    for the uniforms (r, t) at positions (2i, 2i+1) of rng.random(2 * samples);
+    the first failing sample is reported."""
+    if samples < 1:
+        return
+    r, t = rng.random(2 * samples).reshape(samples, 2).T
+    lam = np.sqrt(r) * 0.999 * np.exp(2j * math.pi * t)
+    tol = max(band, 1e-9)
+    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), True, tol) >= -tol))
+    if bad.size:
+        raise ConstructionError(f"disc leaves the closure at lambda={complex(lam[bad[0]])}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
-from .mobius import CPoint, binom, d_norm, degenerate_product
+from .errors import DomainError
+from .mobius import CPoint, _cabs, _check_poles, binom, circle, d_norm, degenerate_product
 
 __all__ = [
     "BOUNDARY_BAND",
@@ -617,10 +617,7 @@ def costara_f(s: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     of points."""
     num, den = _costara_coeffs(s)
     d = _polyval(den, z)
-    poles = np.abs(d) < 1e-300
-    if np.any(poles):
-        at = complex(np.asarray(z)[poles][0])
-        raise PoleError(f"f_s has a pole at z={at}", at=at)
+    _check_poles(d, z, "f_s")
     return _polyval(num, z) / d
 
 
@@ -635,19 +632,24 @@ def costara_sup(s: CPoint, grid: int = 4096) -> float:
     if grid < 8:
         raise DomainError("grid must be at least 8")
     num, den = _costara_coeffs(s)
-    scale = max(abs(c) for c in den)
+    scale = max(_cabs(c) for c in den)
+    nscale = max(1.0, max(_cabs(c) for c in num))
+    if not (math.isfinite(scale) and math.isfinite(nscale)):
+        raise DomainError("a coefficient of f_s overflows the double range")
     desc = list(reversed(den))
     while desc and abs(desc[0]) <= 1e-14 * scale:
         desc.pop(0)
     if len(desc) > 1:
-        nscale = max(1.0, max(abs(c) for c in num))
         for r in np.roots(np.array(desc, dtype=complex)):
-            if abs(r) <= 1.0 + 1e-10 and abs(_polyval(num, complex(r))) > 1e-10 * nscale:
-                return math.inf
-    z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
-    sup = float(np.abs(costara_f(s, z)).max())
-    if math.isnan(sup):
-        raise DomainError("sup is not a number: f_s overflows on the grid")
+            if abs(r) <= 1.0 + 1e-10:
+                at = _cabs(_polyval(num, complex(r)))
+                if math.isnan(at):
+                    raise DomainError("the numerator of f_s overflows at a pole")
+                if at > 1e-10 * nscale:
+                    return math.inf
+    sup = float(np.abs(costara_f(s, circle(grid))).max())
+    if not math.isfinite(sup):
+        raise DomainError("sup is not finite: f_s overflows on the grid")
     return sup
 
 
@@ -679,7 +681,7 @@ def nonvanishing_falsifier(
     n = y.n
     c = float(binom(n, j))
     yj, ynj, q = y.y(j), y.y(n - j), y.q
-    e = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
+    e = circle(grid)
     # candidates in search order, so argmin keeps the first of equal minima:
     # (1, 1), the torus grid, then per radius and angle the zero curve in
     # both variable roles, dropping points where its denominator vanishes

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "CPoint",
     "DiskImage",
     "binom",
+    "circle",
     "phi",
     "d_norm",
     "image_disk",
@@ -123,10 +125,57 @@ def _parts(y: CPoint, j: int) -> tuple[float, complex, complex, complex]:
     return c, y.y(j), y.y(n - j), y.q
 
 
+def _cabs(z: complex) -> float:
+    """abs(z), but +inf where CPython raises OverflowError because the
+    modulus of a finite z exceeds the largest double."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _pow2_below(*zs: complex) -> float:
+    """A power of two s with every real and imaginary part of s * z below 1."""
+    top = max(max(abs(z.real), abs(z.imag)) for z in zs)
+    return math.ldexp(1.0, -math.frexp(top)[1])
+
+
+def _degenerate(c: float, yj: complex, ynj: complex, q: complex) -> bool:
+    try:
+        num = abs(yj * ynj - c * c * q)
+        tol = DEGEN_TOL * c * c * (1.0 + abs(q))
+        if num < math.inf and tol < math.inf:
+            return num <= tol
+    except OverflowError:
+        pass
+    # a product overflowed: both sides scale by s^2 on (s y_j, s y_{n-j},
+    # s^2 q), and with s a power of two that rescaling is exact
+    s = _pow2_below(yj, ynj, math.sqrt(max(abs(q.real), abs(q.imag))))
+    yj, ynj, q = yj * s, ynj * s, q * s * s
+    return abs(yj * ynj - c * c * q) <= DEGEN_TOL * c * c * (s * s + abs(q))
+
+
 def degenerate_product(y: CPoint, j: int) -> bool:
     """True when y_j y_{n-j} = binom^2 q within the scale-aware tolerance."""
-    c, yj, ynj, q = _parts(y, j)
-    return abs(yj * ynj - c * c * q) <= DEGEN_TOL * c * c * (1.0 + abs(q))
+    return _degenerate(*_parts(y, j))
+
+
+@lru_cache(maxsize=8)
+def circle(grid: int) -> np.ndarray:
+    """The `grid` points exp(2 pi i k / grid), k = 0..grid-1, read-only and
+    built once per grid size."""
+    z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
+    z.setflags(write=False)
+    return z
+
+
+def _check_poles(den, z, what: str) -> None:
+    """Raise PoleError at the first z (scalar or array) where the matching
+    denominator `den` vanishes numerically."""
+    poles = abs(den) < 1e-300
+    if np.count_nonzero(poles):
+        at = complex(np.asarray(z)[poles][0])
+        raise PoleError(f"{what} has a pole at z={at}", at=at)
 
 
 def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -136,10 +185,7 @@ def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     if degenerate_product(y, j):
         return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
     den = ynj * z - c
-    poles = np.abs(den) < 1e-300
-    if np.any(poles):
-        at = complex(np.asarray(z)[poles][0])
-        raise PoleError(f"Phi_{j} has a pole at z={at}", at=at)
+    _check_poles(den, z, f"Phi_{j}")
     return (c * q * z - yj) / den
 
 
@@ -151,12 +197,26 @@ def d_norm(j: int, y: CPoint) -> float:
     unbounded on the disc).
     """
     c, yj, ynj, q = _parts(y, j)
-    num = abs(yj * ynj - c * c * q)
-    if num <= DEGEN_TOL * c * c * (1.0 + abs(q)):
-        return abs(yj) / c
-    if abs(ynj) >= c:
+    degen = _degenerate(c, yj, ynj, q)
+    d = _sup_formula(c, yj, ynj, q, degen)
+    if not d < math.inf:
+        # D_j is linear in (y_j, q) at fixed y_{n-j}: evaluate it scaled by a
+        # power of two, so only a sup beyond the double range stays +inf
+        s = _pow2_below(yj, q)
+        d = _sup_formula(c, yj * s, ynj, q * s, degen) / s
+    return d
+
+
+def _sup_formula(c: float, yj: complex, ynj: complex, q: complex, degen: bool) -> float:
+    try:
+        if degen:
+            return abs(yj) / c
+        if abs(ynj) >= c:
+            return math.inf
+        num = abs(yj * ynj - c * c * q)
+        return (c * abs(yj - ynj.conjugate() * q) + num) / (c * c - abs(ynj) ** 2)
+    except OverflowError:
         return math.inf
-    return (c * abs(yj - ynj.conjugate() * q) + num) / (c * c - abs(ynj) ** 2)
 
 
 def image_disk(j: int, y: CPoint) -> DiskImage:
@@ -180,10 +240,9 @@ def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
     if grid < 8:
         raise DomainError("grid must be at least 8")
     c, _, ynj, _ = _parts(y, j)
-    if not degenerate_product(y, j) and abs(ynj) >= c:
+    if not degenerate_product(y, j) and _cabs(ynj) >= c:
         raise DomainError("sup is infinite: |y_{n-j}| >= binom(n, j)")
-    z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
-    sup = float(np.abs(phi(j, y, z)).max())
-    if math.isnan(sup):
-        raise DomainError("sup is not a number: Phi_j overflows on the grid")
+    sup = float(np.abs(phi(j, y, circle(grid))).max())
+    if not math.isfinite(sup):
+        raise DomainError("sup is not finite: Phi_j overflows on the grid")
     return sup

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import herm_eig, op_norm
+from .clinalg import _inv2, herm_eig, op_norm
 from .errors import DegenerateProblemError, DomainError
 from .membership import (
     BOUNDARY_BAND,
@@ -274,8 +274,8 @@ def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
     if op_norm(Z) >= 1.0:
         raise DomainError("Z must be a strict contraction")
     I = np.eye(2)
-    inv_l = np.linalg.inv(I - Z.conj().T @ Z)
-    inv_r = np.linalg.inv(I - Z @ Z.conj().T)
+    inv_l = _inv2(I - Z.conj().T @ Z)
+    inv_r = _inv2(I - Z @ Z.conj().T)
     k11 = ((I - rho**2 * Z.conj().T @ Z) @ inv_l)[0, 0]
     k12 = ((1 - rho**2) * inv_r @ Z)[1, 0]
     k21 = ((1 - rho**2) * Z.conj().T @ inv_r)[0, 1]
@@ -406,25 +406,26 @@ def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:
         if op_norm(M) > 1.0 + 1e-11:
             raise DomainError("assembly matrices must be contractions")
     n = 2 * k + 1 if parity == "odd" else 2 * k
-    return CPoint(_pi_coords(n, mats))
+    return CPoint(tuple(_pi_coords(n, mats)))
 
 
-def _pi_coords(n: int, mats: list[np.ndarray]) -> tuple[complex, ...]:
-    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked: coordinate j is
+def _pi_coords(n: int, mats: list[np.ndarray]) -> np.ndarray:
+    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked, as an (..., n) array
+    for 2x2 matrices or (..., 2, 2) stacks M_j: coordinate j is
     binom(n, j) [M_j]_11 and coordinate n-j is binom(n, j) [M_j]_22 (the
     middle one averaged for even n), last the determinant of M_1."""
     k = n // 2
-    coords: list[complex] = []
-    if n % 2 == 1:
-        coords += [binom(n, j) * mats[j - 1][0, 0] for j in range(1, k + 1)]
-        coords += [binom(n, j) * mats[j - 1][1, 1] for j in range(k, 0, -1)]
-    else:
-        coords += [binom(n, j) * mats[j - 1][0, 0] for j in range(1, k)]
-        coords.append(binom(n, k) * (mats[k - 1][0, 0] + mats[k - 1][1, 1]) / 2.0)
-        coords += [binom(n, j) * mats[j - 1][1, 1] for j in range(k - 1, 0, -1)]
     M = mats[0]
-    coords.append(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    return tuple(coords)
+    out = np.empty(M.shape[:-2] + (n,), dtype=complex)
+    for j in range(1, k + 1):
+        c, A = binom(n, j), mats[j - 1]
+        out[..., j - 1] = c * A[..., 0, 0]
+        out[..., n - 1 - j] = c * A[..., 1, 1]
+    if n % 2 == 0:
+        A = mats[k - 1]
+        out[..., k - 1] = binom(n, k) * (A[..., 0, 0] + A[..., 1, 1]) / 2.0
+    out[..., n - 1] = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return out
 
 
 def gn_schwarz_bound(

@@ -111,6 +111,29 @@ def test_interpolate_strict_build():
     assert val[0][0] == pytest.approx(1.35, abs=1e-9)
 
 
+def test_interpolate_evaluates_every_eval_point():
+    from polydisc.interpolation import DiscFunction
+
+    point = '{"n":3,"coords":[[1.35,0],[0.675,0],[0.45,0]]}'
+    lams = ["-0.8,0", "0,0", "0.3,-0.4", "0.1,0.9"]
+    code, out, _ = run_cli(
+        "interpolate", "--point", point, "--lambda0=-0.8,0", *[f"--eval={t}" for t in lams]
+    )
+    assert code == 0
+    rep = json.loads(out)
+    disc = DiscFunction.from_json(rep["disc"])
+    assert len(rep["evaluations"]) == len(lams)
+    for text, ev in zip(lams, rep["evaluations"]):
+        lam = complex(*map(float, text.split(",")))
+        assert ev["lambda"] == [lam.real, lam.imag]
+        assert ev["value"] == disc(lam).to_json()
+    # -1.25 = 1 / conj(lambda0) is the pole of the Blaschke factor
+    code, out, err = run_cli(
+        "interpolate", "--point", point, "--lambda0=-0.8,0", "--eval=0,0", "--eval=-1.25,0"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_witness_commands():
     code, out, _ = run_cli("witness", "--kind", "nonconvex", "--n", "4")
     assert code == 0 and json.loads(out)["midpoint_in_closure"] is False

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -474,3 +475,191 @@ def test_identity_regressions():
     rep = identity_regressions(300, rng=np.random.default_rng(5))
     assert rep["evaluated"] > 150
     assert max(rep["max_rel_err"].values()) < 1e-9
+
+
+# --- array evaluation ------------------------------------------------------------
+
+
+def _kind_discs(rng):
+    """One disc of every kind: matrix_mobius with and without Qlin, takagi,
+    worked_family and diagonal."""
+    from polydisc.interpolation import slice_interpolant
+    from polydisc.sampling import j_point
+
+    y, lam0 = strict_problem(rng)
+    plain = build_interpolant(y, lam0, rng=rng)
+    head = 1.0 - op_norm(plain.Q0)
+    Qlin = (head / 2.0) * np.array([[0.6, 0.8j], [0.0, -0.6]])
+    perturbed = build_interpolant(y, lam0, Qlin=Qlin, rng=rng)
+    while True:
+        yj = j_point(4, rng)
+        top = max(d_norm(j, yj) for j in range(1, 4))
+        if 0.05 < top < 0.85 and abs(yj.q) <= 0.9 * top:
+            break
+    strict4 = slice_interpolant(yj, min(0.97, 1.2 * top), rng=rng)
+    takagi_disc = extremal_disc(WORKED_POINT)[1]
+    family = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.4 - 0.1j))
+    diag = extremal_disc(CPoint((1.0, 0.5, 1.0 / 18.0)), rng=rng)[1]
+    discs = [plain, perturbed, strict4, takagi_disc, family, diag]
+    assert [d.kind for d in discs] == [
+        "matrix_mobius", "matrix_mobius", "matrix_mobius", "takagi", "worked_family", "diagonal"
+    ]
+    assert perturbed.Qlin is not None
+    return discs
+
+
+def _variants(discs):
+    """Each disc read at n = 2..6 with swap false and true: the core is the
+    same 2x2 map, so only the assembly changes."""
+    import dataclasses
+
+    for disc in discs:
+        for n in range(2, 7):
+            for swap in (False, True):
+                yield dataclasses.replace(disc, n=n, swap=swap)
+
+
+def test_values_rows_are_single_evaluations_bit_for_bit(rng):
+    lams = np.array([unit_disc(rng, 0.99) for _ in range(17)] + [0.0, 0.5j])
+    for disc in _variants(_kind_discs(rng)):
+        vals = disc.values(lams)
+        assert vals.shape == (lams.size, disc.n)
+        for lam, row in zip(lams, vals):
+            single = np.array(disc(lam).coords)
+            assert row.tobytes() == single.tobytes(), (disc.kind, disc.n, disc.swap, lam)
+        assert disc.values(lams[:0]).shape == (0, disc.n)
+
+
+def test_values_match_the_defining_formula(rng):
+    # psi = pi_n(F, ..., F) with F(l) = M_{-Z}(B(l) Q(l)) diag(l, 1), written
+    # out with the scalar blaschke, matricial_mobius and assemble_pi
+    from polydisc.schwarz import assemble_pi
+
+    discs = [d for d in _variants(_kind_discs(rng)) if d.kind == "matrix_mobius"]
+    lams = np.array([unit_disc(rng, 0.97) for _ in range(12)])
+    for disc in discs:
+        vals = disc.values(lams)
+        for lam, row in zip(lams, vals):
+            Q = disc.Q0 if disc.Qlin is None else disc.Q0 + lam * disc.Qlin
+            F = matricial_mobius(-disc.Z, blaschke(disc.lambda0, lam) * Q) @ np.diag([lam, 1.0])
+            ref = assemble_pi([F] * (disc.n // 2), "odd" if disc.n % 2 else "even")
+            ref = ref.swap() if disc.swap else ref
+            assert np.abs(row - np.array(ref.coords)).max() <= 1e-13, (disc.n, disc.swap, lam)
+
+
+def _old_range_lams(seed, samples):
+    """The lambda the per-sample loop drew, and the generator it left behind."""
+    rng = np.random.default_rng(seed)
+    lams = []
+    for _ in range(samples):
+        lams.append(math.sqrt(rng.random()) * 0.999 * cmath.exp(2j * math.pi * rng.random()))
+    return lams, rng
+
+
+def test_verify_range_draws_the_scalar_loop_samples(monkeypatch):
+    from polydisc.interpolation import _verify_range
+
+    disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
+    seen = []
+    values = DiscFunction.values
+
+    def spy(self, lams):
+        seen.append(np.array(lams))
+        return values(self, lams)
+
+    monkeypatch.setattr(DiscFunction, "values", spy)
+    for seed, samples in ((11, 64), (12, 32), (13, 1)):
+        rng = np.random.default_rng(seed)
+        _verify_range(disc, samples, rng, 1e-7)
+        ref, ref_rng = _old_range_lams(seed, samples)
+        assert len(seen) == 1  # one batch call
+        assert seen.pop().tobytes() == np.array(ref).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _verify_range(disc, 0, np.random.default_rng(1), 1e-7)
+    assert seen == []
+
+
+def test_verify_range_names_the_first_failing_lambda():
+    from polydisc.errors import ConstructionError
+    from polydisc.interpolation import _verify_range
+
+    # Z = 0 makes F(l) = B(l) Q0 diag(l, 1); with ||Q0|| = 1.1 psi leaves the
+    # closure wherever |B(l)| > 1/1.1, which is some but not all of the disc
+    disc = DiscFunction(
+        kind="matrix_mobius", n=3, lambda0=0.5 + 0j, Z=np.zeros((2, 2), dtype=complex),
+        Q0=1.1 * np.eye(2, dtype=complex),
+    )
+    seed, samples, band = 2, 64, 1e-7
+    lams, _ = _old_range_lams(seed, samples)
+    inside = [in_tilde_gamma(disc(lam), cond="C7", band=max(band, 1e-9)).verdict for lam in lams]
+    first = inside.index(False)
+    assert first > 0 and not all(not v for v in inside[first:])
+    with pytest.raises(ConstructionError) as info:
+        _verify_range(disc, samples, np.random.default_rng(seed), band)
+    assert str(info.value) == f"disc leaves the closure at lambda={lams[first]}"
+
+
+def test_disc_evaluation_errors_stay_polydisc_errors():
+    from polydisc.errors import PoleError, PolydiscError, SingularityError
+
+    disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
+    pole = 1.0 / np.conj(WORKED_LAMBDA0)  # the Blaschke factor's pole
+    with pytest.raises(PoleError) as info:
+        disc.values([0.1, pole])
+    assert info.value.at == pole
+    with pytest.raises(PoleError):
+        disc(pole)
+    # Z = Q0 / 2 = I/2 and B(1) = -1 at lambda0 = 1/2: 1 + Z* X is singular at 1
+    singular = DiscFunction(
+        kind="matrix_mobius", n=3, lambda0=0.5 + 0j, Z=0.5 * np.eye(2, dtype=complex),
+        Q0=2.0 * np.eye(2, dtype=complex),
+    )
+    with pytest.raises(SingularityError):
+        singular.values([0.2, 1.0])
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError):
+            disc(bad)
+        with pytest.raises(DomainError):
+            disc.values([0.0, bad])
+    with pytest.raises(DomainError):
+        disc.values(np.zeros((2, 2)))
+    g = ScalarSchur(kind="blaschke", zeros=(0.5 + 0j,))
+    with pytest.raises(PoleError):
+        g(2.0)  # 1 - conj(0.5) * 2 = 0
+    with pytest.raises(PoleError):
+        g(np.array([0.0, 2.0]))
+    family = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.5))
+    with pytest.raises(PolydiscError):
+        family.values([0.0, 1.0 / np.conj(family.g.b)])
+
+
+def test_scalar_schur_arrays_match_scalar_calls(rng):
+    lams = np.array([unit_disc(rng, 0.99) for _ in range(40)])
+    for g in (np2(0.0, 0.3, -0.8, 0.625, t=0.3 - 0.2j),
+              ScalarSchur(kind="blaschke", const=0.5j, zeros=(0.2 + 0.1j, -0.4 + 0j))):
+        vals = g(lams)
+        for lam, v in zip(lams, vals):
+            assert abs(v - g(complex(lam))) <= 1e-15
+    assert np.abs(blaschke(WORKED_LAMBDA0, lams) - [blaschke(WORKED_LAMBDA0, l) for l in lams]).max() <= 1e-15
+
+
+def test_disc_frame_is_computed_once(monkeypatch):
+    import polydisc.clinalg as clinalg
+
+    calls = []
+    herm_sqrt = clinalg.herm_sqrt
+
+    def spy(H):
+        calls.append(1)
+        return herm_sqrt(H)
+
+    disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
+    back = DiscFunction.from_json(disc.to_json())  # no frame yet
+    monkeypatch.setattr(clinalg, "herm_sqrt", spy)
+    back(0.3 - 0.1j)
+    assert len(calls) == 2  # (1 - ZZ*)^{-1/2} and (1 - Z*Z)^{1/2}
+    back(0.1)
+    back.values(np.linspace(-0.9, 0.9, 64))
+    back.core(0.2j)
+    assert len(calls) == 2
+    assert "_frame" not in json.dumps(back.to_json())

@@ -224,3 +224,95 @@ def test_cpoint_validation():
 def test_cpoint_json_round_trip():
     y = CPoint((1.5 + 0.5j, -0.75, 0.5j))
     assert CPoint.from_json(y.to_json()) == y
+
+
+def test_circle_is_cached_read_only_and_matches_both_grid_formulas():
+    from polydisc.mobius import circle
+
+    # the oracles built their grids with one of these two expressions; they
+    # agree bit for bit at every grid size the package uses (powers of two)
+    for grid in (8, 64, 512, 1024, 4096, 8192):
+        z = circle(grid)
+        assert z is circle(grid)
+        assert not z.flags.writeable
+        assert z.tobytes() == np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid)).tobytes()
+        assert z.tobytes() == np.exp(2j * math.pi * np.arange(grid) / grid).tobytes()
+    with pytest.raises(ValueError):
+        circle(64)[0] = 0
+
+
+# --- extreme magnitudes --------------------------------------------------------
+
+EXTREMES = [0j, 0.5, 1e308, -1e308, 1e308j, 1e200 + 1e200j, 1.7e308 + 1.7e308j]
+DBL_MAX = 1.7976931348623157e308
+
+
+def _agrees(value: float, ref) -> bool:
+    """value is the double nearest ref, to 1e-12, or +inf for ref beyond range."""
+    import mpmath as mp
+
+    if ref == mp.inf or ref > DBL_MAX:
+        return value == math.inf
+    return abs(mp.mpf(value) - ref) <= 1e-12 * ref
+
+
+def _extreme_refs(a: complex, b: complex):
+    """Exact-exponent references on the n = 2 point (a, b), j = 1 (binom 2):
+    the degeneracy test, D_1, the sup of |Phi_1| over circle(64), and
+    Costara's sup over the disc for the point read as (s_1, p)."""
+    import mpmath as mp
+    from polydisc.mobius import DEGEN_TOL, circle
+
+    with mp.workprec(200):
+        a, b = mp.mpc(a), mp.mpc(b)
+        num = abs(a * a - 4 * b)
+        tol = mp.mpf(DEGEN_TOL) * 4 * (1 + abs(b))
+        degen = num <= tol
+        if degen:
+            dn = abs(a) / 2
+        elif abs(a) >= 2:
+            dn = mp.inf
+        else:
+            dn = (2 * abs(a - mp.conj(a) * b) + num) / (4 - abs(a) ** 2)
+        zs = [mp.mpc(complex(z)) for z in circle(64)]
+        if degen:
+            sup = abs(a) / 2
+        elif abs(a) >= 2:
+            sup = None  # unbounded: a DomainError is the right answer
+        else:
+            sup = max(abs((2 * b * z - a) / (a * z - 2)) for z in zs)
+        # f_s(z) = (-s_1 + 2 p z) / (2 - s_1 z): pole at 2 / s_1
+        if abs(a) >= 2 and abs(-a + 4 * b / a) > 0:
+            cos = mp.inf
+        else:
+            cos = max(abs((-a + 2 * b * z) / (2 - a * z)) for z in zs)
+        return degen, num - tol, dn, sup, cos
+
+
+def test_extreme_magnitudes_give_right_values_or_polydisc_errors():
+    """degenerate_product, d_norm, sup_on_torus and costara_sup on the 7 x 7
+    grid of n = 2 points with coordinates in EXTREMES: each returns what
+    exact-exponent arithmetic gives, or raises a PolydiscError; never a bare
+    OverflowError."""
+    pytest.importorskip("mpmath")
+    from polydisc.errors import PolydiscError
+    from polydisc.membership import costara_sup
+    from polydisc.mobius import degenerate_product
+
+    answered = 0
+    for a in EXTREMES:
+        for b in EXTREMES:
+            y = CPoint((a, b))
+            degen, margin, dn, sup, cos = _extreme_refs(a, b)
+            assert degenerate_product(y, 1) == degen, (a, b, margin)
+            assert _agrees(d_norm(1, y), dn), (a, b)
+            for call, ref in ((lambda: sup_on_torus(1, y, 64), sup),
+                              (lambda: costara_sup(y, 64), cos)):
+                try:
+                    with np.errstate(all="ignore"):
+                        value = call()
+                except PolydiscError:
+                    continue
+                assert ref is not None and _agrees(value, ref), (a, b, value, ref)
+                answered += 1
+    assert answered >= 20
