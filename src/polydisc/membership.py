@@ -9,11 +9,12 @@ Five sets are decided here, each with explainable per-condition margins:
 * b Gamma_n   (distinguished boundary).
 
 Each of these sets admits several equivalent characterizations, most with
-their own formula.  Some condition ids are declared aliases that share one
-implementation, so a sweep comparing them checks nothing: C2 is C7 (the
-C7 slack), C8 is C9 (one `_b_norm`), and the closed condition C10 shares
-`_closed_beta_slack` with Schwarz condition (11).  The authoritative
-verdict is always the beta-representation inequality ("C7"):
+their own formula, all read off one row of moduli per pair (`_tilde_slacks`).
+Some condition ids are declared aliases that read one stored value, so a
+sweep comparing them checks nothing: C2 is C7, C8 is C9, and the closed
+condition C10 shares `_closed_beta_slack` with Schwarz condition (11).
+The authoritative verdict is always the beta-representation inequality
+("C7"):
 
     |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q| < binom(n,j) (1 - |q|^2)
 
@@ -31,7 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mobius import CPoint, _cabs, _check_poles, binom, circle, d_norm, degenerate_product
+from .mobius import (
+    CPoint,
+    _cabs,
+    _check_poles,
+    _degenerate,
+    _pair_terms,
+    _root,
+    _sup_formula,
+    binom,
+    circle,
+)
 
 __all__ = [
     "BOUNDARY_BAND",
@@ -123,84 +134,82 @@ class BetaVector:
 
 
 # ---------------------------------------------------------------------------
-# per-condition slacks
+# per-condition slacks, one row of moduli per pair
 # ---------------------------------------------------------------------------
 
-
-def _b_norm(c: float, yj: complex, ynj: complex, q: complex) -> float:
-    # closed-form operator norm of [[yj/c, k], [k, ynj/c]], k^2 = yj*ynj/c^2 - q
-    a = yj / c
-    d = ynj / c
-    k = cmath.sqrt(a * d - q)
-    T = abs(a) ** 2 + abs(d) ** 2 + 2 * abs(k) ** 2
-    D = abs(q) ** 2  # |det|^2, det = q by construction
-    disc = math.sqrt(max(T * T - 4.0 * D, 0.0))
-    return math.sqrt(max((T + disc) / 2.0, 0.0))
+# Schwarz conditions (10), (8) and (9) on the row of `_pair_terms` at
+# al = |lambda0|, doubles or Decimals alike; at al = 1 they are C7, the C5
+# sum and C6.  x = |al^2 y_{n-j} - conj(y_j) q|, z = |y_j - conj(y_{n-j}) q|.
 
 
-def _cond_slack(y: CPoint, cond: str, closed: bool, band: float) -> float:
-    """Minimum slack of `cond` over j = 1..floor(n/2) (plus global clauses)."""
-    n = y.n
-    q = y.q
-    if cond in ("C2", "C7"):
-        return _tilde_slack7(y.coords, closed, band)
-    if cond == "C10":
-        cs = [float(binom(n, j)) for j in range(1, n // 2 + 1)]
-        return _closed_beta_slack(y.coords, band, cs, [1.0] * len(cs))
-    slack = math.inf
-    if cond == "C6":
-        slack = 1.0 - abs(q)  # |q| < 1 (<= 1 closed) folded in once
+def _s10(c, al, aq, x, z):
+    return c * (al * al - aq * aq) - (x + al * z)
+
+
+def _s8(c, al, a, b, aq, x):
+    return c * c * al * al - (a * a - al * al * b * b + c * c * aq * aq + 2 * c * x)
+
+
+def _s9(c, al, a, b, aq, k):
+    return c * c * al * al - (a * a + al * al * b * b - c * c * aq * aq + 2 * al * k)
+
+
+def _c7(c, yj: complex, ynj: complex, q: complex, aq: float, unit_q: bool) -> float:
+    """The C7 slack of one pair, on doubles as the batch twin reads it (the
+    row's x and z, bit for bit); closed, at |q| = 1 within band, also
+    binom(n, j) - |y_j|."""
+    x, z = ynj - yj.conjugate() * q, yj - ynj.conjugate() * q
+    try:
+        s = _s10(c, 1, aq, abs(x), abs(z))
+    except OverflowError:
+        s = _s10(c, 1, aq, _cabs(x), _cabs(z))
+    return min(s, c - _cabs(yj)) if unit_q else s
+
+
+# the columns of _tilde_slacks; C2 reads C7 and C8 reads C9
+_ROW_CONDS = ("C3", "C3p", "C4", "C4p", "C5", "C5p", "C6", "C7", "C9")
+
+
+def _tilde_slacks(y: CPoint, closed: bool, band: float) -> dict[str, float]:
+    """Every condition's slack, the minimum over j = 1..floor(n/2) of one
+    row per pair (plus the global clauses); C7, `_tilde_slack7`'s, stays on
+    doubles where the row turns decimal."""
+    coords = y.coords
+    n, q = len(coords), coords[-1]
+    abs_q = _cabs(q)
+    unit_q = closed and abs(abs_q - 1.0) <= band
+    rows = []
     for j in range(1, n // 2 + 1):
-        c = float(binom(n, j))
-        yj, ynj = y.y(j), y.y(n - j)
-        degen = degenerate_product(y, j)
-        det_term = abs(yj * ynj - c * c * q)
-        if cond == "C3":
-            s = 1.0 - d_norm(j, y)
-            if degen:
-                s = min(s, c - abs(ynj))
-        elif cond == "C3p":
-            s = 1.0 - d_norm(n - j, y)
-            if degen:
-                s = min(s, c - abs(yj))
-        elif cond == "C4":
-            s = (c * c - abs(ynj) ** 2) - (
-                c * abs(yj - ynj.conjugate() * q) + det_term
-            )
-            if closed and degen:
-                s = min(s, c - abs(yj))
-        elif cond == "C4p":
-            s = (c * c - abs(yj) ** 2) - (
-                c * abs(ynj - yj.conjugate() * q) + det_term
-            )
-            if closed and degen:
-                s = min(s, c - abs(ynj))
-        elif cond == "C5":
-            s = c * c - (
-                abs(yj) ** 2
-                - abs(ynj) ** 2
-                + c * c * abs(q) ** 2
-                + 2 * c * abs(ynj - yj.conjugate() * q)
-            )
-            s = min(s, c - abs(ynj))
-        elif cond == "C5p":
-            s = c * c - (
-                abs(ynj) ** 2
-                - abs(yj) ** 2
-                + c * c * abs(q) ** 2
-                + 2 * c * abs(yj - ynj.conjugate() * q)
-            )
-            s = min(s, c - abs(yj))
-        elif cond == "C6":
-            s = c * c - (
-                abs(yj) ** 2 + abs(ynj) ** 2 - c * c * abs(q) ** 2 + 2 * det_term
-            )
-        elif cond in ("C8", "C9"):
-            s = 1.0 - _b_norm(c, yj, ynj, q)
-        else:
-            raise DomainError(f"unknown condition id {cond!r}")
-        slack = min(slack, s)
-    return slack
+        c = math.comb(n, j)
+        yj, ynj = coords[j - 1], coords[n - 1 - j]
+        c7 = _c7(c, yj, ynj, q, abs_q, unit_q)
+        a, b, aq, x, z, k = _pair_terms(c, yj, ynj, q)
+        degen = _degenerate(c, k, aq)
+        c3 = 1 - _sup_formula(c, a, b, z, k, degen)
+        c3p = 1 - _sup_formula(c, b, a, x, k, degen)
+        c4 = (c * c - b * b) - (c * z + k)
+        c4p = (c * c - a * a) - (c * x + k)
+        if degen:
+            c3, c3p = min(c3, c - b), min(c3p, c - a)
+            if closed:
+                c4, c4p = min(c4, c - a), min(c4p, c - b)
+        # ||B_j||^2 = (T + sqrt(T^2 - 4 |det|^2)) / 2, det B_j = q (b_matrices)
+        T = (a * a + b * b + 2 * k) / (c * c)
+        rows.append((
+            c3, c3p, c4, c4p,
+            min(_s8(c, 1, a, b, aq, x), c - b),
+            min(_s8(c, 1, b, a, aq, z), c - a),
+            _s9(c, 1, a, b, aq, k),
+            c7,
+            1 - _root((T + _root(T * T - 4 * aq * aq)) / 2),
+        ))
+    out = dict(zip(_ROW_CONDS, map(float, map(min, zip(*rows)))))
+    out["C6"] = min(out["C6"], 1.0 - abs_q)  # |q| < 1 (<= 1 closed)
+    out["C2"], out["C8"] = out["C7"], out["C9"]
+    if closed:
+        cs = [math.comb(n, j) for j in range(1, n // 2 + 1)]
+        out["C10"] = _closed_beta_slack(coords, band, cs, [1] * len(cs))
+    return out
 
 
 def _closed_beta_slack(
@@ -220,28 +229,32 @@ def _closed_beta_slack(
     """
     n = len(coords)
     q = coords[-1]
-    if abs(q) > 1.0 + band:
-        return 1.0 - abs(q)
+    aq = _cabs(q)
+    if aq > 1.0 + band:
+        return 1.0 - aq
     slack = math.inf
-    if abs(abs(q) - 1.0) <= band:
-        scale = 1.0 + max(abs(c) for c in coords)
+    if abs(aq - 1.0) <= band:
+        scale = 1.0 + max(_cabs(c) for c in coords)
         for j in range(1, n // 2 + 1):
-            resid = abs(coords[j - 1] - coords[n - 1 - j].conjugate() * q)
+            resid = _cabs(coords[j - 1] - coords[n - 1 - j].conjugate() * q)
             if resid > band * scale:
                 return -resid
-            slack = min(slack, cs[j - 1] - ws[j - 1] * abs(coords[j - 1]))
+            slack = min(slack, cs[j - 1] - ws[j - 1] * _cabs(coords[j - 1]))
         return slack
     betas = _beta_coords(coords)
     for j in range(1, n // 2 + 1):
-        s = cs[j - 1] - ws[j - 1] * (abs(betas[j - 1]) + abs(betas[n - 1 - j]))
+        s = cs[j - 1] - ws[j - 1] * (_cabs(betas[j - 1]) + _cabs(betas[n - 1 - j]))
         slack = min(slack, s)
     return slack
 
 
-def _margin(y, cond, closed, band) -> ConditionMargin:
-    s = _cond_slack(y, cond, closed, band)
-    holds = (s >= -band) if closed else (s > 0.0)
-    return ConditionMargin(cond, holds, s, abs(s) < band)
+def _margins(slacks: dict[str, float], conds, closed: bool, band: float) -> tuple:
+    """The ConditionMargin of each of conds: open conditions hold iff
+    slack > 0, closed ones iff slack >= -band; |slack| < band is boundary."""
+    pairs = zip(conds, map(slacks.__getitem__, conds))
+    if closed:
+        return tuple([ConditionMargin(c, s >= -band, s, abs(s) < band) for c, s in pairs])
+    return tuple([ConditionMargin(c, s > 0.0, s, abs(s) < band) for c, s in pairs])
 
 
 def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipReport:
@@ -254,13 +267,16 @@ def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipRepor
         wanted = (cond,)
     else:
         raise DomainError(f"condition {cond!r} not available for this set")
-    margins = tuple(_margin(y, c, closed, band) for c in wanted)
-    auth = _margin(y, "C7", closed, band)
+    if cond in ("C2", "C7"):  # the verdict's own slack needs no table
+        slacks = dict.fromkeys(("C2", "C7"), _tilde_slack7(y.coords, closed, band))
+    else:
+        slacks = _tilde_slacks(y, closed, band)
+    (auth,) = _margins(slacks, ("C7",), closed, band)
     return MembershipReport(
         point=y,
         set_id="tilde-gamma" if closed else "tilde-g",
         verdict=auth.holds,
-        per_condition=margins,
+        per_condition=_margins(slacks, wanted, closed, band),
     )
 
 
@@ -288,24 +304,17 @@ def _tilde_slack7(coords: tuple[complex, ...], closed: bool, band: float) -> flo
     within band, also binom(n, j) - |y_j|."""
     n = len(coords)
     q = coords[-1]
-    aq = abs(q)
-    slack = math.inf
+    aq = _cabs(q)
     unit_q = closed and abs(aq - 1.0) <= band
+    slack = math.inf
     for j in range(1, n // 2 + 1):
-        c = float(math.comb(n, j))
-        yj, ynj = coords[j - 1], coords[n - 1 - j]
-        s = c * (1.0 - aq * aq) - (
-            abs(ynj - yj.conjugate() * q) + abs(yj - ynj.conjugate() * q)
-        )
-        if unit_q:
-            s = min(s, c - abs(yj))
-        slack = min(slack, s)
+        slack = min(slack, _c7(math.comb(n, j), coords[j - 1], coords[n - 1 - j], q, aq, unit_q))
     return slack
 
 
 def beta_recover(y: CPoint) -> BetaVector:
     """The forced beta-representation beta_j = (y_j - conj(y_{n-j}) q) / (1 - |q|^2)."""
-    if abs(y.q) >= 1.0:
+    if _cabs(y.q) >= 1.0:
         raise DomainError("beta recovery needs |q| < 1")
     return BetaVector(y.n, _beta_coords(y.coords))
 
@@ -356,22 +365,19 @@ def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     cur = s.coords
     verdict = True
     while len(cur) > 1:
-        p = cur[-1]
-        if abs(p) >= 1.0 or _tilde_slack7(cur, closed=False, band=band) <= 0.0:
+        if _cabs(cur[-1]) >= 1.0 or _tilde_slack7(cur, closed=False, band=band) <= 0.0:
             verdict = False
             break
         cur = _beta_coords(cur)
         trace.append(CPoint(cur))
     if verdict:
-        verdict = abs(cur[0]) < 1.0
-    auth = _margin(s, "C7", False, band) if s.n >= 2 else ConditionMargin(
-        "C7", abs(s.coords[0]) < 1.0, 1.0 - abs(s.coords[0]), abs(1.0 - abs(s.coords[0])) < band
-    )
+        verdict = _cabs(cur[0]) < 1.0
+    auth = _tilde_slack7(s.coords, False, band) if s.n > 1 else 1.0 - _cabs(s.coords[0])
     return MembershipReport(
         point=s,
         set_id="g",
         verdict=verdict,
-        per_condition=(auth,),
+        per_condition=_margins({"C7": auth}, ("C7",), False, band),
         recursion_trace=tuple(trace),
     )
 
@@ -388,11 +394,11 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     cur = s.coords
     verdict: bool | None = None
     while len(cur) > 1:
-        p = cur[-1]
-        if abs(p) > 1.0 + band:
+        ap = _cabs(cur[-1])
+        if ap > 1.0 + band:
             verdict = False
             break
-        if abs(abs(p) - 1.0) <= band:
+        if abs(ap - 1.0) <= band:
             verdict = _b_gamma_coords(cur, band)
             break
         if _tilde_slack7(cur, closed=True, band=band) < -band:
@@ -401,15 +407,13 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
         cur = _beta_coords(cur)
         trace.append(CPoint(cur))
     if verdict is None:
-        verdict = abs(cur[0]) <= 1.0 + band
-    auth = _margin(s, "C7", True, band) if s.n >= 2 else ConditionMargin(
-        "C7", abs(s.coords[0]) <= 1.0 + band, 1.0 - abs(s.coords[0]), abs(1.0 - abs(s.coords[0])) < band
-    )
+        verdict = _cabs(cur[0]) <= 1.0 + band
+    auth = _tilde_slack7(s.coords, True, band) if s.n > 1 else 1.0 - _cabs(s.coords[0])
     return MembershipReport(
         point=s,
         set_id="gamma",
         verdict=verdict,
-        per_condition=(auth,),
+        per_condition=_margins({"C7": auth}, ("C7",), True, band),
         recursion_trace=tuple(trace),
     )
 
@@ -417,13 +421,13 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
 def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
     n = len(coords)
     if n == 1:
-        return abs(abs(coords[0]) - 1.0) <= band
+        return abs(_cabs(coords[0]) - 1.0) <= band
     p = coords[-1]
-    if abs(abs(p) - 1.0) > band:
+    if abs(_cabs(p) - 1.0) > band:
         return False
-    scale = 1.0 + max(abs(c) for c in coords)
+    scale = 1.0 + max(_cabs(c) for c in coords)
     for j in range(1, n):
-        if abs(coords[j - 1] - coords[n - 1 - j].conjugate() * p) > band * scale:
+        if _cabs(coords[j - 1] - coords[n - 1 - j].conjugate() * p) > band * scale:
             return False
     scaled = tuple((n - j) / n * coords[j - 1] for j in range(1, n))
     return in_gamma(CPoint(scaled), band=band).verdict
@@ -473,6 +477,7 @@ def _conj_mul(ar, ai, br, bi):
     return ar * br + ai * bi, ar * bi - ai * br
 
 
+@np.errstate(all="ignore")
 def _tilde_slack7_batch(y: np.ndarray, closed: bool, band: float) -> np.ndarray:
     """_tilde_slack7 on every row of y."""
     n = y.shape[1]
@@ -514,6 +519,7 @@ def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return _tilde_slack7_batch(y, closed=False, band=band) > 0.0
 
 
+@np.errstate(all="ignore")
 def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_g(s).verdict for every row of the (m, n) array s."""
     verdict = np.zeros(s.shape[0], dtype=bool)
@@ -527,6 +533,7 @@ def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return verdict
 
 
+@np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
     verdict = np.zeros(s.shape[0], dtype=bool)
@@ -546,6 +553,7 @@ def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return verdict
 
 
+@np.errstate(all="ignore")
 def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_b_gamma(s) for every row of the (m, n) array s."""
     n = s.shape[1]
@@ -569,6 +577,7 @@ def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return verdict
 
 
+@np.errstate(all="ignore")
 def symmetrize_batch(z: np.ndarray) -> np.ndarray:
     """symmetrize(z).coords for every row of the (m, n) array z."""
     m, n = z.shape
@@ -612,6 +621,7 @@ def _polyval(coeffs: list[complex], z: complex) -> complex:
     return acc
 
 
+@np.errstate(all="ignore")
 def costara_f(s: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Costara's rational function f_s at z, or elementwise over an array
     of points."""
@@ -621,6 +631,7 @@ def costara_f(s: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     return _polyval(num, z) / d
 
 
+@np.errstate(all="ignore")
 def costara_sup(s: CPoint, grid: int = 4096) -> float:
     """sup over the closed unit disc of |f_s|.
 
@@ -665,6 +676,7 @@ def scale_point(s: CPoint, lam: complex) -> CPoint:
     return CPoint(tuple(c / lam ** (k + 1) for k, c in enumerate(s.coords)))
 
 
+@np.errstate(all="ignore")
 def nonvanishing_falsifier(
     y: CPoint, j: int, grid: int = 64
 ) -> tuple[float, complex, complex]:

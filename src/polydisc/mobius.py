@@ -10,9 +10,12 @@ membership test and distance formula in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,12 +120,11 @@ def binom(n: int, j: int) -> int:
     return math.comb(n, j)
 
 
-def _parts(y: CPoint, j: int) -> tuple[float, complex, complex, complex]:
+def _parts(y: CPoint, j: int) -> tuple[int, complex, complex, complex]:
     n = y.n
     if n < 2:
         raise DomainError("Phi_j needs dimension n >= 2")
-    c = float(binom(n, j))
-    return c, y.y(j), y.y(n - j), y.q
+    return binom(n, j), y.y(j), y.y(n - j), y.q
 
 
 def _cabs(z: complex) -> float:
@@ -134,30 +136,73 @@ def _cabs(z: complex) -> float:
         return math.inf
 
 
-def _pow2_below(*zs: complex) -> float:
-    """A power of two s with every real and imaginary part of s * z below 1."""
-    top = max(max(abs(z.real), abs(z.imag)) for z in zs)
-    return math.ldexp(1.0, -math.frexp(top)[1])
+# Every formula on a pair (y_j, y_{n-j}, q) reads the row of six moduli of
+# `_pair_terms`, on doubles or, where a term times binom reaches _BIG and a
+# square would leave the double range, on Decimals.
+_BIG = 1e75
+_EXACT = Context(prec=60)
 
 
-def _degenerate(c: float, yj: complex, ynj: complex, q: complex) -> bool:
+class _Exact(NamedTuple):
+    """A complex number as two Decimals, with the arithmetic of `_pair_terms`."""
+
+    re: Decimal
+    im: Decimal
+
+    def __mul__(self, o):
+        if isinstance(o, _Exact):
+            return _Exact(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _Exact(self.re * o, self.im * o)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, o):
+        return _Exact(self.re - o.re, self.im - o.im)
+
+    def conjugate(self):
+        return _Exact(self.re, -self.im)
+
+    def __abs__(self):
+        return (self.re * self.re + self.im * self.im).sqrt()
+
+
+def _exact(z: complex) -> _Exact:
+    return _Exact(Decimal(z.real), Decimal(z.imag))
+
+
+def _pair_terms(c, yj, ynj, q, al=1) -> tuple:
+    """The row of the pair: (|y_j|, |y_{n-j}|, |q|, |al^2 y_{n-j} - conj(y_j) q|,
+    |y_j - conj(y_{n-j}) q|, |y_j y_{n-j} - c^2 q|), as doubles, or as
+    60-digit Decimals where the double formulas on them could overflow."""
+    zs = (yj, ynj, q, al * al * ynj - yj.conjugate() * q, yj - ynj.conjugate() * q, yj * ynj - c * c * q)
     try:
-        num = abs(yj * ynj - c * c * q)
-        tol = DEGEN_TOL * c * c * (1.0 + abs(q))
-        if num < math.inf and tol < math.inf:
-            return num <= tol
+        t = tuple(map(abs, zs))
     except OverflowError:
-        pass
-    # a product overflowed: both sides scale by s^2 on (s y_j, s y_{n-j},
-    # s^2 q), and with s a power of two that rescaling is exact
-    s = _pow2_below(yj, ynj, math.sqrt(max(abs(q.real), abs(q.imag))))
-    yj, ynj, q = yj * s, ynj * s, q * s * s
-    return abs(yj * ynj - c * c * q) <= DEGEN_TOL * c * c * (s * s + abs(q))
+        t = tuple(map(_cabs, zs))
+    if isinstance(yj, _Exact) or max(t) * c < _BIG:
+        return t
+    with localcontext(_EXACT):
+        return _pair_terms(c, _exact(yj), _exact(ynj), _exact(q), Decimal(al))
+
+
+def _root(x):
+    """sqrt(max(x, 0)) of a double or a Decimal, in its own type."""
+    if not x > 0:
+        return 0 * x
+    return x.sqrt() if isinstance(x, Decimal) else math.sqrt(x)
+
+
+def _degenerate(c, k, aq) -> bool:
+    """y_j y_{n-j} = c^2 q within the scale-aware tolerance, from the row's
+    k = |y_j y_{n-j} - c^2 q| and aq = |q|."""
+    return k <= type(k)(DEGEN_TOL) * c * c * (1 + aq)
 
 
 def degenerate_product(y: CPoint, j: int) -> bool:
     """True when y_j y_{n-j} = binom^2 q within the scale-aware tolerance."""
-    return _degenerate(*_parts(y, j))
+    c, yj, ynj, q = _parts(y, j)
+    t = _pair_terms(c, yj, ynj, q)
+    return _degenerate(c, t[5], t[2])
 
 
 @lru_cache(maxsize=8)
@@ -178,6 +223,7 @@ def _check_poles(den, z, what: str) -> None:
         raise PoleError(f"{what} has a pole at z={at}", at=at)
 
 
+@np.errstate(all="ignore")
 def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Phi_j(z, y) at a point z, or elementwise over an array of points; the
     constant branch y_j / binom when the product degenerates."""
@@ -194,29 +240,23 @@ def d_norm(j: int, y: CPoint) -> float:
 
     Three branches: the closed formula when |y_{n-j}| < binom, the constant
     |y_j| / binom when the product degenerates, +inf otherwise (the map is
-    unbounded on the disc).
+    unbounded on the disc).  A pair whose terms leave the double range is
+    evaluated on its decimal row, so only a sup beyond it is +inf.
     """
     c, yj, ynj, q = _parts(y, j)
-    degen = _degenerate(c, yj, ynj, q)
-    d = _sup_formula(c, yj, ynj, q, degen)
-    if not d < math.inf:
-        # D_j is linear in (y_j, q) at fixed y_{n-j}: evaluate it scaled by a
-        # power of two, so only a sup beyond the double range stays +inf
-        s = _pow2_below(yj, q)
-        d = _sup_formula(c, yj * s, ynj, q * s, degen) / s
-    return d
+    a, b, aq, _, cross, k = _pair_terms(c, yj, ynj, q)
+    return float(_sup_formula(c, a, b, cross, k, _degenerate(c, k, aq)))
 
 
-def _sup_formula(c: float, yj: complex, ynj: complex, q: complex, degen: bool) -> float:
-    try:
-        if degen:
-            return abs(yj) / c
-        if abs(ynj) >= c:
-            return math.inf
-        num = abs(yj * ynj - c * c * q)
-        return (c * abs(yj - ynj.conjugate() * q) + num) / (c * c - abs(ynj) ** 2)
-    except OverflowError:
+def _sup_formula(c, a, b, cross, k, degen: bool):
+    """D_j from the row of its pair: a = |y_j|, b = |y_{n-j}|,
+    cross = |y_j - conj(y_{n-j}) q|, k = |y_j y_{n-j} - c^2 q|; D_{n-j}
+    swaps a with b and reads the other cross term."""
+    if degen:
+        return a / c
+    if b >= c:
         return math.inf
+    return (c * cross + k) / (c * c - b * b)
 
 
 def image_disk(j: int, y: CPoint) -> DiskImage:
@@ -225,16 +265,21 @@ def image_disk(j: int, y: CPoint) -> DiskImage:
     Satisfies |center| + radius = d_norm(j, y).
     """
     c, yj, ynj, q = _parts(y, j)
-    if degenerate_product(y, j):
+    _, b, aq, _, _, k = _pair_terms(c, yj, ynj, q)
+    if _degenerate(c, k, aq):
         return DiskImage(center=yj / c, radius=0.0)
-    if abs(ynj) >= c:
+    if b >= c:
         raise DomainError("image is unbounded: |y_{n-j}| >= binom(n, j)")
-    den = c * c - abs(ynj) ** 2
-    center = c * (yj - ynj.conjugate() * q) / den
-    radius = abs(yj * ynj - c * c * q) / den
-    return DiskImage(center=center, radius=radius)
+    den = c * c - b * b
+    center = c * (yj - ynj.conjugate() * q) / float(den)
+    if not cmath.isfinite(center):  # a product overflowed: read it in Decimals
+        with localcontext(_EXACT):
+            e = (_exact(yj) - _exact(ynj).conjugate() * _exact(q)) * (c / Decimal(den))
+        center = complex(float(e.re), float(e.im))
+    return DiskImage(center=center, radius=float(k / den))
 
 
+@np.errstate(all="ignore")
 def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
     """Brute-force oracle for D_j: max of |Phi_j| over `grid` points of the circle."""
     if grid < 8:

@@ -9,6 +9,8 @@ consumes.  Some are declared aliases that share one implementation, so a
 sweep comparing them checks nothing: S3 is S6 (the closed-form sup-norm),
 S7 is S10 (the closed inequality), and S11 runs the closed beta test of
 membership condition C10 (`_closed_beta_slack`) on the lifted point.
+S3/S6 and S7..S10 read one row of moduli per pair (`_branch_rows`); S8,
+S9 and S10 are membership's C5, C6 and C7 expressions at alpha = |lambda0|.
 
 Branching convention: for each index pair (j, n-j) the inequalities read
 through Phi_j when |y_{n-j}| <= |y_j| ("DivideJ", ties included) and
@@ -29,11 +31,14 @@ from .membership import (
     BOUNDARY_BAND,
     ConditionMargin,
     _closed_beta_slack,
+    _s8,
+    _s9,
+    _s10,
     costara_sup,
     in_tilde_g,
     in_tilde_gamma,
 )
-from .mobius import CPoint, binom, d_norm, degenerate_product
+from .mobius import CPoint, _degenerate, _pair_terms, _sup_formula, binom, d_norm
 
 __all__ = [
     "SchwarzProblem",
@@ -139,14 +144,17 @@ def lift(p: SchwarzProblem) -> LiftedPoint:
     return LiftedPoint(p, CPoint(tuple(coords)), choices)
 
 
-def _pair(p: SchwarzProblem, j: int) -> tuple[float, complex, complex]:
-    """(binom, larger, smaller) for the branch at j."""
-    y = p.target
-    c = float(binom(p.n, j))
-    yj, ynj = y.y(j), y.y(p.n - j)
-    if p.branch(j) == "DivideNJ":
-        yj, ynj = ynj, yj
-    return c, yj, ynj
+def _branch_rows(p: SchwarzProblem):
+    """Per pair j = 1..floor(n/2): (j, binom, y_j, y_{n-j}, row), the pair
+    read larger coordinate first (its branch), and row its `_pair_terms`
+    at alpha = |lambda0|, as doubles."""
+    y, n, al = p.target, p.n, abs(p.lambda0)
+    for j in range(1, n // 2 + 1):
+        yj, ynj = y.y(j), y.y(n - j)
+        if p.branch(j) == "DivideNJ":
+            yj, ynj = ynj, yj
+        c = binom(n, j)
+        yield j, c, yj, ynj, tuple(map(float, _pair_terms(c, yj, ynj, y.q, al)))
 
 
 def _beta_slack_11(p: SchwarzProblem, band: float) -> float:
@@ -175,54 +183,29 @@ def check_condition(
     q = y.q
     if cond == 2:
         slack = min(al - d_norm(j, y) for j in range(1, n))
-    elif cond in (3, 6):
-        # (6) is (3) with the sup-norm written out; both use the closed form
-        slack = math.inf
-        for j in range(1, n // 2 + 1):
-            jj = j if p.branch(j) == "DivideJ" else n - j
-            slack = min(slack, al - d_norm(jj, y))
     elif cond == 4:
         lifted = lift(p).point
         slack = in_tilde_gamma(lifted, cond="C7", band=band).condition("C7").slack
     elif cond == 5:
         slack = min(c.slack for c in schur_certificates(p, band=band))
-    elif cond in (7, 10):
-        # (7) is the bilinear nonvanishing statement, decided through the
-        # equivalent closed inequality (10)
-        slack = math.inf
-        for j in range(1, n // 2 + 1):
-            c, yj, ynj = _pair(p, j)
-            lhs = (
-                abs(al * al * ynj - yj.conjugate() * q)
-                + al * abs(yj - ynj.conjugate() * q)
-                + c * abs(q) ** 2
-            )
-            slack = min(slack, c * al * al - lhs)
-    elif cond == 8:
-        slack = math.inf
-        for j in range(1, n // 2 + 1):
-            c, yj, ynj = _pair(p, j)
-            lhs = (
-                abs(yj) ** 2
-                - al * al * abs(ynj) ** 2
-                + c * c * abs(q) ** 2
-                - c * c * al * al
-                + 2 * c * abs(al * al * ynj - yj.conjugate() * q)
-            )
-            slack = min(slack, -lhs)
-    elif cond == 9:
-        slack = al - abs(q)
-        for j in range(1, n // 2 + 1):
-            c, yj, ynj = _pair(p, j)
-            lhs = (
-                abs(yj) ** 2
-                + al * al * abs(ynj) ** 2
-                - c * c * abs(q) ** 2
-                + 2 * al * abs(yj * ynj - c * c * q)
-            )
-            slack = min(slack, c * c * al * al - lhs)
-    else:  # cond == 11
+    elif cond == 11:
         slack = _beta_slack_11(p, band)
+    else:
+        # (6) is (3) with the sup-norm written out, both the closed form D of
+        # the branch; (7) is the bilinear nonvanishing statement, decided
+        # through the equivalent closed inequality (10)
+        slack = al - abs(q) if cond == 9 else math.inf
+        for _, c, _, _, (a, b, aq, x, z, k) in _branch_rows(p):
+            if cond in (3, 6):
+                s = al - _sup_formula(c, a, b, z, k, _degenerate(c, k, aq))
+            elif cond == 8:
+                s = _s8(c, al, a, b, aq, x)
+            elif cond == 9:
+                s = _s9(c, al, a, b, aq, k)
+            else:
+                s = _s10(c, al, aq, x, z)
+            slack = min(slack, s)
+    slack = float(slack)  # S5 reads numpy scalars, which JSON refuses
     return ConditionMargin(f"S{cond}", slack >= -band, slack, abs(slack) < band)
 
 
@@ -231,30 +214,22 @@ def xj_quantities(p: SchwarzProblem, j: int) -> tuple[float, float, float]:
     the branch-selected sup-norm bound holds, J is the first norm constraint
     on the off-diagonal scaling nu^2."""
     y = p.target
-    n = p.n
-    if degenerate_product(y, j):
-        raise DegenerateProblemError(
-            "X/J quantities are undefined when y_j y_{n-j} = binom^2 q"
-        )
-    return _xj_terms(
-        float(binom(n, j)), y.y(j), y.y(n - j), y.q, abs(p.lambda0)
-    )
+    return _xj_terms(binom(p.n, j), y.y(j), y.y(p.n - j), y.q, abs(p.lambda0))
 
 
 def _xj_terms(
     c: float, yj: complex, ynj: complex, q: complex, al: float
 ) -> tuple[float, float, float]:
     """(X_j, X_{n-j}, J) from binom c, the pair (y_j, y_{n-j}), q and
-    |lambda0|; the product y_j y_{n-j} - c^2 q must not vanish."""
-    knum = abs(yj * ynj - c * c * q)
-    xj = al / knum * (
-        c * c - abs(yj) ** 2 - abs(ynj) ** 2 / al**2 + c * c * abs(q) ** 2 / al**2
-    )
-    xnj = al / knum * (
-        c * c - abs(yj) ** 2 / al**2 - abs(ynj) ** 2 + c * c * abs(q) ** 2 / al**2
-    )
-    J = al * (c * c - abs(ynj) ** 2) / knum
-    return xj, xnj, J
+    |lambda0|, read off the pair's row, which must not be degenerate."""
+    t = _pair_terms(c, yj, ynj, q)
+    if _degenerate(c, t[5], t[2]):
+        raise DegenerateProblemError("X/J quantities are undefined when y_j y_{n-j} = binom^2 q")
+    a, b, aq, _, _, k = map(float, t)
+    a2, b2, q2, al2 = a * a, b * b, c * c * (aq * aq), al * al
+    xj = al / k * (c * c - a2 - b2 / al2 + q2 / al2)
+    xnj = al / k * (c * c - a2 / al2 - b2 + q2 / al2)
+    return xj, xnj, al * (c * c - b2) / k
 
 
 def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
@@ -302,65 +277,31 @@ def schur_certificates(
     extremal (feasible but flagged marginal; the strict construction
     refuses it), norm < 1 delegates to the sign of K_{Z_j}(|lambda0|).
     """
-    n = p.n
     lam = p.lambda0
     al = abs(lam)
     out = []
-    for j in range(1, n // 2 + 1):
-        branch = p.branch(j)
-        c, yj, ynj = _pair(p, j)
-        if degenerate_product(p.target, j):
-            top = max(abs(yj), abs(ynj)) / c
+    for j, c, yj, ynj, (a, b, aq, _, z, k) in _branch_rows(p):
+        K = alpha = None
+        if _degenerate(c, k, aq):
+            w, top = 0.0, max(a, b) / c
             Z = np.array([[yj / (c * lam), 0.0], [0.0, ynj / c]])
-            out.append(
-                SchurCertificate(
-                    j=j,
-                    branch=branch,
-                    Z=Z,
-                    w_j=0.0,
-                    K=None,
-                    alpha=None,
-                    feasible=top <= al + band,
-                    marginal=abs(top - al) < band,
-                    slack=al - top,
-                )
-            )
-            continue
-        w = cmath.sqrt((yj * ynj - c * c * p.target.q) / (c * c * lam))
-        Z = np.array([[yj / (c * lam), w], [w, ynj / c]])
-        zn = op_norm(Z)
-        jj = j if branch == "DivideJ" else n - j
-        if zn >= 1.0 - band:
-            dslack = al - d_norm(jj, p.target)
-            out.append(
-                SchurCertificate(
-                    j=j,
-                    branch=branch,
-                    Z=Z,
-                    w_j=w,
-                    K=None,
-                    alpha=None,
-                    feasible=zn <= 1.0 + band,
-                    marginal=zn <= 1.0 + band,
-                    slack=dslack,
-                )
-            )
-            continue
-        K = k_rho(Z, al)
-        lam_min, alpha = feasibility_alpha(K)
-        out.append(
-            SchurCertificate(
-                j=j,
-                branch=branch,
-                Z=Z,
-                w_j=w,
-                K=K,
-                alpha=alpha,
-                feasible=lam_min <= band,
-                marginal=False,
-                slack=-lam_min,
-            )
-        )
+            feasible, marginal, slack = top <= al + band, abs(top - al) < band, al - top
+        else:
+            w = cmath.sqrt((yj * ynj - c * c * p.target.q) / (c * c * lam))
+            Z = np.array([[yj / (c * lam), w], [w, ynj / c]])
+            zn = op_norm(Z)
+            if zn >= 1.0 - band:
+                # the branch's sup-norm D, read off the same row
+                feasible = marginal = zn <= 1.0 + band
+                slack = al - _sup_formula(c, a, b, z, k, False)
+            else:
+                K = k_rho(Z, al)
+                lam_min, alpha = feasibility_alpha(K)
+                feasible, marginal, slack = lam_min <= band, False, -lam_min
+        out.append(SchurCertificate(
+            j=j, branch=p.branch(j), Z=Z, w_j=w, K=K, alpha=alpha,
+            feasible=feasible, marginal=marginal, slack=slack,
+        ))
     return out
 
 

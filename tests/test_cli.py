@@ -76,13 +76,14 @@ def test_distance_seven_digits():
 
 
 def test_schwarz_all_conditions():
-    code, out, _ = run_cli(
-        "schwarz", "--point", WORKED_POINT, "--lambda0=-0.8,0", "--cond", "all"
-    )
-    assert code == 0
-    rep = json.loads(out)
-    assert len(rep["conditions"]) == 10
-    assert rep["verdict"] is True
+    # the worked point, and a strict point whose S5 comes from K_Z
+    for point, lam in ((WORKED_POINT, "--lambda0=-0.8,0"),
+                       ('{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}', "--lambda0=0.5,0")):
+        code, out, _ = run_cli("schwarz", "--point", point, lam, "--cond", "all")
+        assert code == 0
+        rep = json.loads(out)
+        assert len(rep["conditions"]) == 10
+        assert rep["verdict"] is True
 
 
 def test_interpolate_worked_family_eval():

@@ -1,11 +1,14 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydisc.clinalg import op_norm
-from polydisc.errors import DomainError, PoleError
+from polydisc.errors import DomainError, PoleError, PolydiscError
 from polydisc.membership import (
     b_matrices,
     beta_recover,
@@ -146,10 +149,14 @@ def test_b_matrices_det_and_norm(rng):
     for _ in range(100):
         n = int(rng.integers(2, 7))
         y = tilde_g_point(n, rng)
-        for B in b_matrices(y):
+        mats = b_matrices(y)
+        for B in mats:
             det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
             assert abs(det - y.q) <= 1e-12 * (1 + abs(y.q))
             assert op_norm(B) < 1.0
+        # C9 reads the closed-form norm off the pair's moduli
+        c9 = in_tilde_g(y, cond="C9").condition("C9").slack
+        assert abs(c9 - (1.0 - max(op_norm(B) for B in mats))) <= 1e-12
 
 
 # --- G_n / Gamma_n / b Gamma_n ---------------------------------------------
@@ -357,12 +364,12 @@ def test_costara_sup_pole_on_grid_point():
 
 def test_costara_sup_overflow_raises():
     # f_s overflows to NaN on the grid; a NaN sup must not read as a verdict
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         costara_sup(CPoint((0.0, 1e308)), grid=64)
 
 
 def test_nonvanishing_falsifier_overflow_raises():
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         nonvanishing_falsifier(CPoint((0.0, 1e308)), 1)
 
 
@@ -377,8 +384,7 @@ def test_large_q_is_outside_without_overflow(n):
         assert rep.verdict is False and rep.condition("C7").slack == -math.inf
         assert in_g(y).verdict is False
         assert in_gamma(y).verdict is False
-        with np.errstate(over="ignore"):
-            assert in_tilde_g_batch(np.array([y.coords])).tolist() == [False]
+        assert in_tilde_g_batch(np.array([y.coords])).tolist() == [False]
 
 
 # --- scaling ----------------------------------------------------------------
@@ -457,9 +463,29 @@ def test_nonvanishing_falsifier_matches_scalar_loop(rng):
         assert val <= _falsifier_loop(y, j, 64) + 1e-12
 
 
-def test_report_json_round_trip():
-    import json
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.binary(min_size=32, max_size=128))
+def test_tilde_reports_total_on_finite_doubles(raw):
+    # the bytes read as doubles (NaN as 0, +-inf as +-the largest double)
+    # cover the whole finite range, n = 2..8; any such point gives a
+    # PolydiscError or reports whose JSON is strict, whose decided
+    # conditions agree with the verdict, and whose verdict is the batch row's
+    from polydisc.membership import in_tilde_g_batch
 
+    coords = np.nan_to_num(np.frombuffer(raw[: len(raw) // 16 * 16], dtype=complex))
+    y = CPoint(tuple(coords.tolist()))
+    try:
+        reports = (in_tilde_g(y, "ALL"), in_tilde_gamma(y, "ALL"))
+    except PolydiscError:
+        return
+    for rep in reports:
+        json.dumps(rep.to_json(), allow_nan=False)
+        for m in rep.per_condition:
+            assert m.boundary or m.holds == rep.verdict, (rep.set_id, m, coords)
+    assert in_tilde_g_batch(np.array([y.coords])).tolist() == [reports[0].verdict]
+
+
+def test_report_json_round_trip():
     rep = in_tilde_g(GAP_POINT)
     blob = json.dumps(rep.to_json())
     back = json.loads(blob)
@@ -484,6 +510,8 @@ def _batch_points(n, rng, per=60):
         pts.append(symmetrize(z))
         s = symmetrize([torus_point(rng) for _ in range(n)]).coords
         pts.append(CPoint(tuple(1.5 * c for c in s[:-1]) + s[-1:]))  # |y_j| > binom
+    # moduli beyond the largest double, where a bare abs() overflows
+    pts.append(CPoint((1.5e308 + 1.5e308j,) * (n - 1) + (1e-300,)))
     return pts
 
 

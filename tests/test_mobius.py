@@ -197,7 +197,7 @@ def test_sup_on_torus_unbounded_branch():
 
 def test_sup_on_torus_overflow_raises():
     # c q z overflows to a NaN on the grid; a NaN sup must not read as a verdict
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         sup_on_torus(1, CPoint((0.0, 1e308)), 64)
 
 
@@ -290,11 +290,12 @@ def _extreme_refs(a: complex, b: complex):
 
 
 def test_extreme_magnitudes_give_right_values_or_polydisc_errors():
-    """degenerate_product, d_norm, sup_on_torus and costara_sup on the 7 x 7
-    grid of n = 2 points with coordinates in EXTREMES: each returns what
-    exact-exponent arithmetic gives, or raises a PolydiscError; never a bare
-    OverflowError."""
-    pytest.importorskip("mpmath")
+    """degenerate_product, d_norm, image_disk, sup_on_torus and costara_sup
+    on the 7 x 7 grid of n = 2 points with coordinates in EXTREMES: each
+    returns what exact-exponent arithmetic gives, or raises a PolydiscError;
+    never a bare OverflowError, and image_disk keeps |center| + radius =
+    D_1 with a finite centre."""
+    mp = pytest.importorskip("mpmath")
     from polydisc.errors import PolydiscError
     from polydisc.membership import costara_sup
     from polydisc.mobius import degenerate_product
@@ -306,11 +307,17 @@ def test_extreme_magnitudes_give_right_values_or_polydisc_errors():
             degen, margin, dn, sup, cos = _extreme_refs(a, b)
             assert degenerate_product(y, 1) == degen, (a, b, margin)
             assert _agrees(d_norm(1, y), dn), (a, b)
+            try:
+                img = image_disk(1, y)
+            except PolydiscError:
+                assert dn == mp.inf, (a, b)  # unbounded image
+            else:
+                assert cmath.isfinite(img.center), (a, b, img)
+                assert _agrees(abs(mp.mpc(img.center)) + img.radius, dn), (a, b, img)
             for call, ref in ((lambda: sup_on_torus(1, y, 64), sup),
                               (lambda: costara_sup(y, 64), cos)):
                 try:
-                    with np.errstate(all="ignore"):
-                        value = call()
+                    value = call()
                 except PolydiscError:
                     continue
                 assert ref is not None and _agrees(value, ref), (a, b, value, ref)
