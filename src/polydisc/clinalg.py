@@ -6,7 +6,13 @@ and square roots of 2x2 complex matrices, so these are done in closed form
 rather than through iterative LAPACK paths: for this size the spectral
 formulas are exact up to roundoff and branch-free.
 
-Matrices are plain (2, 2) complex numpy arrays.
+Matrices come in and go out as (2, 2) complex numpy arrays, but each
+kernel reads the four entries once, as Python complex numbers, and
+computes on those scalars: on one 2x2 matrix numpy's per-call overhead is
+most of the cost.  Inside, a matrix is the entry tuple (m11, m12, m21, m22).
+The kernels first rescale by a power of two taken from the largest
+|re| / |im| of an entry, which is exact, so no square overflows or
+underflows; a result past the double range is reported as +-inf.
 """
 
 from __future__ import annotations
@@ -39,29 +45,88 @@ def mat2(a11, a12, a21, a22) -> np.ndarray:
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
-def _check(M: np.ndarray) -> np.ndarray:
+def _entries(M) -> tuple[complex, complex, complex, complex]:
+    """The four entries of a finite 2x2 matrix, row by row, as Python complex."""
     M = np.asarray(M, dtype=complex)
     if M.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(float))):
+    (a, b), (c, d) = M.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
         raise DomainError("matrix has non-finite entries")
-    return M
+    return a, b, c, d
+
+
+def _array(a, b, c, d) -> np.ndarray:
+    return np.array([[a, b], [c, d]], dtype=complex)
+
+
+def _scaled(a, b, c, d):
+    """(e, entries * 2^-e) with e even and the largest |re| or |im| of the
+    scaled entries in [1/4, 1) (any e >= -1000 for tiny matrices, 0 for
+    the zero matrix).  A power of two scales exactly; e is even so that
+    square roots unscale exactly too."""
+    top = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+              abs(c.real), abs(c.imag), abs(d.real), abs(d.imag))
+    if top == 0.0:
+        return 0, (a, b, c, d)
+    e = math.frexp(top)[1]
+    e = max(e + (e & 1), -1000)
+    f = math.ldexp(1.0, -e)
+    return e, (a * f, b * f, c * f, d * f)
+
+
+def _unscale(x: float, e: int) -> float:
+    """x * 2^e, or +-inf past the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _sq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _mul(A, B):
+    """Product of two entry tuples."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _inv2(a, b, c, d):
+    """Entries of the inverse of [[a, b], [c, d]]; the entries are scalars
+    for one matrix or arrays (elementwise) for a stack of matrices."""
+    det = a * d - b * c
+    if np.count_nonzero(abs(det) < 1e-300):
+        raise SingularityError("2x2 matrix is numerically singular")
+    return d / det, -b / det, -c / det, a / det
+
+
+def _svals_sq(a, b, c, d) -> tuple[float, float]:
+    """(sigma_max^2, |det|) of an entry tuple with entries of order one.
+
+    The discriminant is read off the Gram matrix M*M = [[al, be], [be*, de]]
+    as hypot((al - de)/2, |be|), which does not cancel when the singular
+    values coincide (T^2 - 4|det|^2 does); sigma_min = |det| / sigma_max."""
+    al = _sq(a) + _sq(c)
+    de = _sq(b) + _sq(d)
+    be = a.conjugate() * b + c.conjugate() * d
+    return (al + de) / 2.0 + math.hypot((al - de) / 2.0, be.real, be.imag), abs(a * d - b * c)
+
+
+def _svals(a, b, c, d) -> tuple[float, float]:
+    e, (a, b, c, d) = _scaled(a, b, c, d)
+    s2, det = _svals_sq(a, b, c, d)
+    hi = math.sqrt(s2)
+    lo = det / hi if hi > 0.0 else 0.0
+    return _unscale(hi, e), _unscale(lo, e)
 
 
 def svals(M: np.ndarray) -> tuple[float, float]:
-    """Singular values (largest first), from the eigenvalues of M*M.
-
-    sigma^2 = (T +- sqrt(T^2 - 4D)) / 2 with T = tr(M*M), D = |det M|^2;
-    the discriminant is clamped at 0 to absorb roundoff.
-    """
-    M = _check(M)
-    a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
-    T = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    D = abs(a * d - b * c) ** 2
-    disc = math.sqrt(max(T * T - 4.0 * D, 0.0))
-    hi = math.sqrt(max((T + disc) / 2.0, 0.0))
-    lo = math.sqrt(max((T - disc) / 2.0, 0.0))
-    return hi, lo
+    """Singular values (largest first): sigma_max^2 is the top eigenvalue of
+    M*M and sigma_min = |det M| / sigma_max."""
+    return _svals(*_entries(M))
 
 
 def op_norm(M: np.ndarray) -> float:
@@ -79,10 +144,40 @@ class HermEig2:
     v_max: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (
-            self.lam_min * np.outer(self.v_min, self.v_min.conj())
-            + self.lam_max * np.outer(self.v_max, self.v_max.conj())
+        (p, q), (r, s) = self.v_min.tolist(), self.v_max.tolist()
+        lo, hi = self.lam_min, self.lam_max
+        off = lo * p * q.conjugate() + hi * r * s.conjugate()
+        return _array(
+            lo * _sq(p) + hi * _sq(r), off, off.conjugate(), lo * _sq(q) + hi * _sq(s)
         )
+
+
+def _herm(H):
+    """(e, one, a, b, d, lo, hi, disc) for a Hermitian 2x2 matrix H: its
+    Hermitian part [[a, b], [b*, d]] scaled by 2^-e, 1 in that scale, and
+    the part's eigenvalues lo <= hi and half gap disc = hypot((a - d)/2, |b|).
+    The eigenvalue of larger modulus is half_tr +- disc, which does not
+    cancel; the other is det / that one.  H is accepted when ||H - H*|| is
+    below 1e-12 * max(||H||, 1)."""
+    e, (a, b, c, d) = _scaled(*_entries(H))
+    one = math.ldexp(1.0, -e)
+    # H - H* is i times the Hermitian [[2 Im a, -i s], [i s*, 2 Im d]] with
+    # s = b - conj(c), whose norm is |Im a + Im d| + hypot(Im a - Im d, |s|)
+    s = b - c.conjugate()
+    skew = abs(a.imag + d.imag) + math.hypot(a.imag - d.imag, s.real, s.imag)
+    a, d, b = a.real, d.real, (b + c.conjugate()) / 2.0
+    half_tr = (a + d) / 2.0
+    disc = math.hypot((a - d) / 2.0, b.real, b.imag)
+    det = a * d - _sq(b)
+    if half_tr >= 0.0:
+        hi = half_tr + disc
+        lo = det / hi if hi > 0.0 else 0.0
+    else:
+        lo = half_tr - disc
+        hi = det / lo
+    if skew > _HERM_TOL * max(abs(half_tr) + disc, one):
+        raise DomainError("matrix is not Hermitian within tolerance")
+    return e, one, a, b, d, lo, hi, disc
 
 
 def herm_eig(H: np.ndarray) -> HermEig2:
@@ -91,28 +186,33 @@ def herm_eig(H: np.ndarray) -> HermEig2:
     The input may carry roundoff: it is accepted when ||H - H*|| is below
     1e-12 * ||H|| and symmetrized before solving.
     """
-    H = _check(H)
-    scale = op_norm(H)
-    if op_norm(H - H.conj().T) > _HERM_TOL * max(scale, 1.0):
-        raise DomainError("matrix is not Hermitian within tolerance")
-    H = (H + H.conj().T) / 2.0
-    a = H[0, 0].real
-    d = H[1, 1].real
-    b = H[0, 1]
-    half_tr = (a + d) / 2.0
-    disc = math.sqrt(max(((a - d) / 2.0) ** 2 + abs(b) ** 2, 0.0))
-    lam_min, lam_max = half_tr - disc, half_tr + disc
-    if disc <= _HERM_TOL * max(scale, 1.0):
-        v_min = np.array([1.0, 0.0], dtype=complex)
-        v_max = np.array([0.0, 1.0], dtype=complex)
+    e, one, a, b, d, lo, hi, disc = _herm(H)
+    if disc <= _HERM_TOL * max(abs(lo), abs(hi), one):
+        v_min, v_max = (1.0 + 0j, 0j), (0j, 1.0 + 0j)
     else:
-        # (H - lam_max) v_max = 0; pick the numerically larger column form.
-        cand1 = np.array([b, lam_max - a], dtype=complex)
-        cand2 = np.array([lam_max - d, np.conj(b)], dtype=complex)
-        v_max = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        v_max = v_max / np.linalg.norm(v_max)
-        v_min = np.array([-np.conj(v_max[1]), np.conj(v_max[0])], dtype=complex)
-    return HermEig2(lam_min=lam_min, lam_max=lam_max, v_min=v_min, v_max=v_max)
+        # (H - lam_max) v_max = 0, read off the row whose diagonal term does
+        # not cancel: lam_max - a = disc - h and lam_max - d = disc + h
+        h = (a - d) / 2.0
+        x, y = (b, complex(disc - h)) if h <= 0.0 else (complex(disc + h), b.conjugate())
+        r = math.hypot(x.real, x.imag, y.real, y.imag)
+        v_min, v_max = (-y.conjugate() / r, x.conjugate() / r), (x / r, y / r)
+    return HermEig2(_unscale(lo, e), _unscale(hi, e), np.array(v_min), np.array(v_max))
+
+
+def _psd_sqrt(a: float, b: complex, d: float, lo: float, hi: float):
+    """Entries of the PSD square root of H = [[a, b], [b*, d]] with
+    eigenvalues lo <= hi: (H + s I) / t with s = sqrt(lo hi) and
+    t = sqrt(lo) + sqrt(hi).  A negative eigenvalue (roundoff) is read as
+    0, which leaves sqrt(hi) times the projector (H - lo I) / (hi - lo)."""
+    if hi <= 0.0:
+        return 0j, 0j, 0j, 0j
+    s_hi = math.sqrt(hi)
+    if lo < 0.0:
+        s, t = -lo, (hi - lo) / s_hi
+    else:
+        s_lo = math.sqrt(lo)
+        s, t = s_lo * s_hi, s_lo + s_hi
+    return complex((a + s) / t), b / t, b.conjugate() / t, complex((d + s) / t)
 
 
 def herm_sqrt(H: np.ndarray) -> np.ndarray:
@@ -121,71 +221,91 @@ def herm_sqrt(H: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-12 * scale, 0) are treated as zero; anything more
     negative is rejected.
     """
-    H = _check(H)
-    eig = herm_eig(H)
-    scale = max(abs(eig.lam_max), 1.0)
-    if eig.lam_min < -1e-12 * scale:
-        raise DomainError(f"matrix is not PSD: min eigenvalue {eig.lam_min}")
-    s_min = math.sqrt(max(eig.lam_min, 0.0))
-    s_max = math.sqrt(max(eig.lam_max, 0.0))
-    return s_min * np.outer(eig.v_min, eig.v_min.conj()) + s_max * np.outer(
-        eig.v_max, eig.v_max.conj()
-    )
-
-
-def _inv2(M: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix, or of every matrix of a (..., 2, 2) stack."""
-    # M.T holds M[..., i, j] at [j, i] with the stack axes reversed: numpy
-    # scalars for one matrix, arrays for a stack; the final .T undoes it
-    E = M.T
-    a, b, c, d = E[0, 0], E[1, 0], E[0, 1], E[1, 1]
-    det = a * d - b * c
-    if np.count_nonzero(abs(det) < 1e-300):
-        raise SingularityError("2x2 matrix is numerically singular")
-    return (np.array([[d, -c], [-b, a]]) / det).T
+    e, one, a, b, d, lo, hi, _ = _herm(H)
+    if lo < -1e-12 * max(abs(hi), one):
+        raise DomainError(f"matrix is not PSD: min eigenvalue {_unscale(lo, e)}")
+    f = math.ldexp(1.0, e // 2)  # e is even: sqrt(2^e) is exact
+    return _array(*(x * f for x in _psd_sqrt(a, b, d, lo, hi)))
 
 
 def takagi(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization Z = U diag(s) U^T of a complex *symmetric* 2x2
     matrix, with U unitary and s the singular values (descending).
 
-    For symmetric Z the matrix Z conj(Z) equals Z Z*, so the Takagi vectors
-    are phase-adjusted eigenvectors of the Hermitian Z Z*: if Z conj(x) =
-    s e^{i theta} x then u = e^{i theta / 2} x satisfies Z conj(u) = s u.
-    Assumes distinct singular values (callers here always have s1 = 1 >
-    s2 = |det Z|).
+    One complex Jacobi rotation, read off the entries of Z (not of Z Z*,
+    whose eigenvectors lose the digits of Z when s1 and s2 are close): with
+    D = diag(p, r) the phases that make the diagonal of D Z D real,
+    D Z D = [[al, be], [be, de]], the columns (c, e^{i chi} s) and
+    (-e^{-i chi} s, c) make the off-diagonal
+
+        be cos 2theta + (sin 2theta / 2)(de e^{i chi} - al e^{-i chi})
+
+    vanish once chi puts the bracket on the line of be and theta cancels
+    the two terms.  Each column then takes half the phase of its diagonal
+    entry, and U is the conjugate of D times those columns.  The result is
+    exact up to roundoff in ||Z|| for every Z, equal singular values
+    included.  Scale-invariant: takagi(2^k Z) = (U, 2^k s).
     """
-    Z = _check(Z)
-    if op_norm(Z - Z.T) > 1e-10 * max(op_norm(Z), 1.0):
+    e, (a, b0, c, d) = _scaled(*_entries(Z))
+    b = (b0 + c) / 2.0
+    s2, det = _svals_sq(a, b, b, d)
+    hi = math.sqrt(s2)
+    if abs(b0 - c) > 1e-10 * max(hi, math.ldexp(1.0, -e)):  # ||Z - Z^T|| = |b - c|
         raise DomainError("Takagi factorization needs a symmetric matrix")
-    Z = (Z + Z.T) / 2.0
-    eig = herm_eig(Z @ Z.conj().T)
-    s = np.array([math.sqrt(max(eig.lam_max, 0.0)), math.sqrt(max(eig.lam_min, 0.0))])
-    U = np.zeros((2, 2), dtype=complex)
-    for i, x in enumerate((eig.v_max, eig.v_min)):
-        if s[i] > 1e-13:
-            mu = (x.conj() @ (Z @ x.conj())) / s[i]
-            mu /= abs(mu)  # keep U exactly unitary
-            U[:, i] = cmath.sqrt(mu) * x
-        else:
-            U[:, i] = x
-    return U, s
+    s = np.array([_unscale(hi, e), _unscale(det / hi if hi > 0.0 else 0.0, e)])
+    p, r = cmath.exp(-0.5j * cmath.phase(a)), cmath.exp(-0.5j * cmath.phase(d))
+    al, de, be = abs(a), abs(d), b * p * r
+    om = cmath.phase(be)
+    chi = math.atan2((de - al) * math.sin(om), (de + al) * math.cos(om))
+    lam = (de - al) * math.cos(chi) * math.cos(om) + (de + al) * math.sin(chi) * math.sin(om)
+    # (cos 2theta, sin 2theta) along (lam/2, -|be|), the rotation of cos 2theta >= 0
+    x, y = (lam / 2.0, -abs(be)) if lam >= 0.0 else (-lam / 2.0, abs(be))
+    n = math.hypot(x, y)
+    cos2, sin2 = (x / n, y / n) if n > 0.0 else (1.0, 0.0)
+    cs = math.sqrt((1.0 + cos2) / 2.0)
+    sn = sin2 / (2.0 * cs) * cmath.exp(1j * chi)
+    cols = []
+    for v1, v2 in ((cs, sn), (-sn.conjugate(), cs)):
+        dk = v1 * (al * v1 + be * v2) + v2 * (be * v1 + de * v2)
+        # V^T (D Z D) V = diag(dk): with w^2 dk = |dk|, U = conj(D V diag(w))
+        w = cmath.exp(-0.5j * cmath.phase(dk))
+        cols.append((abs(dk), (p * v1 * w).conjugate(), (r * v2 * w).conjugate()))
+    (_, u11, u21), (_, u12, u22) = sorted(cols, key=lambda col: -col[0])
+    return _array(u11, u12, u21, u22), s
+
+
+def _frame(a, b, c, d):
+    """Entry tuples of (1 - Z Z*)^{-1/2} and (1 - Z* Z)^{1/2} for the
+    matrix Z with entries a, b, c, d, which must be a strict contraction.
+    Both roots share the eigenvalues 1 - sigma^2 of 1 - Z Z*."""
+    e, z = _scaled(a, b, c, d)
+    s2, det = _svals_sq(*z)
+    s2 = _unscale(s2, 2 * e)  # ||Z||^2, which is < 1 iff ||Z|| < 1
+    if s2 >= 1.0:
+        raise DomainError("Z must be a strict contraction")
+    det = math.ldexp(det, 2 * e)
+    lo, hi = 1.0 - s2, 1.0 - (det * det / s2 if s2 > 0.0 else 0.0)
+    sa, sb, sc, sd = _sq(a), _sq(b), _sq(c), _sq(d)
+    left = _psd_sqrt(1.0 - sa - sb, -(a * c.conjugate() + b * d.conjugate()), 1.0 - sc - sd, lo, hi)
+    right = _psd_sqrt(1.0 - sa - sc, -(a.conjugate() * b + c.conjugate() * d), 1.0 - sb - sd, lo, hi)
+    return _inv2(*left), right
 
 
 def _mobius_frame(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The factors of M_Z that depend on Z alone: (1 - Z Z*)^{-1/2} and
     (1 - Z* Z)^{1/2}.  Requires ||Z|| < 1."""
-    Z = _check(Z)
-    if op_norm(Z) >= 1.0:
-        raise DomainError("Z must be a strict contraction")
-    return _inv2(herm_sqrt(_EYE - Z @ Z.conj().T)), herm_sqrt(_EYE - Z.conj().T @ Z)
+    left, right = _frame(*_entries(Z))
+    return _array(*left), _array(*right)
 
 
 def _mobius_apply(Z: np.ndarray, frame, X: np.ndarray) -> np.ndarray:
-    """M_Z(X) for X a 2x2 matrix or a (..., 2, 2) stack, given
+    """M_Z(X) for every matrix of a (..., 2, 2) stack X, given
     frame = _mobius_frame(Z)."""
     left, right = frame
-    return left @ (X - Z) @ _inv2(_EYE - Z.conj().T @ X) @ right
+    # E = V.T holds V[..., i, j] at E[j, i], with the stack axes reversed
+    E = (_EYE - Z.conj().T @ X).T
+    i11, i12, i21, i22 = _inv2(E[0, 0], E[1, 0], E[0, 1], E[1, 1])
+    return left @ (X - Z) @ np.array([[i11, i21], [i12, i22]]).T @ right
 
 
 def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -194,5 +314,17 @@ def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Requires ||Z|| < 1; maps Z to 0 and has inverse M_{-Z}.
     """
-    Z = _check(Z)
-    return _mobius_apply(Z, _mobius_frame(Z), _check(X))
+    z = _entries(Z)
+    left, right = _frame(*z)
+    a, b, c, d = z
+    x = _entries(X)
+    e, xs = _scaled(*x)
+    one = 1.0
+    if e > 0:
+        # a large X: (X - Z)(1 - Z* X)^{-1} is unchanged when both factors
+        # take 2^-e, and then nothing overflows
+        one, x = math.ldexp(1.0, -e), xs
+    p, q, r, s = _mul((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()), x)
+    inv = _inv2(one - p, -q, -r, one - s)
+    diff = tuple(xi - zi * one for xi, zi in zip(x, z))
+    return _array(*_mul(_mul(_mul(left, diff), inv), right))

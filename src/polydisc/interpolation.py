@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clinalg import _inv2, _mobius_apply, _mobius_frame, op_norm, takagi
+from .clinalg import _entries, _frame, _inv2, _mobius_apply, _mobius_frame, _sq, op_norm, takagi
 from .errors import (
     ConstructionError,
     DegenerateProblemError,
@@ -246,17 +246,25 @@ def z_nu(y0: CPoint, lambda0: complex, nu: float, band: float = BOUNDARY_BAND) -
     return _z_nu_general(3.0, y0.y(1), y0.y(2), y0.q, complex(lambda0), nu)
 
 
+def _u_v(Z: np.ndarray, alpha):
+    """u(alpha) and v(alpha) of u_v_vectors as entry pairs."""
+    a, _, c, d = z = _entries(Z)
+    a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
+    if not (abs(a1) > 0 or abs(a2) > 0):
+        raise DomainError("alpha must be nonzero")
+    (l11, l12, l21, l22), right = _frame(*z)
+    x1, x2 = a1 * a, a1 * c + a2  # alpha_1 Z e_1 + alpha_2 e_2
+    u = (l11 * x1 + l12 * x2, l21 * x1 + l22 * x2)
+    r11, r12, r21, r22 = _inv2(*right)
+    x1, x2 = a1 + a2 * c.conjugate(), a2 * d.conjugate()  # alpha_1 e_1 + alpha_2 Z* e_2
+    return u, (-(r11 * x1 + r12 * x2), -(r21 * x1 + r22 * x2))
+
+
 def u_v_vectors(Z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """u(alpha) = (1-ZZ*)^{-1/2}(alpha_1 Z e_1 + alpha_2 e_2),
     v(alpha) = -(1-Z*Z)^{-1/2}(alpha_1 e_1 + alpha_2 Z* e_2)."""
-    Z = np.asarray(Z, dtype=complex)
-    alpha = np.asarray(alpha, dtype=complex).reshape(2)
-    if not np.any(np.abs(alpha) > 0):
-        raise DomainError("alpha must be nonzero")
-    left, root = _mobius_frame(Z)
-    u = left @ (alpha[0] * Z[:, 0] + alpha[1] * np.array([0.0, 1.0]))
-    v = -_inv2(root) @ (alpha[0] * np.array([1.0, 0.0]) + alpha[1] * Z.conj().T[:, 1])
-    return u, v
+    u, v = _u_v(Z, alpha)
+    return np.array(u), np.array(v)
 
 
 def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
@@ -266,13 +274,14 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
     [Z]_22 = 0 corner) the zero matrix is returned, which freezes the
     composed function at the constant Z."""
     lam0 = complex(lambda0)
-    u, v = u_v_vectors(Z, alpha)
-    nu2 = float(np.linalg.norm(u)) ** 2
+    (u1, u2), (v1, v2) = _u_v(Z, alpha)
+    nu2 = _sq(u1) + _sq(u2)
     if nu2 <= 1e-26:
         if abs(np.asarray(Z)[1, 1]) > 1e-12:
             raise DegenerateProblemError("u(alpha) = 0 with [Z]_22 nonzero")
         return np.zeros((2, 2), dtype=complex)
-    return np.outer(u, v.conj()) / (lam0 * nu2)
+    f, v1, v2 = lam0 * nu2, v1.conjugate(), v2.conjugate()
+    return np.array([[u1 * v1 / f, u1 * v2 / f], [u2 * v1 / f, u2 * v2 / f]])
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +343,10 @@ class DiscFunction:
     f: ScalarSchur | None = None
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mobius_frame(-self.Z)
+    def _frame(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """-Z and the frame of M_{-Z}."""
+        Z = -self.Z
+        return Z, _mobius_frame(Z)
 
     def _cores(self, lam: np.ndarray) -> np.ndarray:
         """F at every lambda of a 1-D array, as an (m, 2, 2) stack."""
@@ -343,7 +354,7 @@ class DiscFunction:
         if self.kind == "matrix_mobius":
             Q = self.Q0 if self.Qlin is None else self.Q0 + lam[:, None, None] * self.Qlin
             X = blaschke(self.lambda0, lam)[:, None, None] * Q
-            F = _mobius_apply(-self.Z, self._frame, X)
+            F = _mobius_apply(*self._frame, X)
         elif self.kind in ("takagi", "worked_family"):
             F = self.U @ _diag2(self.d1, self.g(lam), m) @ self.U.T
         elif self.kind == "diagonal":
@@ -507,16 +518,16 @@ def build_interpolant(
             )
         alpha = alpha_star
     alpha = np.asarray(alpha, dtype=complex).reshape(2)
-    u, v = u_v_vectors(Z, alpha)
-    form = float(np.linalg.norm(v)) ** 2 - abs(lam0) ** 2 * float(np.linalg.norm(u)) ** 2
-    if form > band:
+    u, v = _u_v(Z, alpha)
+    nu2 = _sq(u[0]) + _sq(u[1])
+    if _sq(v[0]) + _sq(v[1]) - abs(lam0) ** 2 * nu2 > band:
         raise DomainError("alpha does not satisfy the feasibility form")
     if Q0 is None:
         Q0 = default_q(Z, alpha, lam0)
     else:
         Q0 = np.asarray(Q0, dtype=complex)
-        scale = 1.0 + float(np.linalg.norm(u))
-        if np.abs(Q0.conj().T @ (lam0.conjugate() * u) - v).max() > 1e-9 * scale:
+        scale = 1.0 + math.sqrt(nu2)
+        if np.abs(Q0.conj().T @ (lam0.conjugate() * np.array(u)) - v).max() > 1e-9 * scale:
             raise DomainError("supplied Q0 violates the closure contract")
     qnorm = op_norm(Q0)
     if qnorm > 1.0 + 1e-11:

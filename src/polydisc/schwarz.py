@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import _inv2, herm_eig, op_norm
+from .clinalg import _entries, _inv2, _sq, _svals, herm_eig, op_norm
 from .errors import DegenerateProblemError, DomainError
 from .membership import (
     BOUNDARY_BAND,
@@ -205,7 +205,6 @@ def check_condition(
             else:
                 s = _s10(c, al, aq, x, z)
             slack = min(slack, s)
-    slack = float(slack)  # S5 reads numpy scalars, which JSON refuses
     return ConditionMargin(f"S{cond}", slack >= -band, slack, abs(slack) < band)
 
 
@@ -243,18 +242,21 @@ def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
     alpha to feed u/v is the conjugate of an eigenvector (see
     feasibility_alpha).
     """
-    Z = np.asarray(Z, dtype=complex)
     if not 0.0 <= rho < 1.0:
         raise DomainError("rho must lie in [0, 1)")
-    if op_norm(Z) >= 1.0:
+    a, b, c, d = _entries(Z)
+    if _svals(a, b, c, d)[0] >= 1.0:
         raise DomainError("Z must be a strict contraction")
-    I = np.eye(2)
-    inv_l = _inv2(I - Z.conj().T @ Z)
-    inv_r = _inv2(I - Z @ Z.conj().T)
-    k11 = ((I - rho**2 * Z.conj().T @ Z) @ inv_l)[0, 0]
-    k12 = ((1 - rho**2) * inv_r @ Z)[1, 0]
-    k21 = ((1 - rho**2) * Z.conj().T @ inv_r)[0, 1]
-    k22 = ((Z @ Z.conj().T - rho**2 * I) @ inv_r)[1, 1]
+    r2 = rho * rho
+    sa, sb, sc, sd = _sq(a), _sq(b), _sq(c), _sq(d)
+    be = a.conjugate() * b + c.conjugate() * d  # [Z*Z]_12
+    ga = a * c.conjugate() + b * d.conjugate()  # [ZZ*]_12
+    l11, _, l21, _ = _inv2(1.0 - sa - sc, -be, -be.conjugate(), 1.0 - sb - sd)
+    _, r12, r21, r22 = _inv2(1.0 - sa - sb, -ga, -ga.conjugate(), 1.0 - sc - sd)
+    k11 = (1.0 - r2 * (sa + sc)) * l11 - r2 * be * l21
+    k12 = (1.0 - r2) * (r21 * a + r22 * c)
+    k21 = (1.0 - r2) * (a.conjugate() * r12 + c.conjugate() * r22)
+    k22 = ga.conjugate() * r12 + (sc + sd - r2) * r22
     return np.array([[k11, k12], [k21, k22]])
 
 

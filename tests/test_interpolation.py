@@ -644,22 +644,22 @@ def test_scalar_schur_arrays_match_scalar_calls(rng):
 
 
 def test_disc_frame_is_computed_once(monkeypatch):
-    import polydisc.clinalg as clinalg
+    import polydisc.interpolation as interpolation
 
     calls = []
-    herm_sqrt = clinalg.herm_sqrt
+    frame = interpolation._mobius_frame
 
-    def spy(H):
+    def spy(Z):
         calls.append(1)
-        return herm_sqrt(H)
+        return frame(Z)
 
     disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
     back = DiscFunction.from_json(disc.to_json())  # no frame yet
-    monkeypatch.setattr(clinalg, "herm_sqrt", spy)
+    monkeypatch.setattr(interpolation, "_mobius_frame", spy)
     back(0.3 - 0.1j)
-    assert len(calls) == 2  # (1 - ZZ*)^{-1/2} and (1 - Z*Z)^{1/2}
+    assert len(calls) == 1  # (1 - ZZ*)^{-1/2} and (1 - Z*Z)^{1/2}, built together
     back(0.1)
     back.values(np.linspace(-0.9, 0.9, 64))
     back.core(0.2j)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert "_frame" not in json.dumps(back.to_json())

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -204,11 +205,19 @@ def test_certificates_zero_target():
         assert cert.feasible and not cert.marginal
 
 
+def _assert_plain_fields(cert):
+    # Python bool and float, so the verdict serializes with json.dumps
+    assert type(cert.feasible) is bool and type(cert.marginal) is bool
+    assert type(cert.slack) is float
+    json.dumps([cert.feasible, cert.marginal, cert.slack])
+
+
 def test_certificates_worked_marginal():
     p = SchwarzProblem(lambda0=WORKED_LAMBDA0, target=WORKED_POINT)
     (cert,) = schur_certificates(p)
     assert cert.feasible and cert.marginal
     assert op_norm(cert.Z) == pytest.approx(1.0, abs=1e-12)
+    _assert_plain_fields(cert)
 
 
 def test_certificates_shrunk_worked_strict():
@@ -216,6 +225,7 @@ def test_certificates_shrunk_worked_strict():
     (cert,) = schur_certificates(p)
     assert cert.feasible and not cert.marginal
     assert np.linalg.det(cert.K).real < 0
+    _assert_plain_fields(cert)
 
 
 def test_pair_norm_supnorm_dichotomy(rng):
