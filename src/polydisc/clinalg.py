@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
+from .mobius import _vanishes
 
 __all__ = [
     "HermEig2",
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
-_EYE = np.eye(2)
 
 
 def mat2(a11, a12, a21, a22) -> np.ndarray:
@@ -98,7 +98,7 @@ def _inv2(a, b, c, d):
     """Entries of the inverse of [[a, b], [c, d]]; the entries are scalars
     for one matrix or arrays (elementwise) for a stack of matrices."""
     det = a * d - b * c
-    if np.count_nonzero(abs(det) < 1e-300):
+    if _vanishes(det):
         raise SingularityError("2x2 matrix is numerically singular")
     return d / det, -b / det, -c / det, a / det
 
@@ -291,21 +291,27 @@ def _frame(a, b, c, d):
     return _inv2(*left), right
 
 
-def _mobius_frame(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of M_Z that depend on Z alone: (1 - Z Z*)^{-1/2} and
-    (1 - Z* Z)^{1/2}.  Requires ||Z|| < 1."""
-    left, right = _frame(*_entries(Z))
-    return _array(*left), _array(*right)
+def _mobius_frame(Z: np.ndarray):
+    """The factors of M_Z that depend on Z alone, (1 - Z Z*)^{-1/2} and
+    (1 - Z* Z)^{1/2}, as entry tuples.  Requires ||Z|| < 1."""
+    return _frame(*_entries(Z))
 
 
-def _mobius_apply(Z: np.ndarray, frame, X: np.ndarray) -> np.ndarray:
-    """M_Z(X) for every matrix of a (..., 2, 2) stack X, given
-    frame = _mobius_frame(Z)."""
-    left, right = frame
-    # E = V.T holds V[..., i, j] at E[j, i], with the stack axes reversed
-    E = (_EYE - Z.conj().T @ X).T
-    i11, i12, i21, i22 = _inv2(E[0, 0], E[1, 0], E[0, 1], E[1, 1])
-    return left @ (X - Z) @ np.array([[i11, i21], [i12, i22]]).T @ right
+def _mobius_entries(z, left, right, x):
+    """The entries of M_Z(X) from the entry tuples z of Z and x of X, given
+    (left, right) = _frame(*z)."""
+    a, b, c, d = z
+    e, xs = _scaled(*x)
+    one = 1.0
+    if e > 0:
+        # a large X: (X - Z)(1 - Z* X)^{-1} is unchanged when both factors
+        # take 2^-e, and then nothing overflows
+        one, x = math.ldexp(1.0, -e), xs
+    x11, x12, x21, x22 = x
+    p, q, r, s = _mul((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()), x)
+    inv = _inv2(one - p, -q, -r, one - s)
+    diff = (x11 - a * one, x12 - b * one, x21 - c * one, x22 - d * one)
+    return _mul(_mul(_mul(left, diff), inv), right)
 
 
 def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -315,16 +321,4 @@ def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     Requires ||Z|| < 1; maps Z to 0 and has inverse M_{-Z}.
     """
     z = _entries(Z)
-    left, right = _frame(*z)
-    a, b, c, d = z
-    x = _entries(X)
-    e, xs = _scaled(*x)
-    one = 1.0
-    if e > 0:
-        # a large X: (X - Z)(1 - Z* X)^{-1} is unchanged when both factors
-        # take 2^-e, and then nothing overflows
-        one, x = math.ldexp(1.0, -e), xs
-    p, q, r, s = _mul((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()), x)
-    inv = _inv2(one - p, -q, -r, one - s)
-    diff = tuple(xi - zi * one for xi, zi in zip(x, z))
-    return _array(*_mul(_mul(_mul(left, diff), inv), right))
+    return _array(*_mobius_entries(z, *_frame(*z), _entries(X)))

@@ -16,8 +16,9 @@ infinite family attached to the worked data point (3/2, 3/4, 1/2) with
 lambda0 = -4/5 is exposed separately.
 
 All produced discs are immutable DiscFunction values: evaluable at any
-lambda in the unit disc, one lambda or a whole array at once, serializable
-to JSON, and re-evaluable bit-exactly after a round trip.
+lambda in the unit disc, one lambda at a time on Python complex numbers or
+a whole array as a map of that evaluation, serializable to JSON, and
+re-evaluable bit-exactly after a round trip.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clinalg import _entries, _frame, _inv2, _mobius_apply, _mobius_frame, _sq, op_norm, takagi
+from .clinalg import _array, _entries, _frame, _inv2, _mobius_entries, _mobius_frame, _mul, _sq, op_norm, takagi
 from .errors import (
     ConstructionError,
     DegenerateProblemError,
@@ -67,7 +68,7 @@ _WF_G_AT_L0 = 0.625 + 0j
 
 def _lam(lam):
     """A scalar lambda as a Python complex, anything else as a complex array."""
-    return complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
+    return complex(lam) if type(lam) is complex or np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
 
 
 def blaschke(lambda0: complex, lam: complex | np.ndarray) -> complex | np.ndarray:
@@ -292,23 +293,13 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
 def _mat_json(M: np.ndarray | None):
     if M is None:
         return None
-    return [[[M[i, j].real, M[i, j].imag] for j in range(2)] for i in range(2)]
+    return [[[v.real, v.imag] for v in row] for row in M.tolist()]
 
 
 def _mat_from_json(obj) -> np.ndarray | None:
     if obj is None:
         return None
-    return np.array(
-        [[complex(*obj[i][j]) for j in range(2)] for i in range(2)], dtype=complex
-    )
-
-
-def _diag2(a, b, m: int) -> np.ndarray:
-    """The (m, 2, 2) stack of diag(a_i, b_i); a and b are arrays or scalars."""
-    D = np.zeros((m, 2, 2), dtype=complex)
-    D[:, 0, 0] = a
-    D[:, 1, 1] = b
-    return D
+    return np.array([[complex(*v) for v in row] for row in obj], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -325,9 +316,10 @@ class DiscFunction:
     `swap` exchanges coordinates j and n-j of the output (used when the
     input data arrived with |y_{n-1}| > |y_1| and was solved swapped).
 
-    Every evaluation runs over an array of lambda (`values`); one lambda is
-    the array of length one.  The Z-only factors of M_{-Z} are computed at
-    the first evaluation and kept for the life of the disc.
+    A disc is evaluated one lambda at a time on Python complex entries of F;
+    `values` maps that evaluation over an array, so its rows equal single
+    calls bit for bit.  The entries of -Z, Q0, Qlin, U and the frame of
+    M_{-Z} are read at the first evaluation and kept for the disc's life.
     """
 
     kind: str
@@ -341,52 +333,68 @@ class DiscFunction:
     d1: complex = 0j
     g: ScalarSchur | None = None
     f: ScalarSchur | None = None
+    _MATRICES = ("Z", "Q0", "Qlin", "U")  # the 2x2 fields, not a field itself
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """-Z and the frame of M_{-Z}."""
-        Z = -self.Z
-        return Z, _mobius_frame(Z)
-
-    def _cores(self, lam: np.ndarray) -> np.ndarray:
-        """F at every lambda of a 1-D array, as an (m, 2, 2) stack."""
-        m = lam.shape[0]
+    def _consts(self) -> tuple:
+        """The entry tuples the matrix_mobius and Takagi kinds read: -Z, the
+        frame of M_{-Z}, Q0 and Qlin (or None) for the first, U and U^T."""
         if self.kind == "matrix_mobius":
-            Q = self.Q0 if self.Qlin is None else self.Q0 + lam[:, None, None] * self.Qlin
-            X = blaschke(self.lambda0, lam)[:, None, None] * Q
-            F = _mobius_apply(*self._frame, X)
+            Z = -self.Z
+            qlin = None if self.Qlin is None else _entries(self.Qlin)
+            return (_entries(Z), *_mobius_frame(Z), _entries(self.Q0), qlin)
+        return _entries(self.U), _entries(self.U.T)
+
+    def _core(self, lam: complex) -> tuple:
+        """The entries of F(lam) diag(lam, 1), of F(lam) for the diagonal kind."""
+        if self.kind == "diagonal":
+            return self.f(lam), 0j, 0j, self.g(lam)
+        if self.kind == "matrix_mobius":
+            z, left, right, q, qlin = self._consts
+            if qlin is not None:
+                q = [a + lam * b for a, b in zip(q, qlin)]
+            b = blaschke(self.lambda0, lam)
+            f11, f12, f21, f22 = _mobius_entries(z, left, right, [b * v for v in q])
         elif self.kind in ("takagi", "worked_family"):
-            F = self.U @ _diag2(self.d1, self.g(lam), m) @ self.U.T
-        elif self.kind == "diagonal":
-            return _diag2(self.f(lam), self.g(lam), m)
+            u, ut = self._consts
+            f11, f12, f21, f22 = _mul(_mul(u, (self.d1, 0j, 0j, self.g(lam))), ut)
         else:
             raise DomainError(f"unknown DiscFunction kind {self.kind!r}")
-        F[:, :, 0] *= lam[:, None]  # F diag(lambda, 1)
-        return F
+        return f11 * lam, f12, f21 * lam, f22
+
+    def _psi(self, lam: complex) -> list[complex]:
+        y = _pi_coords(self.n, [self._core(lam)] * (self.n // 2))
+        if self.swap:
+            y = y[-2::-1] + y[-1:]
+        if not all(map(cmath.isfinite, y)):
+            raise DomainError("disc value is not finite")
+        return y
 
     @staticmethod
-    def _lambdas(lams) -> np.ndarray:
+    def _lambda(lam) -> complex:
+        lam = _lam(lam)
+        if not (isinstance(lam, complex) and cmath.isfinite(lam)):
+            raise DomainError("lambda must be one finite complex number")
+        return lam
+
+    def values(self, lams) -> np.ndarray:
+        """psi at every lambda of a 1-D array, as an (m, n) complex array."""
         lam = np.asarray(lams, dtype=complex)
         if lam.ndim != 1:
             raise DomainError("lambdas must form a 1-D array")
         if not np.isfinite(lam).all():
             raise DomainError("lambda must be finite")
-        return lam
-
-    def values(self, lams) -> np.ndarray:
-        """psi at every lambda of a 1-D array, as an (m, n) complex array."""
-        y = _pi_coords(self.n, [self._cores(self._lambdas(lams))] * (self.n // 2))
-        if self.swap:
-            y = y[:, list(range(self.n - 2, -1, -1)) + [self.n - 1]]
-        if not np.isfinite(y).all():
-            raise DomainError("disc value is not finite")
-        return y
+        rows = [self._psi(v) for v in lam.tolist()]
+        return np.array(rows, dtype=complex).reshape(lam.size, self.n)
 
     def core(self, lam: complex) -> np.ndarray:
-        return self._cores(self._lambdas([lam]))[0]
+        F = self._core(self._lambda(lam))
+        if not all(map(cmath.isfinite, F)):
+            raise DomainError("disc core is not finite")
+        return _array(*F)
 
     def __call__(self, lam: complex) -> CPoint:
-        return CPoint(tuple(self.values([lam])[0]))
+        return CPoint(tuple(self._psi(self._lambda(lam))))
 
     def to_json(self) -> dict:
         return {
@@ -394,10 +402,7 @@ class DiscFunction:
             "n": self.n,
             "swap": self.swap,
             "lambda0": [self.lambda0.real, self.lambda0.imag],
-            "Z": _mat_json(self.Z),
-            "Q0": _mat_json(self.Q0),
-            "Qlin": _mat_json(self.Qlin),
-            "U": _mat_json(self.U),
+            **{k: _mat_json(getattr(self, k)) for k in self._MATRICES},
             "d1": [self.d1.real, self.d1.imag],
             "g": None if self.g is None else self.g.to_json(),
             "f": None if self.f is None else self.f.to_json(),
@@ -410,10 +415,7 @@ class DiscFunction:
             n=obj["n"],
             swap=obj["swap"],
             lambda0=complex(*obj["lambda0"]),
-            Z=_mat_from_json(obj["Z"]),
-            Q0=_mat_from_json(obj["Q0"]),
-            Qlin=_mat_from_json(obj["Qlin"]),
-            U=_mat_from_json(obj["U"]),
+            **{k: _mat_from_json(obj[k]) for k in DiscFunction._MATRICES},
             d1=complex(*obj["d1"]),
             g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
             f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),

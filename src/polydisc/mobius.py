@@ -214,12 +214,18 @@ def circle(grid: int) -> np.ndarray:
     return z
 
 
+def _vanishes(x) -> bool:
+    """|x| < 1e-300 for a scalar (tested without numpy) or anywhere in an array."""
+    if isinstance(x, np.ndarray):
+        return bool((abs(x) < 1e-300).any())
+    return _cabs(x) < 1e-300
+
+
 def _check_poles(den, z, what: str) -> None:
     """Raise PoleError at the first z (scalar or array) where the matching
     denominator `den` vanishes numerically."""
-    poles = abs(den) < 1e-300
-    if np.count_nonzero(poles):
-        at = complex(np.asarray(z)[poles][0])
+    if _vanishes(den):
+        at = complex(np.asarray(z)[abs(den) < 1e-300][0] if isinstance(den, np.ndarray) else z)
         raise PoleError(f"{what} has a pole at z={at}", at=at)
 
 

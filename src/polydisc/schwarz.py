@@ -341,33 +341,31 @@ def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:
     k = len(matrices)
     if k < 1:
         raise DomainError("need at least one matrix")
-    mats = [np.asarray(M, dtype=complex) for M in matrices]
-    dets = [M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] for M in mats]
+    ents = [_entries(M) for M in matrices]
+    dets = [a * d - b * c for a, b, c, d in ents]
     if max(abs(d - dets[0]) for d in dets) > 1e-11:
         raise DomainError("determinants of the assembly matrices disagree")
-    for M in mats:
-        if op_norm(M) > 1.0 + 1e-11:
-            raise DomainError("assembly matrices must be contractions")
+    if any(_svals(*e)[0] > 1.0 + 1e-11 for e in ents):
+        raise DomainError("assembly matrices must be contractions")
     n = 2 * k + 1 if parity == "odd" else 2 * k
-    return CPoint(tuple(_pi_coords(n, mats)))
+    return CPoint(tuple(_pi_coords(n, ents)))
 
 
-def _pi_coords(n: int, mats: list[np.ndarray]) -> np.ndarray:
-    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked, as an (..., n) array
-    for 2x2 matrices or (..., 2, 2) stacks M_j: coordinate j is
+def _pi_coords(n: int, mats: list) -> list[complex]:
+    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked, from the entry tuples
+    (m11, m12, m21, m22) of the 2x2 matrices M_j: coordinate j is
     binom(n, j) [M_j]_11 and coordinate n-j is binom(n, j) [M_j]_22 (the
     middle one averaged for even n), last the determinant of M_1."""
     k = n // 2
-    M = mats[0]
-    out = np.empty(M.shape[:-2] + (n,), dtype=complex)
+    out = [0j] * n
     for j in range(1, k + 1):
-        c, A = binom(n, j), mats[j - 1]
-        out[..., j - 1] = c * A[..., 0, 0]
-        out[..., n - 1 - j] = c * A[..., 1, 1]
+        c, (a, _, _, d) = binom(n, j), mats[j - 1]
+        out[j - 1], out[n - 1 - j] = c * a, c * d
     if n % 2 == 0:
-        A = mats[k - 1]
-        out[..., k - 1] = binom(n, k) * (A[..., 0, 0] + A[..., 1, 1]) / 2.0
-    out[..., n - 1] = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+        a, _, _, d = mats[k - 1]
+        out[k - 1] = binom(n, k) * (a + d) / 2.0
+    a, b, c, d = mats[0]
+    out[n - 1] = a * d - b * c
     return out
 
 

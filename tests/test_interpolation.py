@@ -1,11 +1,14 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polydisc.clinalg import matricial_mobius, op_norm
+from polydisc.clinalg import _inv2, matricial_mobius, op_norm
 from polydisc.errors import (
     DomainError,
     InfeasibleError,
@@ -607,8 +610,9 @@ def test_disc_evaluation_errors_stay_polydisc_errors():
     with pytest.raises(PoleError) as info:
         disc.values([0.1, pole])
     assert info.value.at == pole
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as info:
         disc(pole)
+    assert info.value.at == pole
     # Z = Q0 / 2 = I/2 and B(1) = -1 at lambda0 = 1/2: 1 + Z* X is singular at 1
     singular = DiscFunction(
         kind="matrix_mobius", n=3, lambda0=0.5 + 0j, Z=0.5 * np.eye(2, dtype=complex),
@@ -616,6 +620,14 @@ def test_disc_evaluation_errors_stay_polydisc_errors():
     )
     with pytest.raises(SingularityError):
         singular.values([0.2, 1.0])
+    with pytest.raises(SingularityError):
+        singular(1.0)
+    # the stack form of the 2x2 inverse: the second of [[1, 0], [0, 1]] and
+    # [[1, 1], [1, 1]] is singular
+    one, off = np.ones(2, dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    with pytest.raises(SingularityError):
+        _inv2(one, off, off, one)
+    assert _inv2(one, 0.5 * off, 0.5 * off, one)[1].tolist() == [0j, -0.5 / 0.75]
     for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
         with pytest.raises(DomainError):
             disc(bad)
@@ -624,13 +636,44 @@ def test_disc_evaluation_errors_stay_polydisc_errors():
     with pytest.raises(DomainError):
         disc.values(np.zeros((2, 2)))
     g = ScalarSchur(kind="blaschke", zeros=(0.5 + 0j,))
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as info:
         g(2.0)  # 1 - conj(0.5) * 2 = 0
-    with pytest.raises(PoleError):
+    assert info.value.at == 2.0
+    with pytest.raises(PoleError) as info:
         g(np.array([0.0, 2.0]))
+    assert info.value.at == 2.0
     family = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.5))
     with pytest.raises(PolydiscError):
         family.values([0.0, 1.0 / np.conj(family.g.b)])
+
+
+def test_disc_evaluation_is_total_on_finite_doubles():
+    # every finite double lambda, inside the disc or far outside it, gives
+    # finite values or a PolydiscError, and no numpy warning
+    from polydisc.errors import PolydiscError
+
+    discs = _kind_discs(np.random.default_rng(41))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(finite, finite)
+    @example(1e308, 1e308)
+    @example(1.7e308, 0.0)
+    @example(-1.7e308, 1.7e308)
+    def check(re, im):
+        lam = complex(re, im)
+        for disc in discs:
+            for evaluate in (disc, disc.core, lambda v: disc.values([v, 0.0])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        out = evaluate(lam)
+                    except PolydiscError:
+                        continue
+                out = out.coords if isinstance(out, CPoint) else np.ravel(out)
+                assert all(cmath.isfinite(v) for v in out), (disc.kind, lam)
+
+    check()
 
 
 def test_scalar_schur_arrays_match_scalar_calls(rng):
