@@ -4,11 +4,13 @@ Every check in the library is reachable from the shell with reproducible
 numeric parameters: membership queries, Schwarz-condition suites,
 interpolant construction and evaluation, distance reports, geometric
 witness generation, forward-oracle sweeps, membership slice rasters (CSV),
-and the identity/equivalence regressions.
+and the identity/equivalence regressions.  Each subcommand accepts only
+the options its handler reads, the shared ones from the table `_SHARED`.
 
 Complex numbers in JSON are always [re, im] pairs; points are
 {"n": int, "coords": [[re, im], ...]}.  Exit codes: 0 success, 1 a
-predicate came back false under --assert, 2 malformed input.
+predicate came back false under --assert, 2 malformed input or an option
+the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -121,10 +123,7 @@ def _cmd_distance(args) -> int:
     rep = distances.distance_report(
         point, grid=args.grid, band=args.band, rng=np.random.default_rng(args.seed)
     )
-    payload = rep.to_json()
-    if args.mobius_scale:
-        payload["closed_form_mobius"] = math.tanh(rep.closed_form)
-    _emit(args, payload)
+    _emit(args, rep.to_json())
     return 0
 
 
@@ -150,6 +149,8 @@ def _cmd_witness(args) -> int:
             "rotated_in_closure": False,
         }
     else:
+        if args.point is None:
+            raise DomainError("witness --kind separating needs --point")
         point = _parse_point(args.point)
         poly = geometry.separating_polynomial(
             point, samples=args.samples, rng=np.random.default_rng(args.seed)
@@ -302,17 +303,24 @@ def _cmd_regress(args) -> int:
     return 0 if (ok or not args.assert_) else 1
 
 
-def _common(sub, point_required: bool = True) -> None:
-    sub.add_argument("--point", required=point_required, help="point JSON")
-    sub.add_argument("--output", default="-", help="output path (default stdout)")
-    sub.add_argument("--grid", type=int, default=4096)
-    sub.add_argument("--band", type=float, default=membership.BOUNDARY_BAND)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=10000)
-    sub.add_argument(
-        "--assert", dest="assert_", action="store_true",
-        help="exit 1 when the computed verdict is false",
-    )
+_SHARED = {  # options several subcommands read, by name
+    "point": {"required": True, "help": "point JSON"},
+    "output": {"default": "-", "help": "output path (default stdout)"},
+    "grid": {"type": int, "default": 4096},
+    "band": {"type": float, "default": membership.BOUNDARY_BAND},
+    "seed": {"type": int, "default": 0},
+    "samples": {"type": int, "default": 10000},
+    "assert": {"dest": "assert_", "action": "store_true", "help": "exit 1 when the computed verdict is false"},
+}
+
+
+def _subcommand(subs, name: str, fn, help: str, *shared: str):
+    """Subcommand `name`, run by `fn`, with the named options of _SHARED."""
+    s = subs.add_parser(name, help=help)
+    for opt in shared:
+        s.add_argument(f"--{opt}", **_SHARED[opt])
+    s.set_defaults(fn=fn)
+    return s
 
 
 @functools.cache
@@ -324,75 +332,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = ap.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("membership", help="set membership with condition margins")
-    _common(s)
+    s = _subcommand(subs, "membership", _cmd_membership, "set membership with condition margins",
+                    "point", "output", "band", "assert")
     s.add_argument("--set", choices=_SETS, default="tilde-g")
     s.add_argument("--cond", default="ALL", help="condition id (e.g. C7) or ALL")
-    s.set_defaults(fn=_cmd_membership)
 
-    s = subs.add_parser("schwarz", help="two-point Schwarz-lemma conditions")
-    _common(s)
+    s = _subcommand(subs, "schwarz", _cmd_schwarz, "two-point Schwarz-lemma conditions",
+                    "point", "output", "band", "assert")
     s.add_argument("--lambda0", required=True, help="complex 're,im'")
     s.add_argument("--cond", default="all", help="condition number 2..11 or all")
-    s.set_defaults(fn=_cmd_schwarz)
 
-    s = subs.add_parser("interpolate", help="construct and evaluate a disc map")
-    _common(s)
+    s = _subcommand(subs, "interpolate", _cmd_interpolate, "construct and evaluate a disc map",
+                    "point", "output", "band", "seed")
     s.add_argument("--lambda0", default="0.5", help="complex 're,im'")
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--eval", action="append", help="lambda to evaluate (repeatable)")
     s.add_argument("--worked-family", action="store_true", help="use the worked two-point family")
     s.add_argument("--t", default="0", help="family parameter (complex)")
     s.add_argument("--extremal", action="store_true", help="extremal disc on J_n")
-    s.set_defaults(fn=_cmd_interpolate)
 
-    s = subs.add_parser("distance", help="invariant distance report from 0")
-    _common(s)
-    s.add_argument("--mobius-scale", action="store_true")
-    s.set_defaults(fn=_cmd_distance)
+    _subcommand(subs, "distance", _cmd_distance, "invariant distance report from 0",
+                "point", "output", "grid", "band", "seed")
 
-    s = subs.add_parser("witness", help="geometric witnesses")
-    _common(s, point_required=False)
+    s = _subcommand(subs, "witness", _cmd_witness, "geometric witnesses",
+                    "output", "seed", "samples")
+    s.add_argument("--point", help="point JSON (read by --kind separating)")
     s.add_argument("--kind", choices=("nonconvex", "noncircular", "separating"),
                    default="nonconvex")
     s.add_argument("--n", type=int, default=3)
-    s.set_defaults(fn=_cmd_witness)
 
-    s = subs.add_parser("oracle", help="forward-oracle soundness sweep")
-    _common(s, point_required=False)
+    s = _subcommand(subs, "oracle", _cmd_oracle, "forward-oracle soundness sweep",
+                    "output", "band", "seed", "samples", "assert")
     s.add_argument("--dims", default="2,3,4,5")
     s.add_argument("--jobs", type=int, default=1)
-    s.set_defaults(fn=_cmd_oracle)
 
-    s = subs.add_parser("plot-slice", help="CSV membership raster over y_1")
-    _common(s)
+    s = _subcommand(subs, "plot-slice", _cmd_plot_slice, "CSV membership raster over y_1",
+                    "point", "output", "band")
     s.add_argument("--resolution", type=int, default=101)
     s.add_argument("--re-min", type=float, default=None)
     s.add_argument("--re-max", type=float, default=None)
     s.add_argument("--im-min", type=float, default=None)
     s.add_argument("--im-max", type=float, default=None)
-    s.set_defaults(fn=_cmd_plot_slice)
 
-    s = subs.add_parser("regress", help="identity and equivalence regressions")
-    _common(s, point_required=False)
-    s.set_defaults(fn=_cmd_regress)
+    _subcommand(subs, "regress", _cmd_regress, "identity and equivalence regressions",
+                "output", "band", "seed", "samples", "assert")
     return ap
 
 
-def _validate_common(args) -> None:
-    if getattr(args, "grid", 8) < 8:
-        raise ValueError("grid must be at least 8")
-    if not 0.0 < getattr(args, "band", 1e-7) <= 1e-3:
-        raise ValueError("band must lie in (0, 1e-3]")
-    if getattr(args, "samples", 1) < 1:
-        raise ValueError("samples must be at least 1")
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _validate_common(args)
+        if getattr(args, "grid", 8) < 8:
+            raise ValueError("grid must be at least 8")
+        if not 0.0 < getattr(args, "band", 1e-7) <= 1e-3:
+            raise ValueError("band must lie in (0, 1e-3]")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError("samples must be at least 1")
         return args.fn(args)
     except (PolydiscError, ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -95,8 +95,7 @@ def _mul(A, B):
 
 
 def _inv2(a, b, c, d):
-    """Entries of the inverse of [[a, b], [c, d]]; the entries are scalars
-    for one matrix or arrays (elementwise) for a stack of matrices."""
+    """Entries of the inverse of [[a, b], [c, d]], all Python scalars."""
     det = a * d - b * c
     if _vanishes(det):
         raise SingularityError("2x2 matrix is numerically singular")
@@ -153,14 +152,12 @@ class HermEig2:
 
 
 def _herm(H):
-    """(e, one, a, b, d, lo, hi, disc) for a Hermitian 2x2 matrix H: its
-    Hermitian part [[a, b], [b*, d]] scaled by 2^-e, 1 in that scale, and
-    the part's eigenvalues lo <= hi and half gap disc = hypot((a - d)/2, |b|).
-    The eigenvalue of larger modulus is half_tr +- disc, which does not
-    cancel; the other is det / that one.  H is accepted when ||H - H*|| is
-    below 1e-12 * max(||H||, 1)."""
+    """(e, a, b, d, lo, hi, disc) for a Hermitian 2x2 matrix H: its Hermitian
+    part [[a, b], [b*, d]] scaled by 2^-e, the part's eigenvalues lo <= hi
+    and half gap disc = hypot((a - d)/2, |b|).  The eigenvalue of larger
+    modulus is half_tr +- disc, which does not cancel; the other is det /
+    that one.  H is accepted when ||H - H*|| < 1e-12 ||H||, at any scale."""
     e, (a, b, c, d) = _scaled(*_entries(H))
-    one = math.ldexp(1.0, -e)
     # H - H* is i times the Hermitian [[2 Im a, -i s], [i s*, 2 Im d]] with
     # s = b - conj(c), whose norm is |Im a + Im d| + hypot(Im a - Im d, |s|)
     s = b - c.conjugate()
@@ -175,9 +172,9 @@ def _herm(H):
     else:
         lo = half_tr - disc
         hi = det / lo
-    if skew > _HERM_TOL * max(abs(half_tr) + disc, one):
+    if skew > _HERM_TOL * (abs(half_tr) + disc):
         raise DomainError("matrix is not Hermitian within tolerance")
-    return e, one, a, b, d, lo, hi, disc
+    return e, a, b, d, lo, hi, disc
 
 
 def herm_eig(H: np.ndarray) -> HermEig2:
@@ -186,8 +183,8 @@ def herm_eig(H: np.ndarray) -> HermEig2:
     The input may carry roundoff: it is accepted when ||H - H*|| is below
     1e-12 * ||H|| and symmetrized before solving.
     """
-    e, one, a, b, d, lo, hi, disc = _herm(H)
-    if disc <= _HERM_TOL * max(abs(lo), abs(hi), one):
+    e, a, b, d, lo, hi, disc = _herm(H)
+    if disc <= _HERM_TOL * max(abs(lo), abs(hi)):
         v_min, v_max = (1.0 + 0j, 0j), (0j, 1.0 + 0j)
     else:
         # (H - lam_max) v_max = 0, read off the row whose diagonal term does
@@ -218,11 +215,11 @@ def _psd_sqrt(a: float, b: complex, d: float, lo: float, hi: float):
 def herm_sqrt(H: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S @ S = H.
 
-    Eigenvalues in [-1e-12 * scale, 0) are treated as zero; anything more
+    Eigenvalues in [-1e-12 * lam_max, 0) are treated as zero; anything more
     negative is rejected.
     """
-    e, one, a, b, d, lo, hi, _ = _herm(H)
-    if lo < -1e-12 * max(abs(hi), one):
+    e, a, b, d, lo, hi, _ = _herm(H)
+    if lo < -1e-12 * abs(hi):
         raise DomainError(f"matrix is not PSD: min eigenvalue {_unscale(lo, e)}")
     f = math.ldexp(1.0, e // 2)  # e is even: sqrt(2^e) is exact
     return _array(*(x * f for x in _psd_sqrt(a, b, d, lo, hi)))

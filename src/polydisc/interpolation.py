@@ -40,7 +40,7 @@ from .errors import (
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
 from .mobius import CPoint, _check_poles, binom, d_norm, degenerate_product
-from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, feasibility_alpha, k_rho
+from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, _z_nu_general, feasibility_alpha, k_rho
 
 __all__ = [
     "ScalarSchur",
@@ -66,16 +66,21 @@ _WF_G_AT_0 = 0.3 + 0j
 _WF_G_AT_L0 = 0.625 + 0j
 
 
-def _lam(lam):
-    """A scalar lambda as a Python complex, anything else as a complex array."""
-    return complex(lam) if type(lam) is complex or np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
+def _one_lambda(lam) -> complex:
+    """One finite lambda as a Python complex; anything else raises DomainError."""
+    try:
+        lam = complex(lam)
+        if cmath.isfinite(lam):
+            return lam
+    except (TypeError, ValueError):
+        pass
+    raise DomainError("lambda must be one finite complex number")
 
 
-def blaschke(lambda0: complex, lam: complex | np.ndarray) -> complex | np.ndarray:
-    """B(l) = (lambda0 - l) / (1 - conj(lambda0) l); vanishes at lambda0,
-    sends 0 to lambda0, unimodular on the circle.  Elementwise over an
-    array of l."""
-    lambda0, lam = complex(lambda0), _lam(lam)
+def blaschke(lambda0: complex, lam: complex) -> complex:
+    """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l; vanishes at
+    lambda0, sends 0 to lambda0, unimodular on the circle."""
+    lambda0, lam = complex(lambda0), _one_lambda(lam)
     den = 1.0 - lambda0.conjugate() * lam
     _check_poles(den, lam, "the Blaschke factor")
     return (lambda0 - lam) / den
@@ -86,14 +91,14 @@ def blaschke(lambda0: complex, lam: complex | np.ndarray) -> complex | np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _zero_at(a: complex, lam):
+def _zero_at(a: complex, lam: complex) -> complex:
     # e_a(l) = (l - a) / (1 - conj(a) l): the disc automorphism vanishing at a
     den = 1.0 - a.conjugate() * lam
     _check_poles(den, lam, f"the Blaschke factor at {a}")
     return (lam - a) / den
 
 
-def _disc_auto(w: complex, s, lam):
+def _disc_auto(w: complex, s: complex, lam: complex) -> complex:
     # mu_w(s) = (w + s) / (1 + conj(w) s): disc automorphism sending 0 to w
     den = 1.0 + w.conjugate() * s
     _check_poles(den, lam, "a Schur step")
@@ -111,8 +116,7 @@ class ScalarSchur:
     mu_{wa}(e_a(l) * mu_{c1}(e_b(l) * t)) with e_x the zero-at-x Blaschke
     factor; parameters are stored, not the closed rational form.
 
-    Called on one lambda it returns a complex; on an array of lambda, the
-    array of values.
+    Called on one lambda it returns a complex.
     """
 
     kind: str
@@ -124,8 +128,8 @@ class ScalarSchur:
     c1: complex = 0j
     t: complex = 0j
 
-    def __call__(self, lam: complex | np.ndarray) -> complex | np.ndarray:
-        lam = _lam(lam)
+    def __call__(self, lam: complex) -> complex:
+        lam = _one_lambda(lam)
         if self.kind == "blaschke":
             acc = self.const
             for z in self.zeros:
@@ -231,13 +235,6 @@ def nu_window(y0: CPoint, lambda0: complex, band: float = BOUNDARY_BAND) -> tupl
     return _window_from_x2(x2)
 
 
-def _z_nu_general(
-    c: float, y1: complex, yn1: complex, q: complex, lam0: complex, nu: float
-) -> np.ndarray:
-    w = cmath.sqrt((y1 * yn1 - c * c * q) / (c * c * lam0))
-    return np.array([[y1 / (c * lam0), nu * w], [w / nu, yn1 / c]])
-
-
 def z_nu(y0: CPoint, lambda0: complex, nu: float, band: float = BOUNDARY_BAND) -> np.ndarray:
     """The scaled symmetric matrix Z_nu with off-diagonals nu*w and w/nu,
     w the principal square root of (y_1 y_2 - 9 q) / (9 lambda0)."""
@@ -334,6 +331,17 @@ class DiscFunction:
     g: ScalarSchur | None = None
     f: ScalarSchur | None = None
     _MATRICES = ("Z", "Q0", "Qlin", "U")  # the 2x2 fields, not a field itself
+    # the fields each kind reads, Qlin being optional; a class constant, not a field
+    _READS = {"matrix_mobius": ("Z", "Q0"), "takagi": ("U", "g"),
+              "worked_family": ("U", "g"), "diagonal": ("f", "g")}
+
+    def __post_init__(self):
+        reads = self._READS.get(self.kind)
+        if reads is None or not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise DomainError(f"no disc of kind {self.kind!r} with n = {self.n!r}")
+        missing = [name for name in reads if getattr(self, name) is None]
+        if missing:
+            raise DomainError(f"a {self.kind} disc needs {', '.join(missing)}")
 
     @cached_property
     def _consts(self) -> tuple:
@@ -355,11 +363,9 @@ class DiscFunction:
                 q = [a + lam * b for a, b in zip(q, qlin)]
             b = blaschke(self.lambda0, lam)
             f11, f12, f21, f22 = _mobius_entries(z, left, right, [b * v for v in q])
-        elif self.kind in ("takagi", "worked_family"):
+        else:  # takagi, worked_family
             u, ut = self._consts
             f11, f12, f21, f22 = _mul(_mul(u, (self.d1, 0j, 0j, self.g(lam))), ut)
-        else:
-            raise DomainError(f"unknown DiscFunction kind {self.kind!r}")
         return f11 * lam, f12, f21 * lam, f22
 
     def _psi(self, lam: complex) -> list[complex]:
@@ -370,31 +376,22 @@ class DiscFunction:
             raise DomainError("disc value is not finite")
         return y
 
-    @staticmethod
-    def _lambda(lam) -> complex:
-        lam = _lam(lam)
-        if not (isinstance(lam, complex) and cmath.isfinite(lam)):
-            raise DomainError("lambda must be one finite complex number")
-        return lam
-
     def values(self, lams) -> np.ndarray:
         """psi at every lambda of a 1-D array, as an (m, n) complex array."""
         lam = np.asarray(lams, dtype=complex)
-        if lam.ndim != 1:
-            raise DomainError("lambdas must form a 1-D array")
-        if not np.isfinite(lam).all():
-            raise DomainError("lambda must be finite")
+        if lam.ndim != 1 or not np.isfinite(lam).all():
+            raise DomainError("lambdas must form a 1-D array of finite numbers")
         rows = [self._psi(v) for v in lam.tolist()]
         return np.array(rows, dtype=complex).reshape(lam.size, self.n)
 
     def core(self, lam: complex) -> np.ndarray:
-        F = self._core(self._lambda(lam))
+        F = self._core(_one_lambda(lam))
         if not all(map(cmath.isfinite, F)):
             raise DomainError("disc core is not finite")
         return _array(*F)
 
     def __call__(self, lam: complex) -> CPoint:
-        return CPoint(tuple(self._psi(self._lambda(lam))))
+        return CPoint(tuple(self._psi(_one_lambda(lam))))
 
     def to_json(self) -> dict:
         return {
@@ -410,16 +407,19 @@ class DiscFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "DiscFunction":
-        return DiscFunction(
-            kind=obj["kind"],
-            n=obj["n"],
-            swap=obj["swap"],
-            lambda0=complex(*obj["lambda0"]),
-            **{k: _mat_from_json(obj[k]) for k in DiscFunction._MATRICES},
-            d1=complex(*obj["d1"]),
-            g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
-            f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),
-        )
+        try:
+            return DiscFunction(
+                kind=obj["kind"],
+                n=obj["n"],
+                swap=obj["swap"],
+                lambda0=complex(*obj["lambda0"]),
+                **{k: _mat_from_json(obj[k]) for k in DiscFunction._MATRICES},
+                d1=complex(*obj["d1"]),
+                g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
+                f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed disc JSON: {exc!r}") from None
 
 
 def _verify_endpoints(
@@ -664,8 +664,7 @@ def slice_interpolant(
         raise InfeasibleError("|lambda0| is below the sup-norm bound")
     disc = _slice_core(y, lam0, band)
     _verify_endpoints(disc, lam0, y, 1e-9)
-    if check_samples:
-        _verify_range(disc, check_samples, rng, band)
+    _verify_range(disc, check_samples, rng, band)
     return disc
 
 
@@ -694,8 +693,7 @@ def extremal_disc(
         raise DomainError("point is not strictly inside (sup-norm >= 1)")
     disc = _slice_core(y, complex(lam0), band)
     _verify_endpoints(disc, lam0, y, 1e-9)
-    if check_samples:
-        _verify_range(disc, check_samples, rng, band)
+    _verify_range(disc, check_samples, rng, band)
     return lam0, disc
 
 

@@ -231,6 +231,15 @@ def _xj_terms(
     return xj, xnj, al * (c * c - b2) / k
 
 
+def _z_nu_general(
+    c: float, yj: complex, ynj: complex, q: complex, lam0: complex, nu: float
+) -> np.ndarray:
+    """Z_nu = [[y_j / (c lambda0), nu w], [w / nu, y_{n-j} / c]] (Z_j at nu = 1) for a
+    non-degenerate pair, w the principal root of (y_j y_{n-j} - c^2 q) / (c^2 lambda0)."""
+    w = cmath.sqrt((yj * ynj - c * c * q) / (c * c * lam0))
+    return np.array([[yj / (c * lam0), nu * w], [w / nu, ynj / c]])
+
+
 def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
     """The feasibility matrix K_Z(rho), assembled entrywise:
 
@@ -289,8 +298,8 @@ def schur_certificates(
             Z = np.array([[yj / (c * lam), 0.0], [0.0, ynj / c]])
             feasible, marginal, slack = top <= al + band, abs(top - al) < band, al - top
         else:
-            w = cmath.sqrt((yj * ynj - c * c * p.target.q) / (c * c * lam))
-            Z = np.array([[yj / (c * lam), w], [w, ynj / c]])
+            Z = _z_nu_general(c, yj, ynj, p.target.q, lam, 1.0)
+            w = complex(Z[1, 0])  # w_j / 1.0, which is w_j exactly
             zn = op_norm(Z)
             if zn >= 1.0 - band:
                 # the branch's sup-norm D, read off the same row

@@ -67,6 +67,41 @@ def test_membership_bad_condition_exit_2():
     assert code == 2
 
 
+# the values each subcommand's parser sets: exactly what its handler reads
+SUBCOMMAND_OPTIONS = {
+    "membership": {"point", "output", "band", "assert_", "set", "cond"},
+    "schwarz": {"point", "output", "band", "assert_", "lambda0", "cond"},
+    "interpolate": {"point", "output", "band", "seed", "lambda0", "nu", "eval",
+                    "worked_family", "t", "extremal"},
+    "distance": {"point", "output", "grid", "band", "seed"},
+    "witness": {"point", "output", "seed", "samples", "kind", "n"},
+    "oracle": {"output", "band", "seed", "samples", "assert_", "dims", "jobs"},
+    "plot-slice": {"point", "output", "band", "resolution", "re_min", "re_max",
+                   "im_min", "im_max"},
+    "regress": {"output", "band", "seed", "samples", "assert_"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_options_are_the_ones_it_reads(command):
+    from polydisc import cli
+
+    (subs,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for a in subs.choices[command]._actions if a.dest != "help"}
+    assert dests == SUBCOMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("membership", "--set", "g", "--point", GAP_POINT, "--grid", "64"),  # not taken
+     ("witness", "--kind", "separating")],  # needs --point
+)
+def test_option_misuse_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "error:" in err
+
+
 def test_distance_seven_digits():
     code, out, _ = run_cli("distance", "--point", WORKED_POINT, "--grid", "512")
     assert code == 0

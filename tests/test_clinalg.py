@@ -108,6 +108,13 @@ def test_op_norm_rejects_nonfinite():
 def test_herm_eig_zero():
     eig = herm_eig(np.zeros((2, 2)))
     assert eig.lam_min == eig.lam_max == 0.0
+    assert eig.v_min.tolist() == [1, 0] and eig.v_max.tolist() == [0, 1]
+    assert herm_sqrt(np.zeros((2, 2))).tolist() == [[0, 0], [0, 0]]
+    # a small matrix is judged at its own scale: eigenvectors (1, -+1)/sqrt 2
+    eig = herm_eig(mat2(0, 1e-13, 1e-13, 0))
+    assert (eig.lam_min, eig.lam_max) == pytest.approx((-1e-13, 1e-13), rel=1e-15)
+    assert np.abs(eig.v_min - np.array([-1, 1]) / math.sqrt(2)).max() <= 1e-15
+    assert np.abs(eig.v_max - np.array([1, 1]) / math.sqrt(2)).max() <= 1e-15
 
 
 def test_herm_eig_z_y_eigenvalues():
@@ -146,8 +153,9 @@ def test_herm_sqrt_squares_back(rng):
 
 
 def test_herm_sqrt_rejects_negative():
-    with pytest.raises(DomainError):
-        herm_sqrt(np.diag([-1.0, 1.0]))
+    for H in (np.diag([-1.0, 1.0]), mat2(-1e-13, 0, 0, 0)):  # not PSD, at any scale
+        with pytest.raises(DomainError):
+            herm_sqrt(H)
 
 
 def test_mobius_maps_z_to_zero(rng):
