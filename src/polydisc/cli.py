@@ -59,11 +59,15 @@ def _parse_complex(text: str) -> complex:
 
 def _emit(args, payload: dict | str) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    text += "" if text.endswith("\n") else "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + ("" if text.endswith("\n") else "\n"))
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --output: {exc}") from None
     else:
-        sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
+        sys.stdout.write(text)
 
 
 def _cmd_membership(args) -> int:
@@ -222,8 +226,8 @@ def _cmd_plot_slice(args) -> int:
     im_vals = [im_lo + (im_hi - im_lo) * b / (res - 1) for b in range(res)]
     if not all(math.isfinite(v) for v in re_vals + im_vals):
         raise DomainError("non-finite coordinate")
-    im_txt = [repr(v) for v in im_vals]
-    tails = ("0,0", "0,1", "1,0", "1,1")  # indexed by 2 * in_tilde_g + in_g
+    # the cells after re, per im and indexed by 2 * in_tilde_g + in_g
+    cells = [[f",{v!r},{t}" for t in ("0,0", "0,1", "1,0", "1,1")] for v in im_vals]
     lines = ["re,im,in_tilde_g,in_g"]
     rows = max(1, _BATCH // res)  # raster rows (fixed re) per batch
     for a0 in range(0, res, rows):
@@ -234,8 +238,8 @@ def _cmd_plot_slice(args) -> int:
         tg = membership.in_tilde_g_batch(y, band=args.band)
         gg = tg & membership.in_g_batch(y, band=args.band)
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
-        for re, row in zip(block, codes):
-            lines.extend(f"{re!r},{it},{tails[k]}" for it, k in zip(im_txt, row))
+        for re, row in zip(map(repr, block), codes):
+            lines.extend([re + cell[k] for cell, k in zip(cells, row)])
     _emit(args, "\n".join(lines))
     return 0
 

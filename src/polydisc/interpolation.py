@@ -378,8 +378,11 @@ class DiscFunction:
 
     def values(self, lams) -> np.ndarray:
         """psi at every lambda of a 1-D array, as an (m, n) complex array."""
-        lam = np.asarray(lams, dtype=complex)
-        if lam.ndim != 1 or not np.isfinite(lam).all():
+        try:
+            lam = np.asarray(lams, dtype=complex)
+        except (TypeError, ValueError):
+            lam = None
+        if lam is None or lam.ndim != 1 or not np.isfinite(lam).all():
             raise DomainError("lambdas must form a 1-D array of finite numbers")
         rows = [self._psi(v) for v in lam.tolist()]
         return np.array(rows, dtype=complex).reshape(lam.size, self.n)

@@ -26,6 +26,7 @@ condition with |slack| < band is flagged boundary-indeterminate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -354,6 +355,35 @@ def _beta_coords(coords: tuple[complex, ...]) -> tuple[complex, ...]:
     )
 
 
+def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
+    """The recursive beta-descent of in_g (open) or in_gamma (closed); the
+    reported margin is level 0's C7 slack."""
+    trace: list[CPoint] = []
+    cur = s.coords
+    auth = slack = _tilde_slack7(cur, closed, band) if s.n > 1 else 1.0 - _cabs(cur[0])
+    verdict: bool | None = None
+    while len(cur) > 1:
+        ap = _cabs(cur[-1])
+        if closed and abs(ap - 1.0) <= band:
+            verdict = _b_gamma_coords(cur, band)
+            break
+        if (ap > 1.0 + band or slack < -band) if closed else (ap >= 1.0 or slack <= 0.0):
+            verdict = False
+            break
+        cur = _beta_coords(cur)
+        trace.append(CPoint(cur))
+        slack = _tilde_slack7(cur, closed, band)
+    if verdict is None:
+        verdict = _cabs(cur[0]) <= 1.0 + band if closed else _cabs(cur[0]) < 1.0
+    return MembershipReport(
+        point=s,
+        set_id="gamma" if closed else "g",
+        verdict=verdict,
+        per_condition=_margins({"C7": auth}, ("C7",), closed, band),
+        recursion_trace=tuple(trace),
+    )
+
+
 def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     """Membership in the symmetrized polydisc G_n.
 
@@ -361,25 +391,7 @@ def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     beta-point lies in G_{n-1}; the base case G_1 is the unit disc.  The
     beta-points visited are recorded in recursion_trace.
     """
-    trace: list[CPoint] = []
-    cur = s.coords
-    verdict = True
-    while len(cur) > 1:
-        if _cabs(cur[-1]) >= 1.0 or _tilde_slack7(cur, closed=False, band=band) <= 0.0:
-            verdict = False
-            break
-        cur = _beta_coords(cur)
-        trace.append(CPoint(cur))
-    if verdict:
-        verdict = _cabs(cur[0]) < 1.0
-    auth = _tilde_slack7(s.coords, False, band) if s.n > 1 else 1.0 - _cabs(s.coords[0])
-    return MembershipReport(
-        point=s,
-        set_id="g",
-        verdict=verdict,
-        per_condition=_margins({"C7": auth}, ("C7",), False, band),
-        recursion_trace=tuple(trace),
-    )
+    return _descent_report(s, closed=False, band=band)
 
 
 def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
@@ -390,32 +402,7 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     is in Gamma_n iff it lies on the distinguished boundary, which has its
     own characterization; beyond, it is out.
     """
-    trace: list[CPoint] = []
-    cur = s.coords
-    verdict: bool | None = None
-    while len(cur) > 1:
-        ap = _cabs(cur[-1])
-        if ap > 1.0 + band:
-            verdict = False
-            break
-        if abs(ap - 1.0) <= band:
-            verdict = _b_gamma_coords(cur, band)
-            break
-        if _tilde_slack7(cur, closed=True, band=band) < -band:
-            verdict = False
-            break
-        cur = _beta_coords(cur)
-        trace.append(CPoint(cur))
-    if verdict is None:
-        verdict = _cabs(cur[0]) <= 1.0 + band
-    auth = _tilde_slack7(s.coords, True, band) if s.n > 1 else 1.0 - _cabs(s.coords[0])
-    return MembershipReport(
-        point=s,
-        set_id="gamma",
-        verdict=verdict,
-        per_condition=_margins({"C7": auth}, ("C7",), True, band),
-        recursion_trace=tuple(trace),
-    )
+    return _descent_report(s, closed=True, band=band)
 
 
 def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
@@ -459,9 +446,9 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
 # Each row is one point; every result equals the scalar function's on that
 # row bit for bit (up to the sign of zero, which no slack or verdict sees).
 # numpy's complex abs and product round differently from CPython's, so the
-# kernels use np.hypot and CPython's real/imag product formula instead;
-# squares are x * x on both paths.  Rows that leave a descent early are
-# dropped from the arrays of the next level.
+# kernels run on (n, m) real and imaginary planes, one row per coordinate,
+# with np.hypot and CPython's real/imag product formula; squares are x * x
+# on both paths.  A descent copies its planes only to drop points.
 # ---------------------------------------------------------------------------
 
 
@@ -472,44 +459,54 @@ def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _planes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The contiguous real and imaginary planes of the (m, n) batch y."""
+    return np.ascontiguousarray(y.real.T), np.ascontiguousarray(y.imag.T)
+
+
 def _conj_mul(ar, ai, br, bi):
     """conj(a) * b, rounded as CPython rounds it."""
     return ar * br + ai * bi, ar * bi - ai * br
 
 
+@functools.cache
+def _binoms(n: int) -> np.ndarray:
+    """The column of binom(n, j) for j = 1..floor(n/2)."""
+    return np.array([[float(math.comb(n, j))] for j in range(1, n // 2 + 1)])
+
+
+def _level(re: np.ndarray, im: np.ndarray, aq: np.ndarray, unit=None):
+    """One level of the beta-descent on planes with n >= 2 rows and |q| = aq:
+    the C7 slack of every point, the planes of the beta numerators
+    D_j = y_j - conj(y_{n-j}) q (j = 1..n-1) and w = 1 - |q|^2, the next
+    level being D / w.  The C7 cross terms are |D_{n-j}| + |D_j|, in `_c7`'s
+    order; where the mask `unit` holds, binom(n, j) - |y_j| joins them."""
+    br, bi = _conj_mul(re[-2::-1], im[-2::-1], re[-1], im[-1])
+    dr, di = re[:-1] - br, im[:-1] - bi
+    a = np.hypot(dr, di)
+    h, c, w = len(re) // 2, _binoms(len(re)), 1.0 - aq * aq
+    s = c * w - (a[::-1][:h] + a[:h])
+    if unit is not None and unit.any():
+        t = c - np.hypot(re[:h], im[:h])
+        s = np.where(unit & (t < s), t, s)
+    # min() from +inf as in the scalar loop: a NaN term never wins
+    return np.fmin.reduce(s, axis=0, initial=math.inf), dr, di, w
+
+
 @np.errstate(all="ignore")
 def _tilde_slack7_batch(y: np.ndarray, closed: bool, band: float) -> np.ndarray:
     """_tilde_slack7 on every row of y."""
-    n = y.shape[1]
-    h = n // 2
-    c = np.array([float(math.comb(n, j)) for j in range(1, h + 1)])
-    re, im = y.real, y.imag
-    qr, qi = re[:, -1:], im[:, -1:]
-    aq = np.hypot(qr, qi)
-    mirror = [n - 1 - j for j in range(1, h + 1)]
-    jr, ji = re[:, :h], im[:, :h]
-    nr, ni = re[:, mirror], im[:, mirror]
-    pr, pi = _conj_mul(jr, ji, qr, qi)
-    a = np.hypot(nr - pr, ni - pi)
-    pr, pi = _conj_mul(nr, ni, qr, qi)
-    s = c * (1.0 - aq * aq) - (a + np.hypot(jr - pr, ji - pi))
-    if closed:
-        t = c - np.hypot(jr, ji)
-        s = np.where((np.abs(aq - 1.0) <= band) & (t < s), t, s)
-    # min() from +inf as in the scalar loop: a NaN term never wins
-    return np.fmin.reduce(s, axis=1, initial=math.inf)
+    re, im = _planes(y)
+    aq = np.hypot(re[-1], im[-1])
+    return _level(re, im, aq, (np.abs(aq - 1.0) <= band) if closed else None)[0]
 
 
+@np.errstate(all="ignore")
 def _beta_coords_batch(y: np.ndarray) -> np.ndarray:
     """_beta_coords on every row of y."""
-    n = y.shape[1]
-    re, im = y.real, y.imag
-    pr, pi = re[:, -1:], im[:, -1:]
-    ap = np.hypot(pr, pi)
-    denom = 1.0 - ap * ap
-    mirror = list(range(n - 2, -1, -1))
-    br, bi = _conj_mul(re[:, mirror], im[:, mirror], pr, pi)
-    return _cplx((re[:, :-1] - br) / denom, (im[:, :-1] - bi) / denom)
+    re, im = _planes(y)
+    _, dr, di, w = _level(re, im, np.hypot(re[-1], im[-1]))
+    return _cplx((dr / w).T, (di / w).T)
 
 
 def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
@@ -519,80 +516,73 @@ def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return _tilde_slack7_batch(y, closed=False, band=band) > 0.0
 
 
+def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float) -> np.ndarray:
+    """The in_g (open) or in_gamma (closed) verdict of every point of the planes."""
+    idx = np.arange(re.shape[1])
+    verdict = np.zeros(idx.size, dtype=bool)
+    while len(re) > 1 and idx.size:
+        aq = np.hypot(re[-1], im[-1])
+        # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
+        slack, dr, di, w = _level(re, im, aq)
+        if closed:
+            keep = ~(aq > 1.0 + band)
+            unit = keep & (np.abs(aq - 1.0) <= band)
+            if unit.any():
+                verdict[idx[unit]] = _b_gamma_planes(re[:, unit], im[:, unit], band)
+            keep &= ~unit & ~(slack < -band)
+        else:
+            keep = ~((aq >= 1.0) | (slack <= 0.0))
+        if not keep.all():
+            idx, dr, di, w = idx[keep], dr[:, keep], di[:, keep], w[keep]
+        re, im = dr / w, di / w
+    a = np.hypot(re[0], im[0])
+    verdict[idx] = (a <= 1.0 + band) if closed else (a < 1.0)
+    return verdict
+
+
+def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
+    n, a = len(re), np.hypot(re, im)
+    if n == 1:
+        return np.abs(a[0] - 1.0) <= band
+    ok = ~(np.abs(a[-1] - 1.0) > band)
+    _, dr, di, _ = _level(re, im, a[-1])  # the forced relation's residual is |D|
+    ok &= ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
+    factor = np.array([[(n - j) / n] for j in range(1, n)])
+    verdict = np.zeros(ok.size, dtype=bool)
+    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], True, band)
+    return verdict
+
+
 @np.errstate(all="ignore")
 def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_g(s).verdict for every row of the (m, n) array s."""
-    verdict = np.zeros(s.shape[0], dtype=bool)
-    idx = np.arange(s.shape[0])
-    cur = s
-    while cur.shape[1] > 1 and idx.size:
-        ap = np.hypot(cur[:, -1].real, cur[:, -1].imag)
-        keep = ~((ap >= 1.0) | (_tilde_slack7_batch(cur, False, band) <= 0.0))
-        cur, idx = _beta_coords_batch(cur[keep]), idx[keep]
-    verdict[idx] = np.hypot(cur[:, 0].real, cur[:, 0].imag) < 1.0
-    return verdict
+    return _descent(*_planes(s), False, band)
 
 
 @np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
-    verdict = np.zeros(s.shape[0], dtype=bool)
-    idx = np.arange(s.shape[0])
-    cur = s
-    while cur.shape[1] > 1 and idx.size:
-        ap = np.hypot(cur[:, -1].real, cur[:, -1].imag)
-        inside = ~(ap > 1.0 + band)
-        unit = inside & (np.abs(ap - 1.0) <= band)
-        if unit.any():
-            verdict[idx[unit]] = in_b_gamma_batch(cur[unit], band)
-        inside &= ~unit
-        cur, idx = cur[inside], idx[inside]
-        keep = ~(_tilde_slack7_batch(cur, True, band) < -band)
-        cur, idx = _beta_coords_batch(cur[keep]), idx[keep]
-    verdict[idx] = np.hypot(cur[:, 0].real, cur[:, 0].imag) <= 1.0 + band
-    return verdict
+    return _descent(*_planes(s), True, band)
 
 
 @np.errstate(all="ignore")
 def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_b_gamma(s) for every row of the (m, n) array s."""
-    n = s.shape[1]
-    re, im = s.real, s.imag
-    a = np.hypot(re, im)
-    if n == 1:
-        return np.abs(a[:, 0] - 1.0) <= band
-    ok = ~(np.abs(a[:, -1] - 1.0) > band)
-    pr, pi = re[:, -1:], im[:, -1:]
-    mirror = list(range(n - 2, -1, -1))
-    br, bi = _conj_mul(re[:, mirror], im[:, mirror], pr, pi)
-    resid = np.hypot(re[:, :-1] - br, im[:, :-1] - bi)
-    scale = 1.0 + a.max(axis=1)
-    ok &= ~(resid > (band * scale)[:, None]).any(axis=1)
-    factor = np.array([(n - j) / n for j in range(1, n)])
-    verdict = np.zeros(s.shape[0], dtype=bool)
-    rows = s[ok]
-    verdict[ok] = in_gamma_batch(
-        _cplx(factor * rows[:, :-1].real, factor * rows[:, :-1].imag), band
-    )
-    return verdict
+    return _b_gamma_planes(*_planes(s), band)
 
 
 @np.errstate(all="ignore")
 def symmetrize_batch(z: np.ndarray) -> np.ndarray:
     """symmetrize(z).coords for every row of the (m, n) array z."""
-    m, n = z.shape
-    if n < 1:
+    if z.shape[1] < 1:
         raise DomainError("need at least one coordinate")
-    er = np.zeros((n + 1, m))
-    ei = np.zeros((n + 1, m))
+    er, ei = np.zeros((2, z.shape[1] + 1, len(z)))
     er[0] = 1.0
-    zr, zi = z.real.T, z.imag.T
-    for k0 in range(n):
-        ar, ai = zr[k0], zi[k0]
-        for k in range(k0 + 1, 0, -1):
-            br, bi = er[k - 1], ei[k - 1]
-            er[k] = er[k] + (ar * br - ai * bi)
-            ei[k] = ei[k] + (ar * bi + ai * br)
+    for k, (ar, ai) in enumerate(zip(*_planes(z)), start=1):
+        # e[1..k] += z_k e[0..k-1], both products read before the adds
+        pr, pi = ar * er[:k] - ai * ei[:k], ar * ei[:k] + ai * er[:k]
+        er[1:k + 1] += pr
+        ei[1:k + 1] += pi
     return _cplx(er[1:].T, ei[1:].T)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -94,7 +95,8 @@ def test_subcommand_options_are_the_ones_it_reads(command):
 @pytest.mark.parametrize(
     "argv",
     [("membership", "--set", "g", "--point", GAP_POINT, "--grid", "64"),  # not taken
-     ("witness", "--kind", "separating")],  # needs --point
+     ("witness", "--kind", "separating"),  # needs --point
+     ("witness", "--output", os.path.join(os.devnull, "x.json"))],  # unwritable
 )
 def test_option_misuse_exit_2(argv):
     code, out, err = run_cli(*argv)

@@ -627,8 +627,9 @@ def test_disc_evaluation_errors_stay_polydisc_errors():
             disc(bad)
         with pytest.raises(DomainError):
             disc.values([0.0, bad])
-    with pytest.raises(DomainError):
-        disc.values(np.zeros((2, 2)))
+    for bad in (np.zeros((2, 2)), "abc", [[1, 2], [3]]):  # not a 1-D complex array
+        with pytest.raises(DomainError):
+            disc.values(bad)
     g = ScalarSchur(kind="blaschke", zeros=(0.5 + 0j,))
     with pytest.raises(PoleError) as info:
         g(2.0)  # 1 - conj(0.5) * 2 = 0

@@ -554,6 +554,51 @@ def test_batch_verdicts_match_scalar(n, rng):
     assert symmetrize_batch(z).tolist() == [list(symmetrize(list(w)).coords) for w in z]
 
 
+def _uniform_batches(n, rng, m=40):
+    """Batches the descents never compact: all interior (every row survives
+    every level), all exterior (every row drops at the first level), one
+    row, and no row."""
+    inner = [symmetrize(g_point_disc(n, rng, rmax=0.95)) for _ in range(m)]
+    if n == 1:
+        outer = [CPoint((1.5 * torus_point(rng),)) for _ in range(m)]
+    else:
+        outer = [exterior_point(n, rng) for _ in range(m)]
+    for p in inner:
+        assert len(in_g(p).recursion_trace) == len(in_gamma(p).recursion_trace) == n - 1
+    for p in outer:
+        assert not (in_g(p).recursion_trace or in_gamma(p).recursion_trace)
+    return inner, outer, inner[:1], []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_uniform_batches_match_scalar(n, rng):
+    from polydisc.membership import (
+        _tilde_slack7,
+        _tilde_slack7_batch,
+        in_b_gamma_batch,
+        in_g_batch,
+        in_gamma_batch,
+        in_tilde_g_batch,
+        symmetrize_batch,
+    )
+
+    for pts in _uniform_batches(n, rng):
+        y = np.array([p.coords for p in pts], dtype=complex).reshape(len(pts), n)
+        assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
+        assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
+        assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+        if n > 1:
+            assert in_tilde_g_batch(y).tolist() == [in_tilde_g(p, "C7").verdict for p in pts]
+            for closed in (False, True):
+                ref = [_tilde_slack7(p.coords, closed, 1e-7) for p in pts]
+                assert _tilde_slack7_batch(y, closed, 1e-7).tolist() == ref
+    inner = [g_point_disc(n, rng, rmax=0.95) for _ in range(40)]
+    outer = [[(1.2 + rng.random()) * torus_point(rng) for _ in range(n)] for _ in range(40)]
+    for z in (inner, outer, inner[:1], []):
+        batch = symmetrize_batch(np.array(z, dtype=complex).reshape(len(z), n))
+        assert batch.tolist() == [list(symmetrize(w).coords) for w in z]
+
+
 def test_batch_verdicts_one_coordinate():
     from polydisc.membership import (
         in_b_gamma_batch,
