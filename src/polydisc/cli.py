@@ -101,12 +101,23 @@ def _cmd_schwarz(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    """Strict mode (the default) reads --lambda0 and --nu; --worked-family
+    reads --t and builds the family through its own point and lambda0;
+    --extremal reads neither, its lambda0 being max_j D_j of the point."""
     point = _parse_point(args.point)
-    lam0 = _parse_complex(args.lambda0)
+    reads = {"lambda0": not args.extremal, "nu": not (args.worked_family or args.extremal),
+             "t": args.worked_family}
+    unread = [f"--{k}" for k, ok in reads.items() if not ok and getattr(args, k) is not None]
+    if unread:
+        raise DomainError(f"this mode of interpolate does not read {', '.join(unread)}")
+    lam0 = _parse_complex("0.5" if args.lambda0 is None else args.lambda0)
     rng = np.random.default_rng(args.seed)
     if args.worked_family:
-        g = interpolation.np2(0.0, 0.3, -0.8, 0.625, t=_parse_complex(args.t))
-        disc = interpolation.worked_family(g)
+        if point != interpolation.WORKED_FAMILY_TARGET or (
+                args.lambda0 is not None and lam0 != interpolation.WORKED_FAMILY_LAMBDA0):
+            raise DomainError("--worked-family is the family through (3/2, 3/4, 1/2) at lambda0 = -0.8")
+        t = _parse_complex("0" if args.t is None else args.t)
+        disc = interpolation.worked_family(interpolation.np2(0.0, 0.3, -0.8, 0.625, t=t))
     elif args.extremal:
         _, disc = interpolation.extremal_disc(point, band=args.band, rng=rng)
     else:
@@ -236,7 +247,7 @@ def _cmd_plot_slice(args) -> int:
         y.real[:, 0] = np.repeat(block, res)
         y.imag[:, 0] = np.tile(im_vals, len(block))
         tg = membership.in_tilde_g_batch(y, band=args.band)
-        gg = tg & membership.in_g_batch(y, band=args.band)
+        gg = membership.in_g_batch(y, band=args.band)
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
         for re, row in zip(map(repr, block), codes):
             lines.extend([re + cell[k] for cell, k in zip(cells, row)])
@@ -244,55 +255,56 @@ def _cmd_plot_slice(args) -> int:
     return 0
 
 
+def _tally(margin_lists, band: float) -> dict:
+    """Equivalence counts: a list of margins with a slack within the band is
+    skipped as boundary; any other disagrees unless all its verdicts agree."""
+    out = {"checked": 0, "skipped_boundary": 0, "disagreements": 0}
+    for margins in margin_lists:
+        if any(abs(m.slack) <= band for m in margins):
+            out["skipped_boundary"] += 1
+            continue
+        out["checked"] += 1
+        if len({m.holds for m in margins}) != 1:
+            out["disagreements"] += 1
+    return out
+
+
 def _cmd_regress(args) -> int:
     rng = np.random.default_rng(args.seed)
+    band = args.band
     rep = interpolation.identity_regressions(args.samples, rng=rng)
-    eq = {"checked": 0, "skipped_boundary": 0, "disagreements": 0}
-    per_dim = max(1, args.samples // 4)
-    for n in (2, 3, 4, 5):
-        for _ in range(per_dim):
-            u = rng.random()
-            if u < 0.5:
-                y = sampling.tilde_g_point(n, rng)
-            elif u < 0.8:
-                y = sampling.exterior_point(n, rng)
-            else:
-                y = sampling.near_boundary_point(n, rng, spread=args.band)
-            for reports in (
-                membership.in_tilde_g(y, cond="ALL", band=args.band),
-                membership.in_tilde_gamma(y, cond="ALL", band=args.band),
-            ):
-                margins = reports.per_condition
-                if any(abs(m.slack) <= args.band for m in margins):
-                    eq["skipped_boundary"] += 1
+
+    def membership_margins():
+        for n in (2, 3, 4, 5):
+            for _ in range(max(1, args.samples // 4)):
+                u = rng.random()
+                if u < 0.5:
+                    y = sampling.tilde_g_point(n, rng)
+                elif u < 0.8:
+                    y = sampling.exterior_point(n, rng)
+                else:
+                    y = sampling.near_boundary_point(n, rng, spread=band)
+                yield membership.in_tilde_g(y, cond="ALL", band=band).per_condition
+                yield membership.in_tilde_gamma(y, cond="ALL", band=band).per_condition
+
+    def schwarz_margins():
+        for n in (3, 4, 5):
+            done = 0
+            while done < max(1, args.samples // 10):
+                y = sampling.tilde_g_point(n, rng, margin=0.85)
+                al = 0.1 + 0.85 * rng.random()
+                try:
+                    problem = schwarz.SchwarzProblem(
+                        lambda0=al * np.exp(2j * np.pi * rng.random()), target=y
+                    )
+                except DomainError:
                     continue
-                eq["checked"] += 1
-                if len({m.holds for m in margins}) != 1:
-                    eq["disagreements"] += 1
-    sz = {"checked": 0, "skipped_boundary": 0, "disagreements": 0}
-    per_dim = max(1, args.samples // 10)
-    for n in (3, 4, 5):
-        done = 0
-        while done < per_dim:
-            y = sampling.tilde_g_point(n, rng, margin=0.85)
-            al = 0.1 + 0.85 * rng.random()
-            try:
-                problem = schwarz.SchwarzProblem(
-                    lambda0=al * np.exp(2j * np.pi * rng.random()), target=y
-                )
-            except Exception:
-                continue
-            done += 1
-            margins = [
-                schwarz.check_condition(problem, c, band=args.band)
-                for c in (3, 4, 6, 7, 8, 9, 10, 11)
-            ]
-            if any(abs(m.slack) <= args.band for m in margins):
-                sz["skipped_boundary"] += 1
-                continue
-            sz["checked"] += 1
-            if len({m.holds for m in margins}) != 1:
-                sz["disagreements"] += 1
+                done += 1
+                yield [schwarz.check_condition(problem, c, band=band)
+                       for c in (3, 4, 6, 7, 8, 9, 10, 11)]
+
+    eq = _tally(membership_margins(), band)
+    sz = _tally(schwarz_margins(), band)
     payload = {
         "identities": rep,
         "membership_equivalence": eq,
@@ -348,12 +360,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = _subcommand(subs, "interpolate", _cmd_interpolate, "construct and evaluate a disc map",
                     "point", "output", "band", "seed")
-    s.add_argument("--lambda0", default="0.5", help="complex 're,im'")
+    s.add_argument("--lambda0", help="complex 're,im' (default 0.5)")
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--eval", action="append", help="lambda to evaluate (repeatable)")
-    s.add_argument("--worked-family", action="store_true", help="use the worked two-point family")
-    s.add_argument("--t", default="0", help="family parameter (complex)")
-    s.add_argument("--extremal", action="store_true", help="extremal disc on J_n")
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--worked-family", action="store_true", help="use the worked two-point family")
+    s.add_argument("--t", help="family parameter (complex, default 0)")
+    mode.add_argument("--extremal", action="store_true", help="extremal disc on J_n")
 
     _subcommand(subs, "distance", _cmd_distance, "invariant distance report from 0",
                 "point", "output", "grid", "band", "seed")

@@ -56,10 +56,6 @@ def _entries(M) -> tuple[complex, complex, complex, complex]:
     return a, b, c, d
 
 
-def _array(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
-
-
 def _scaled(a, b, c, d):
     """(e, entries * 2^-e) with e even and the largest |re| or |im| of the
     scaled entries in [1/4, 1) (any e >= -1000 for tiny matrices, 0 for
@@ -146,7 +142,7 @@ class HermEig2:
         (p, q), (r, s) = self.v_min.tolist(), self.v_max.tolist()
         lo, hi = self.lam_min, self.lam_max
         off = lo * p * q.conjugate() + hi * r * s.conjugate()
-        return _array(
+        return mat2(
             lo * _sq(p) + hi * _sq(r), off, off.conjugate(), lo * _sq(q) + hi * _sq(s)
         )
 
@@ -222,7 +218,7 @@ def herm_sqrt(H: np.ndarray) -> np.ndarray:
     if lo < -1e-12 * abs(hi):
         raise DomainError(f"matrix is not PSD: min eigenvalue {_unscale(lo, e)}")
     f = math.ldexp(1.0, e // 2)  # e is even: sqrt(2^e) is exact
-    return _array(*(x * f for x in _psd_sqrt(a, b, d, lo, hi)))
+    return mat2(*(x * f for x in _psd_sqrt(a, b, d, lo, hi)))
 
 
 def takagi(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +264,7 @@ def takagi(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = cmath.exp(-0.5j * cmath.phase(dk))
         cols.append((abs(dk), (p * v1 * w).conjugate(), (r * v2 * w).conjugate()))
     (_, u11, u21), (_, u12, u22) = sorted(cols, key=lambda col: -col[0])
-    return _array(u11, u12, u21, u22), s
+    return mat2(u11, u12, u21, u22), s
 
 
 def _frame(a, b, c, d):
@@ -286,12 +282,6 @@ def _frame(a, b, c, d):
     left = _psd_sqrt(1.0 - sa - sb, -(a * c.conjugate() + b * d.conjugate()), 1.0 - sc - sd, lo, hi)
     right = _psd_sqrt(1.0 - sa - sc, -(a.conjugate() * b + c.conjugate() * d), 1.0 - sb - sd, lo, hi)
     return _inv2(*left), right
-
-
-def _mobius_frame(Z: np.ndarray):
-    """The factors of M_Z that depend on Z alone, (1 - Z Z*)^{-1/2} and
-    (1 - Z* Z)^{1/2}, as entry tuples.  Requires ||Z|| < 1."""
-    return _frame(*_entries(Z))
 
 
 def _mobius_entries(z, left, right, x):
@@ -318,4 +308,4 @@ def matricial_mobius(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     Requires ||Z|| < 1; maps Z to 0 and has inverse M_{-Z}.
     """
     z = _entries(Z)
-    return _array(*_mobius_entries(z, *_frame(*z), _entries(X)))
+    return mat2(*_mobius_entries(z, *_frame(*z), _entries(X)))

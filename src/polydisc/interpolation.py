@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clinalg import _array, _entries, _frame, _inv2, _mobius_entries, _mobius_frame, _mul, _sq, op_norm, takagi
+from .clinalg import _entries, _frame, _inv2, _mobius_entries, _mul, _sq, mat2, op_norm, takagi
 from .errors import (
     ConstructionError,
     DegenerateProblemError,
@@ -348,9 +348,9 @@ class DiscFunction:
         """The entry tuples the matrix_mobius and Takagi kinds read: -Z, the
         frame of M_{-Z}, Q0 and Qlin (or None) for the first, U and U^T."""
         if self.kind == "matrix_mobius":
-            Z = -self.Z
+            z = _entries(-self.Z)
             qlin = None if self.Qlin is None else _entries(self.Qlin)
-            return (_entries(Z), *_mobius_frame(Z), _entries(self.Q0), qlin)
+            return (z, *_frame(*z), _entries(self.Q0), qlin)
         return _entries(self.U), _entries(self.U.T)
 
     def _core(self, lam: complex) -> tuple:
@@ -391,7 +391,7 @@ class DiscFunction:
         F = self._core(_one_lambda(lam))
         if not all(map(cmath.isfinite, F)):
             raise DomainError("disc core is not finite")
-        return _array(*F)
+        return mat2(*F)
 
     def __call__(self, lam: complex) -> CPoint:
         return CPoint(tuple(self._psi(_one_lambda(lam))))
@@ -442,8 +442,6 @@ def _verify_range(disc: DiscFunction, samples: int, rng, band: float) -> None:
     in_tilde_gamma(cond="C7").  Sample i is sqrt(r) * 0.999 * exp(2 pi i t)
     for the uniforms (r, t) at positions (2i, 2i+1) of rng.random(2 * samples);
     the first failing sample is reported."""
-    if samples < 1:
-        return
     r, t = rng.random(2 * samples).reshape(samples, 2).T
     lam = np.sqrt(r) * 0.999 * np.exp(2j * math.pi * t)
     tol = max(band, 1e-9)
@@ -474,7 +472,6 @@ def build_interpolant(
     Q0: np.ndarray | None = None,
     Qlin: np.ndarray | None = None,
     band: float = BOUNDARY_BAND,
-    check_samples: int = 64,
     rng: np.random.Generator | None = None,
 ) -> DiscFunction:
     """Analytic psi with psi(0) = 0 and psi(lambda0) = y0 in tilde-G_3, for
@@ -551,7 +548,7 @@ def build_interpolant(
         Qlin=Qlin,
     )
     _verify_endpoints(disc, lam0, y0, 1e-9)
-    _verify_range(disc, check_samples, rng, band)
+    _verify_range(disc, 64, rng, band)
     return disc
 
 
@@ -565,7 +562,7 @@ def _takagi_g0(U: np.ndarray, d1: complex) -> complex:
     return t0
 
 
-def worked_family(g: ScalarSchur, check: bool = True) -> DiscFunction:
+def worked_family(g: ScalarSchur) -> DiscFunction:
     """A member of the infinite interpolation family through
     psi(0) = 0, psi(-4/5) = (3/2, 3/4, 1/2): psi_g = pi o F_g with
 
@@ -595,8 +592,7 @@ def worked_family(g: ScalarSchur, check: bool = True) -> DiscFunction:
         d1=-1.0 + 0j,
         g=g,
     )
-    if check:
-        _verify_endpoints(disc, WORKED_FAMILY_LAMBDA0, WORKED_FAMILY_TARGET, 1e-10)
+    _verify_endpoints(disc, WORKED_FAMILY_LAMBDA0, WORKED_FAMILY_TARGET, 1e-10)
     return disc
 
 
@@ -651,7 +647,6 @@ def slice_interpolant(
     lambda0: complex,
     band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
-    check_samples: int = 32,
 ) -> DiscFunction:
     """Disc through (0, 0) and (lambda0, y) for a point y of the slice J_n,
     at a caller-chosen lambda0 with |lambda0| at or above max_j D_j(y) (on
@@ -667,7 +662,7 @@ def slice_interpolant(
         raise InfeasibleError("|lambda0| is below the sup-norm bound")
     disc = _slice_core(y, lam0, band)
     _verify_endpoints(disc, lam0, y, 1e-9)
-    _verify_range(disc, check_samples, rng, band)
+    _verify_range(disc, 32, rng, band)
     return disc
 
 
@@ -675,10 +670,10 @@ def extremal_disc(
     y: CPoint,
     band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
-    check_samples: int = 32,
 ) -> tuple[float, DiscFunction]:
     """The extremal analytic disc through 0 and y for a point of the slice
-    J_n: lambda0 = max_j D_j(y) > 0 and psi(lambda0) = y exactly.
+    J_n: lambda0 = max_j D_j(y) > 0 and psi(lambda0) = y exactly, the
+    slice_interpolant at that lambda0.
 
     With lambda0 at the sup-norm maximum the pair subproblem is usually
     exactly marginal; when a middle coordinate carries the maximum
@@ -686,18 +681,13 @@ def extremal_disc(
     when no certified disc exists at this lambda0 (|q| = lambda0, or a
     degenerate Takagi frame).
     """
-    n = y.n
-    rng = rng if rng is not None else np.random.default_rng(0)
-    zero = ScalarSchur(kind="blaschke", const=0j)
     if max(abs(c) for c in y.coords) == 0.0:
-        return 0.0, DiscFunction(kind="diagonal", n=n, swap=False, f=zero, g=zero)
-    lam0 = max(d_norm(j, y) for j in range(1, n))
+        zero = ScalarSchur(kind="blaschke", const=0j)
+        return 0.0, DiscFunction(kind="diagonal", n=y.n, swap=False, f=zero, g=zero)
+    lam0 = max(d_norm(j, y) for j in range(1, y.n))
     if not lam0 < 1.0:
         raise DomainError("point is not strictly inside (sup-norm >= 1)")
-    disc = _slice_core(y, complex(lam0), band)
-    _verify_endpoints(disc, lam0, y, 1e-9)
-    _verify_range(disc, check_samples, rng, band)
-    return lam0, disc
+    return lam0, slice_interpolant(y, lam0, band, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -501,14 +501,6 @@ def _tilde_slack7_batch(y: np.ndarray, closed: bool, band: float) -> np.ndarray:
     return _level(re, im, aq, (np.abs(aq - 1.0) <= band) if closed else None)[0]
 
 
-@np.errstate(all="ignore")
-def _beta_coords_batch(y: np.ndarray) -> np.ndarray:
-    """_beta_coords on every row of y."""
-    re, im = _planes(y)
-    _, dr, di, w = _level(re, im, np.hypot(re[-1], im[-1]))
-    return _cplx((dr / w).T, (di / w).T)
-
-
 def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_tilde_g(y).verdict for every row of the (m, n) array y."""
     if y.shape[1] < 2:

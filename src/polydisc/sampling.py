@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .membership import _conj_mul
+from .membership import BetaVector, _conj_mul
 from .mobius import CPoint, binom
 
 __all__ = [
@@ -63,22 +63,14 @@ def _beta_pairs(n: int, draw, fill) -> list:
     return betas
 
 
-def _from_betas(betas: list[complex], q: complex) -> CPoint:
-    n = len(betas) + 1
-    coords = [
-        betas[j - 1] + betas[n - 1 - j].conjugate() * q for j in range(1, n)
-    ]
-    coords.append(q)
-    return CPoint(tuple(coords))
-
-
 def tilde_g_point(
     n: int, rng: np.random.Generator, margin: float = 0.95
 ) -> CPoint:
     """Interior point of tilde-G_n with beta-slack at least (1-margin)."""
     fill = margin * rng.random()
     q = unit_disc(rng, rmax=margin)
-    return _from_betas(_beta_pairs(n, rng.random, fill), q)
+    betas = BetaVector(n, _beta_pairs(n, rng.random, fill))
+    return CPoint(betas.reconstruct(q) + (q,))
 
 
 def tilde_g_points(
@@ -111,18 +103,18 @@ def tilde_gamma_boundary_point(n: int, rng: np.random.Generator) -> CPoint:
     the closure but not the interior.
     """
     q = unit_disc(rng, rmax=0.9)
-    return _from_betas(_beta_pairs(n, rng.random, 1.0), q)
+    betas = BetaVector(n, _beta_pairs(n, rng.random, 1.0))
+    return CPoint(betas.reconstruct(q) + (q,))
 
 
-def exterior_point(
-    n: int, rng: np.random.Generator, blow: float = 1.3
-) -> CPoint:
-    """Point outside tilde-Gamma_n: a boundary point pushed outward.
+def exterior_point(n: int, rng: np.random.Generator) -> CPoint:
+    """Point outside tilde-Gamma_n: a boundary point pushed outward by a
+    factor in [1.015, 1.3).
 
     Starlikeness about the origin makes every outward scaling of a boundary
     point leave the closure.
     """
-    factor = 1.0 + (blow - 1.0) * (0.05 + 0.95 * rng.random())
+    factor = 1.0 + (1.3 - 1.0) * (0.05 + 0.95 * rng.random())
     return tilde_gamma_boundary_point(n, rng).scale(factor)
 
 
@@ -151,21 +143,17 @@ def g_points_disc(
     return rmax * np.sqrt(u[..., 0]) * np.exp(2j * math.pi * u[..., 1])
 
 
-def j_point(
-    n: int,
-    rng: np.random.Generator,
-    margin: float = 0.9,
-    qmax: float = 0.85,
-) -> CPoint:
+def j_point(n: int, rng: np.random.Generator) -> CPoint:
     """Point of the proportionality slice J_n (for n <= 3 this is all of
     tilde-G_n): only (y_1, y_{n-1}, q) are free, the rest follow the
-    binom(n,j)/n ratios, which automatically keeps the point inside."""
+    binom(n,j)/n ratios, which automatically keeps the point inside.  The
+    beta-sum fills at most 0.9 of binom(n, 1), and |q| < 0.85."""
     nn = binom(n, 1)
-    fill = margin * rng.random()
+    fill = 0.9 * rng.random()
     split = rng.random()
     b1 = split * fill * nn * np.exp(2j * math.pi * rng.random())
     b2 = (1.0 - split) * fill * nn * np.exp(2j * math.pi * rng.random())
-    q = unit_disc(rng, rmax=qmax)
+    q = unit_disc(rng, rmax=0.85)
     y1 = b1 + b2.conjugate() * q
     yn1 = b2 + b1.conjugate() * q
     coords = [0j] * n

@@ -316,10 +316,11 @@ def schur_certificates(
     return out
 
 
-def in_J_n(y: CPoint, tol: float = 1e-9) -> bool:
+def in_J_n(y: CPoint) -> bool:
     """Membership in the proportionality slice J_n (all of the domain for
     n <= 3): y_j = binom(n,j)/n * y_1 and y_{n-j} = binom(n,j)/n * y_{n-1}
-    for 2 <= j <= n/2, with the middle coordinate averaged for even n."""
+    for 2 <= j <= n/2, with the middle coordinate averaged for even n, each
+    to within 1e-9 (1 + max |y_j|)."""
     n = y.n
     if not in_tilde_g(y, cond="C7").verdict:
         return False
@@ -327,17 +328,17 @@ def in_J_n(y: CPoint, tol: float = 1e-9) -> bool:
         return True
     nn = float(binom(n, 1))
     y1, yn1 = y.y(1), y.y(n - 1)
-    scale = 1.0 + max(abs(c) for c in y.coords)
+    tol = 1e-9 * (1.0 + max(abs(c) for c in y.coords))
     top = n // 2 if n % 2 == 1 else n // 2 - 1
     for j in range(2, top + 1):
         f = binom(n, j) / nn
-        if abs(y.y(j) - f * y1) > tol * scale:
+        if abs(y.y(j) - f * y1) > tol:
             return False
-        if abs(y.y(n - j) - f * yn1) > tol * scale:
+        if abs(y.y(n - j) - f * yn1) > tol:
             return False
     if n % 2 == 0:
         f = binom(n, n // 2) / nn
-        if abs(y.y(n // 2) - f * (y1 + yn1) / 2.0) > tol * scale:
+        if abs(y.y(n // 2) - f * (y1 + yn1) / 2.0) > tol:
             return False
     return True
 

@@ -92,11 +92,23 @@ def test_subcommand_options_are_the_ones_it_reads(command):
     assert dests == SUBCOMMAND_OPTIONS[command]
 
 
+STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [("membership", "--set", "g", "--point", GAP_POINT, "--grid", "64"),  # not taken
      ("witness", "--kind", "separating"),  # needs --point
-     ("witness", "--output", os.path.join(os.devnull, "x.json"))],  # unwritable
+     ("witness", "--output", os.path.join(os.devnull, "x.json")),  # unwritable
+     # each interpolate mode rejects the options it does not read
+     ("interpolate", "--worked-family", "--point", STRICT_POINT, "--lambda0=0.2,0"),
+     ("interpolate", "--worked-family", "--point", WORKED_POINT, "--lambda0=0.2,0"),
+     ("interpolate", "--worked-family", "--point", WORKED_POINT, "--nu", "2"),
+     ("interpolate", "--extremal", "--point", WORKED_POINT, "--lambda0=0.3,0"),
+     ("interpolate", "--extremal", "--point", WORKED_POINT, "--nu", "2"),
+     ("interpolate", "--extremal", "--point", WORKED_POINT, "--t", "0.2"),
+     ("interpolate", "--point", STRICT_POINT, "--lambda0=0.5,0", "--t", "0.2"),
+     ("interpolate", "--worked-family", "--extremal", "--point", WORKED_POINT)],
 )
 def test_option_misuse_exit_2(argv):
     code, out, err = run_cli(*argv)
@@ -385,3 +397,117 @@ def test_readme_command_exit_code(argv, code, tmp_path, capsys):
         argv[k] = str(tmp_path / argv[k])
     assert cli.main(argv) == code
     capsys.readouterr()
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of cli.main in process; an argparse error
+    is a SystemExit, and any other exception escapes."""
+    import contextlib
+    import io
+
+    from polydisc import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_interpolate_worked_family_takes_its_own_lambda0():
+    base = ("interpolate", "--point", WORKED_POINT, "--worked-family", "--t", "0.5", "--eval=0.2,0")
+    runs = [_main(base + extra) for extra in ((), ("--lambda0=-0.8,0",), ("--lambda0=-0.8",))]
+    assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2]
+
+
+def test_regress_lets_a_crash_through(monkeypatch):
+    # a failed draw is a DomainError; anything else is a fault and must surface
+    from polydisc import schwarz
+
+    real, calls = schwarz.SchwarzProblem, []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ZeroDivisionError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "SchwarzProblem", flaky)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        _main(("regress", "--samples", "20"))
+    assert calls == [1]
+
+
+_FUZZ_VALUES = {  # (valid, invalid) values of every option, sizes capped
+    "--point": ([GAP_POINT, WORKED_POINT, STRICT_POINT, '{"n":2,"coords":[[0.5,0.1],[0.2,0]]}',
+                 '{"n":4,"coords":[[0,0],[1.5,0.3],[0.5,-0.2],[0.3,0.1]]}',
+                 '{"n":3,"coords":[[0,0],[0,0],[0,0]]}'],
+                ['{"n":1,"coords":[[0.5,0]]}', '{"n":3}', "not-json", '{"coords":[[1e400,0]]}',
+                 '{"coords":[]}', os.path.join(os.devnull, "point.json")]),
+    "--output": (["-"], [os.path.join(os.devnull, "out.json")]),
+    "--grid": (["8", "64"], ["7", "0", "-5", "x"]),
+    "--band": (["1e-7", "1e-3"], ["0", "-1", "0.1", "nan", "inf", "x"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--samples": (["1", "50", "200"], ["0", "-3", "x"]),
+    "--set": (["tilde-g", "tilde-gamma", "g", "gamma", "b-gamma"], ["h"]),
+    "--cond": (["ALL", "all", "C7", "C10", "5"], ["C99", "12", "x"]),
+    "--lambda0": (["0.5", "-0.8,0", "-0.8", "0.3,0.2"], ["0", "1", "2,0", "1,2,3", "nan", "x"]),
+    "--nu": (["1", "0.5", "40"], ["0", "-1", "nan", "x"]),
+    "--eval": (["0,0", "-0.8,0", "0.3,-0.4"], ["-1.25", "2", "nan", "x"]),
+    "--t": (["0", "0.5", "0.3,0.2"], ["2", "x"]),
+    "--kind": (["nonconvex", "noncircular", "separating"], ["x"]),
+    "--n": (["2", "3", "5"], ["1", "0", "-1", "x"]),
+    "--dims": (["2,3", "5", "1"], ["0", "", "2,,3", "x"]),
+    "--jobs": (["1", "2"], ["0", "-1", "x"]),
+    "--resolution": (["2", "8"], ["1", "0", "-3", "x"]),
+    "--re-min": (["-1", "2.5", "-1e308"], ["inf", "nan", "x"]),
+    "--re-max": (["1", "-2", "1e308"], ["x"]),
+    "--im-min": (["-1", "0"], ["-inf", "x"]),
+    "--im-max": (["1", "0.25"], ["nan", "x"]),
+}
+_FUZZ_FLAGS = ["--assert", "--worked-family", "--extremal", "--bogus"]
+
+
+def test_cli_exit_contract_fuzz():
+    # any argument vector over the eight subcommands exits 0, 1 or 2, and
+    # nothing but argparse's own exit leaves main; options are mostly the
+    # subcommand's own, so that most vectors reach its handler
+    from hypothesis import example, given, seed, settings
+    from hypothesis import strategies as st
+
+    def value(flag):  # a valid value half the time
+        valid, invalid = _FUZZ_VALUES[flag]
+        return st.one_of(st.sampled_from(valid), st.sampled_from(valid + invalid))
+
+    def option(flags):
+        return st.sampled_from(flags).flatmap(
+            lambda flag: value(flag).map(lambda v: [f"{flag}={v}"])
+            if flag in _FUZZ_VALUES else st.just([flag]))
+
+    def argv(command):
+        own = ["--" + d.rstrip("_").replace("_", "-") for d in sorted(SUBCOMMAND_OPTIONS[command])]
+        anything = sorted(_FUZZ_VALUES) + _FUZZ_FLAGS
+        opts = st.lists(st.one_of(option(own), option(own), option(own), option(anything)), max_size=6)
+        return opts.map(lambda o: [command] + [a for pair in o for a in pair])
+
+    codes = []
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)).flatmap(argv))
+    @example(["membership", f"--point={GAP_POINT}", "--set=g", "--assert"])
+    def check(args):
+        if args[0] in ("oracle", "regress", "witness") and not any(
+                a.startswith("--samples=") for a in args):
+            args.append("--samples=40")  # the default, 10000, is too slow here
+        code, _, err = _main(args)
+        assert code in (0, 1, 2), (args, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "error:" in err, args
+        codes.append(code)
+
+    check()
+    assert set(codes) == {0, 1, 2}

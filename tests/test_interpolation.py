@@ -406,6 +406,52 @@ def test_extremal_disc_even_dimensions(rng):
             done += 1
 
 
+def test_extremal_disc_is_the_slice_interpolant_at_the_sup_norm(rng):
+    # extremal_disc(y) is slice_interpolant(y, max_j D_j(y)) bit for bit, and
+    # where no disc passes its checks both fail with the same error
+    from polydisc.errors import ConstructionError
+    from polydisc.interpolation import slice_interpolant
+    from polydisc.sampling import j_point
+
+    lams = [0.0, 0.3 + 0.2j, -0.7, 0.95j]
+    kinds, failed = set(), set()
+    for i in range(90):
+        n = 2 + i % 5
+        c = list(j_point(n, rng).coords)
+        if i % 3 == 1:  # y_1 y_{n-1} = n^2 q: the diagonal core
+            c[-1] = c[0] * c[n - 2] / (n * n)
+        elif i % 3 == 2 and n > 3:  # nudge one coordinate off the slice
+            c[int(rng.integers(0, n))] += 1e-3 * (1 + 1j)
+        y = CPoint(tuple(c))
+        top = max(d_norm(j, y) for j in range(1, n))
+        if not top < 1.0:
+            continue
+        seed = int(rng.integers(1 << 30))
+        try:
+            ref = slice_interpolant(y, top, rng=np.random.default_rng(seed))
+        except (ConstructionError, InfeasibleError) as exc:
+            with pytest.raises(type(exc)) as info:
+                extremal_disc(y, rng=np.random.default_rng(seed))
+            assert str(info.value) == str(exc)
+            failed.add(type(exc))
+            continue
+        lam0, disc = extremal_disc(y, rng=np.random.default_rng(seed))
+        assert lam0 == top
+        assert json.dumps(disc.to_json()) == json.dumps(ref.to_json())
+        assert disc.values(lams + [lam0]).tobytes() == ref.values(lams + [lam0]).tobytes()
+        kinds.add(disc.kind)
+    assert {"takagi", "diagonal"} <= kinds and ConstructionError in failed
+    with pytest.raises(DomainError, match=r"not strictly inside \(sup-norm >= 1\)"):
+        extremal_disc(WORKED_POINT.scale(2.0))
+    for n in (2, 3, 6):
+        lam0, disc = extremal_disc(CPoint((0j,) * n))
+        assert lam0 == 0.0 and disc.kind == "diagonal"
+        assert not disc.values(lams).any()
+    # a nonzero point whose sup-norm rounds to 0 has no disc, and says so
+    with pytest.raises(DomainError):
+        extremal_disc(CPoint((5e-324, 0, 0)))
+
+
 def test_window_collapses_at_x2_limit():
     from polydisc.interpolation import _window_from_x2
 
@@ -578,8 +624,6 @@ def test_verify_range_draws_the_scalar_loop_samples(monkeypatch):
         assert len(seen) == 1  # one batch call
         assert seen.pop().tobytes() == np.array(ref).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    _verify_range(disc, 0, np.random.default_rng(1), 1e-7)
-    assert seen == []
 
 
 def test_verify_range_names_the_first_failing_lambda():
@@ -683,15 +727,15 @@ def test_disc_frame_is_computed_once(monkeypatch):
     import polydisc.interpolation as interpolation
 
     calls = []
-    frame = interpolation._mobius_frame
+    frame = interpolation._frame
 
-    def spy(Z):
+    def spy(*z):
         calls.append(1)
-        return frame(Z)
+        return frame(*z)
 
     disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
     back = DiscFunction.from_json(disc.to_json())  # no frame yet
-    monkeypatch.setattr(interpolation, "_mobius_frame", spy)
+    monkeypatch.setattr(interpolation, "_frame", spy)
     back(0.3 - 0.1j)
     assert len(calls) == 1  # (1 - ZZ*)^{-1/2} and (1 - Z*Z)^{1/2}, built together
     back(0.1)

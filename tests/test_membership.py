@@ -533,7 +533,9 @@ def test_batch_slack_bit_identical(n, rng):
 def test_batch_verdicts_match_scalar(n, rng):
     from polydisc.membership import (
         _beta_coords,
-        _beta_coords_batch,
+        _cplx,
+        _level,
+        _planes,
         in_b_gamma_batch,
         in_g_batch,
         in_gamma_batch,
@@ -548,7 +550,10 @@ def test_batch_verdicts_match_scalar(n, rng):
     assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
     assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
     inner = [p for p in pts if abs(p.q) < 1.0]
-    betas = _beta_coords_batch(np.array([p.coords for p in inner]))
+    re, im = _planes(np.array([p.coords for p in inner]))
+    with np.errstate(all="ignore"):  # the C7 slack of a huge point overflows
+        _, dr, di, w = _level(re, im, np.hypot(re[-1], im[-1]))  # the next level is D / w
+    betas = _cplx((dr / w).T, (di / w).T)
     assert betas.tolist() == [list(_beta_coords(p.coords)) for p in inner]
     z = np.array([g_point_disc(n, rng, rmax=2.0) for _ in range(50)])
     assert symmetrize_batch(z).tolist() == [list(symmetrize(list(w)).coords) for w in z]

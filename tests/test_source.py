@@ -1,0 +1,49 @@
+"""Checks on the package source itself."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polydisc"
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level _private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, taken as an attribute or imported in tree."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_helper_is_used():
+    # a module-level _private name that nothing else in the package reads is
+    # dead code: delete it, or make it public if tests need it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if refs[name] == _references(node)[name]  # read only inside its own definition
+    ]
+    assert orphans == []
