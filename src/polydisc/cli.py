@@ -122,7 +122,7 @@ def _cmd_interpolate(args) -> int:
         _, disc = interpolation.extremal_disc(point, band=args.band, rng=rng)
     else:
         disc = interpolation.build_interpolant(
-            point, lam0, nu=args.nu, band=args.band, rng=rng
+            point, lam0, nu=1.0 if args.nu is None else args.nu, band=args.band, rng=rng
         )
     lams = [_parse_complex(text) for text in args.eval or []]
     evaluations = [

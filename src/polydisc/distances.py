@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, MarginalProblemError
+from .errors import DomainError, InfeasibleError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import BOUNDARY_BAND, in_tilde_g
 from .mobius import CPoint, circle, d_norm, phi
@@ -103,7 +103,7 @@ def lempert_upper(
         raise DomainError("certified construction is only available on J_n")
     try:
         lam0, disc = extremal_disc(y, band=band, rng=rng)
-    except (InfeasibleError, MarginalProblemError):
+    except InfeasibleError:
         return math.inf, None
     return math.atanh(lam0) if lam0 < 1.0 else math.inf, disc
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     MarginalProblemError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
-from .mobius import CPoint, _check_poles, binom, d_norm, degenerate_product
+from .mobius import CPoint, _cabs, _check_poles, binom, d_norm, degenerate_product
 from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, _z_nu_general, feasibility_alpha, k_rho
 
 __all__ = [
@@ -214,6 +214,8 @@ def _window_from_x2(x2: float) -> tuple[float, float]:
 def _check_n3_ordered(y0: CPoint, lambda0: complex, band: float) -> None:
     if y0.n != 3:
         raise DomainError("this operation is stated for n = 3")
+    if not 0.0 < _cabs(complex(lambda0)) < 1.0:
+        raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
     if abs(y0.y(2)) > abs(y0.y(1)):
         raise DomainError("requires |y_2| <= |y_1|; swap the point first")
     if degenerate_product(y0, 1):
@@ -241,21 +243,27 @@ def z_nu(y0: CPoint, lambda0: complex, nu: float, band: float = BOUNDARY_BAND) -
     _check_n3_ordered(y0, lambda0, band)
     if not nu > 0:
         raise DomainError("nu must be positive")
-    return _z_nu_general(3.0, y0.y(1), y0.y(2), y0.q, complex(lambda0), nu)
+    Z = _z_nu_general(3.0, y0.y(1), y0.y(2), y0.q, complex(lambda0), nu)
+    if not np.isfinite(Z).all():
+        raise DomainError(f"Z_nu is not finite at nu = {nu:.6g}")
+    return Z
 
 
 def _u_v(Z: np.ndarray, alpha):
     """u(alpha) and v(alpha) of u_v_vectors as entry pairs."""
     a, _, c, d = z = _entries(Z)
     a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
-    if not (abs(a1) > 0 or abs(a2) > 0):
+    if a1 == 0 and a2 == 0:
         raise DomainError("alpha must be nonzero")
     (l11, l12, l21, l22), right = _frame(*z)
     x1, x2 = a1 * a, a1 * c + a2  # alpha_1 Z e_1 + alpha_2 e_2
     u = (l11 * x1 + l12 * x2, l21 * x1 + l22 * x2)
     r11, r12, r21, r22 = _inv2(*right)
     x1, x2 = a1 + a2 * c.conjugate(), a2 * d.conjugate()  # alpha_1 e_1 + alpha_2 Z* e_2
-    return u, (-(r11 * x1 + r12 * x2), -(r21 * x1 + r22 * x2))
+    v = (-(r11 * x1 + r12 * x2), -(r21 * x1 + r22 * x2))
+    if not all(map(cmath.isfinite, u + v)):
+        raise DomainError("u(alpha) or v(alpha) is not finite")
+    return u, v
 
 
 def u_v_vectors(Z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +278,13 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
     closure contract Q_0* conj(lambda0) u = v; contractive whenever alpha
     makes ||v||^2 - |lambda0|^2 ||u||^2 nonpositive.  When u vanishes (the
     [Z]_22 = 0 corner) the zero matrix is returned, which freezes the
-    composed function at the constant Z."""
+    composed function at the constant Z.  Q_0 is blind to the scale of
+    alpha, which is first scaled exactly by 2^-e, e the exponent of its
+    largest |re| or |im|."""
     lam0 = complex(lambda0)
+    a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
+    e = math.frexp(max(abs(a1.real), abs(a1.imag), abs(a2.real), abs(a2.imag)))[1]
+    alpha = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in (a1, a2)]
     (u1, u2), (v1, v2) = _u_v(Z, alpha)
     nu2 = _sq(u1) + _sq(u2)
     if nu2 <= 1e-26:
@@ -279,7 +292,10 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
             raise DegenerateProblemError("u(alpha) = 0 with [Z]_22 nonzero")
         return np.zeros((2, 2), dtype=complex)
     f, v1, v2 = lam0 * nu2, v1.conjugate(), v2.conjugate()
-    return np.array([[u1 * v1 / f, u1 * v2 / f], [u2 * v1 / f, u2 * v2 / f]])
+    Q0 = np.array([[u1 * v1 / f, u1 * v2 / f], [u2 * v1 / f, u2 * v2 / f]]) if f else None
+    if Q0 is None or not np.isfinite(Q0).all():
+        raise DomainError("Q_0 is not finite at this lambda0")
+    return Q0
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +471,21 @@ def _verify_range(disc: DiscFunction, samples: int, rng, band: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_disc(
-    n: int, y1: complex, yn1: complex, q: complex, lam0: complex, swap: bool
-) -> DiscFunction:
-    c = float(binom(n, 1))
-    f = ScalarSchur(kind="blaschke", const=y1 / (c * lam0), zeros=(0j,))
-    g = ScalarSchur(kind="blaschke", const=yn1 / (c * lam0), zeros=(0j,))
-    return DiscFunction(kind="diagonal", n=n, swap=swap, lambda0=lam0, f=f, g=g)
-
-
 def build_interpolant(
     y0: CPoint,
     lambda0: complex,
-    nu: float | None = None,
-    alpha=None,
-    Q0: np.ndarray | None = None,
+    nu: float = 1.0,
     Qlin: np.ndarray | None = None,
     band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
 ) -> DiscFunction:
     """Analytic psi with psi(0) = 0 and psi(lambda0) = y0 in tilde-G_3, for
-    strict data (branch-selected sup-norm strictly under |lambda0|).
+    strict data (branch-selected sup-norm strictly under |lambda0|): the
+    n = 3 front end of the slice construction, run at Z_nu.
 
-    nu defaults to 1 (always inside the window); alpha defaults to the
-    conjugated bottom eigenvector of K_{Z_nu}(|lambda0|); Q0 defaults to the
-    canonical constant of default_q.  A nonzero Qlin perturbs Q to
+    nu must lie in the window of nu_window (nu = 1 always does); alpha is
+    the conjugated bottom eigenvector of K_{Z_nu}(|lambda0|) and Q(0) the
+    canonical constant Q0 of default_q.  A nonzero Qlin perturbs Q to
     Q0 + lambda Qlin: both endpoints are blind to it (the Blaschke factor
     kills Q at lambda0 and only Q(0) enters at 0), so distinct Qlin give
     distinct interpolants with the same data.
@@ -495,58 +501,29 @@ def build_interpolant(
     if max(abs(c) for c in y0.coords) == 0.0:
         zero = ScalarSchur(kind="blaschke", const=0j)
         return DiscFunction(kind="diagonal", n=3, swap=False, lambda0=lam0, f=zero, g=zero)
-    swap = abs(y0.y(2)) > abs(y0.y(1))
-    ys = y0.swap() if swap else y0
+    ys = y0.swap() if abs(y0.y(2)) > abs(y0.y(1)) else y0
     if degenerate_product(ys, 1):
         if max(abs(ys.y(1)), abs(ys.y(2))) / 3.0 >= abs(lam0) - band:
             raise MarginalProblemError("degenerate data sits on the Schwarz bound")
-        disc = _diagonal_disc(3, ys.y(1), ys.y(2), ys.q, lam0, swap)
+        disc = _slice_core(y0, lam0, band)
         _verify_endpoints(disc, lam0, y0, 1e-9)
         return disc
     theta1, theta2 = nu_window(ys, lam0, band=band)
-    if nu is None:
-        nu = 1.0 if theta1 < 1.0 < theta2 else math.sqrt(math.sqrt(theta1 * theta2))
     if not theta1 < nu * nu < theta2:
         raise DomainError(
             f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})"
         )
-    Z = z_nu(ys, lam0, nu, band=band)
-    K = k_rho(Z, abs(lam0))
-    lam_min, alpha_star = feasibility_alpha(K)
-    if alpha is None:
-        if lam_min > band:
-            raise ConstructionError(
-                f"K_Z(|lambda0|) is positive definite (min eig {lam_min:.3g})"
-            )
-        alpha = alpha_star
-    alpha = np.asarray(alpha, dtype=complex).reshape(2)
-    u, v = _u_v(Z, alpha)
-    nu2 = _sq(u[0]) + _sq(u[1])
-    if _sq(v[0]) + _sq(v[1]) - abs(lam0) ** 2 * nu2 > band:
-        raise DomainError("alpha does not satisfy the feasibility form")
-    if Q0 is None:
-        Q0 = default_q(Z, alpha, lam0)
-    else:
-        Q0 = np.asarray(Q0, dtype=complex)
-        scale = 1.0 + math.sqrt(nu2)
-        if np.abs(Q0.conj().T @ (lam0.conjugate() * np.array(u)) - v).max() > 1e-9 * scale:
-            raise DomainError("supplied Q0 violates the closure contract")
-    qnorm = op_norm(Q0)
+    if not nu > 0:
+        raise DomainError("nu must be positive")
+    disc = _slice_core(y0, lam0, band, nu, strict=True)
+    qnorm = op_norm(disc.Q0)
     if qnorm > 1.0 + 1e-11:
         raise DomainError(f"Q0 is not a contraction (norm {qnorm:.6g})")
     if Qlin is not None:
         Qlin = np.asarray(Qlin, dtype=complex)
         if qnorm + op_norm(Qlin) > 1.0 + 1e-11:
             raise DomainError("Q0 + lambda Qlin can leave the Schur class")
-    disc = DiscFunction(
-        kind="matrix_mobius",
-        n=3,
-        swap=swap,
-        lambda0=lam0,
-        Z=Z,
-        Q0=Q0,
-        Qlin=Qlin,
-    )
+        disc = replace(disc, Qlin=Qlin)
     _verify_endpoints(disc, lam0, y0, 1e-9)
     _verify_range(disc, 64, rng, band)
     return disc
@@ -596,14 +573,19 @@ def worked_family(g: ScalarSchur) -> DiscFunction:
     return disc
 
 
-def _slice_core(y: CPoint, lam0: complex, band: float) -> DiscFunction:
+def _slice_core(
+    y: CPoint, lam0: complex, band: float, nu: float = 1.0, strict: bool = False
+) -> DiscFunction:
     """The single 2x2 core driving a disc through (0, 0) and (lam0, y) for a
     point of the slice J_n: only the pair (y_1, y_{n-1}) is interpolated and
     the proportionality relations land every other coordinate automatically.
 
-    Strict pair subproblem (||Z|| < 1): matricial Moebius route.  Exactly
+    Degenerate pair (y_1 y_{n-1} = binom^2 q): the diagonal disc.  Strict
+    pair subproblem (||Z_nu|| < 1 - band): matricial Moebius route.  Exactly
     marginal (||Z|| = 1, the extremal case): Takagi diagonalization with the
-    top singular direction frozen and a scalar two-point closure.
+    top singular direction frozen and a scalar two-point closure.  `strict`
+    data, whose sup-norm is certified strictly under |lam0|, takes the
+    Moebius route at every ||Z_nu||, k_rho refusing ||Z_nu|| >= 1.
     """
     n = y.n
     swap = abs(y.y(1)) < abs(y.y(n - 1))
@@ -613,14 +595,16 @@ def _slice_core(y: CPoint, lam0: complex, band: float) -> DiscFunction:
     if degenerate_product(ys, 1):
         if max(abs(y1), abs(yn1)) / c >= abs(lam0) + band:
             raise InfeasibleError("degenerate data exceeds the Schwarz bound")
-        return _diagonal_disc(n, y1, yn1, q, lam0, swap)
+        f = ScalarSchur(kind="blaschke", const=y1 / (c * lam0), zeros=(0j,))
+        g = ScalarSchur(kind="blaschke", const=yn1 / (c * lam0), zeros=(0j,))
+        return DiscFunction(kind="diagonal", n=n, swap=swap, lambda0=lam0, f=f, g=g)
     if abs(q) >= abs(lam0) - band:
         raise InfeasibleError(
             "doubly marginal data: |q| = |lambda0| leaves no Schur slack"
         )
-    Z = _z_nu_general(c, y1, yn1, q, lam0, 1.0)
+    Z = _z_nu_general(c, y1, yn1, q, lam0, nu)
     zn = op_norm(Z)
-    if zn < 1.0 - band:
+    if strict or zn < 1.0 - band:
         K = k_rho(Z, abs(lam0))
         lam_min, alpha = feasibility_alpha(K)
         if lam_min > band:

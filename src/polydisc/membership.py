@@ -655,7 +655,10 @@ def scale_point(s: CPoint, lam: complex) -> CPoint:
     lam = complex(lam)
     if lam == 0:
         raise DomainError("lam must be nonzero")
-    return CPoint(tuple(c / lam ** (k + 1) for k, c in enumerate(s.coords)))
+    try:
+        return CPoint(tuple(c / lam ** (k + 1) for k, c in enumerate(s.coords)))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("the powers of lam leave the double range") from None
 
 
 @np.errstate(all="ignore")

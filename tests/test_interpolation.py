@@ -22,6 +22,7 @@ from polydisc.interpolation import (
     build_interpolant,
     default_q,
     extremal_disc,
+    slice_interpolant,
     worked_family,
     np2,
     nu_window,
@@ -299,6 +300,73 @@ def test_disc_function_json_round_trip(rng):
         a, b = disc(lam), back(lam)
         assert a.coords == b.coords  # bit-identical re-evaluation
 
+
+def test_build_is_the_slice_construction_on_strict_data(rng):
+    # strict and degenerate n = 3 data: build_interpolant and the slice
+    # interpolant build the same disc through the same core
+    cases = [strict_problem(rng) for _ in range(30)]
+    for _ in range(10):
+        a, b = (1.5 * unit_disc(rng) for _ in range(2))
+        y = CPoint((a, b, a * b / 9.0))  # y_1 y_2 = 9 q
+        cases.append((y, (max(abs(a), abs(b)) / 3.0 + 0.05) * np.exp(2j * np.pi * rng.random())))
+    kinds = set()
+    for y, lam0 in cases:
+        disc = build_interpolant(y, lam0)
+        assert disc.to_json() == slice_interpolant(y, lam0).to_json()
+        kinds.add(disc.kind)
+    assert kinds == {"matrix_mobius", "diagonal"}
+
+
+def test_build_refuses_the_marginal_data_the_slice_builds(rng):
+    for _ in range(10):
+        y, _ = strict_problem(rng)
+        lam0, disc = extremal_disc(y)
+        assert disc.kind == "takagi"
+        with pytest.raises(MarginalProblemError):
+            build_interpolant(y, lam0)
+
+
+def test_build_keeps_the_moebius_route_up_to_norm_one():
+    # sup-norm 1.5e-7 under |lambda0| passes the strictness band, but
+    # ||Z_1|| is within the band of 1: the slice reads the pair as marginal
+    # and goes through Takagi, build_interpolant stays on the Moebius route
+    y = CPoint((-0.64 + 0.204j, -0.394 + 0.501j, -0.094 - 0.729j))
+    lam0 = d_norm(1, y) + 1.5e-7
+    assert op_norm(z_nu(y, lam0, 1.0)) > 1.0 - 1e-7
+    disc = build_interpolant(y, lam0)
+    assert disc.kind == "matrix_mobius"
+    assert max(abs(a - b) for a, b in zip(disc(lam0).coords, y.coords)) <= 1e-9
+    assert slice_interpolant(y, lam0).kind == "takagi"
+
+
+def test_build_follows_the_public_recipe_at_any_nu(rng):
+    # Z_nu, alpha from K_{Z_nu}(|lambda0|) and Q(0) = default_q, bit for bit
+    for _ in range(12):
+        y, lam0 = strict_problem(rng)
+        ys = y if abs(y.y(2)) <= abs(y.y(1)) else y.swap()
+        t1, t2 = nu_window(ys, lam0)
+        nu = math.sqrt(t1 + (t2 - t1) * (0.2 + 0.6 * rng.random()))
+        Qlin = 1e-3 * np.array([[1.0, 0.5j], [-0.5, 1.0]])
+        disc = build_interpolant(y, lam0, nu=nu, Qlin=Qlin, rng=rng)
+        Z = z_nu(ys, lam0, nu)
+        alpha = feasibility_alpha(k_rho(Z, abs(lam0)))[1]
+        assert disc.Z.tobytes() == Z.tobytes()
+        assert disc.Q0.tobytes() == default_q(Z, alpha, lam0).tobytes()
+        assert disc.Qlin.tobytes() == Qlin.astype(complex).tobytes()
+
+
+def test_build_positive_definite_k_is_infeasible():
+    # nu^2 inside the window by 4e-11 of theta_2: ||Z_nu|| = 1 - 1e-11 and
+    # K_{Z_nu}(|lambda0|) comes out positive definite, as in the slice core
+    y = CPoint((0.49751398682139486 + 0.48066347491025285j,
+                0.05126631750401338 + 0.186397014109094j,
+                -0.13118280273440475 + 0.22970884599779473j))
+    lam0 = -0.2715478368896957 - 0.47291926394265094j
+    nu = 1.3098431077334802
+    t1, t2 = nu_window(y, lam0)
+    assert t1 < nu * nu < t2
+    with pytest.raises(InfeasibleError, match="positive definite"):
+        build_interpolant(y, lam0, nu=nu)
 
 # --- the worked family -------------------------------------------------------
 
@@ -743,3 +811,78 @@ def test_disc_frame_is_computed_once(monkeypatch):
     back.core(0.2j)
     assert len(calls) == 1
     assert "_frame" not in json.dumps(back.to_json())
+
+
+# --- totality of the two-point entry points ----------------------------------
+
+_DOUBLE = st.one_of(st.floats(-1.5, 1.5), st.floats(allow_nan=False, allow_infinity=False))
+_COMPLEX = st.builds(complex, _DOUBLE, _DOUBLE)
+_SMALL_Z = [0.3, 0.1, 0.0, 0.2]
+
+
+def _is_finite(out) -> bool:
+    if isinstance(out, tuple):
+        return all(_is_finite(v) for v in out)
+    if isinstance(out, (DiscFunction, CPoint)):
+        try:
+            json.dumps(out.to_json(), allow_nan=False)
+        except ValueError:
+            return False
+        return True
+    return bool(np.isfinite(out).all())
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.lists(_COMPLEX, min_size=3, max_size=5), _COMPLEX, _DOUBLE,
+       st.lists(_COMPLEX, min_size=4, max_size=4), st.lists(_COMPLEX, min_size=2, max_size=2))
+@example([1, 0.5, 1e80], 1e300, 1.0, _SMALL_Z, [1, 0])  # nu_window: Decimal x float
+@example([1, 0.5, 0.1], 1e300, 1.0, _SMALL_Z, [1, 0])  # nu_window: (-inf, inf)
+@example([1.35, 0.675, 0.45], -0.8, 5e-324, _SMALL_Z, [1e300, 1e300])  # z_nu, default_q
+@example([1, 1, 1], 1e200, 1.0, _SMALL_Z, [1.7e308 + 1.7e308j, 1.7e308])  # scale_point, u_v
+@example([1, 1, 1], 1e-200, 1.0, _SMALL_Z, [1, 0])  # scale_point: lam ** 3 = 0
+@example([1.35, 0.675, 0.45], 5e-324, 1.0, _SMALL_Z, [1, 0])  # default_q at a tiny lambda0
+def test_two_point_entry_points_total_on_finite_doubles(coords, lam, nu, z, alpha):
+    # each call gives finite output or a PolydiscError, on any finite doubles
+    from polydisc.errors import PolydiscError
+    from polydisc.membership import scale_point
+
+    y, y3, Z = CPoint(tuple(coords)), CPoint(tuple(coords[:3])), np.array(z).reshape(2, 2)
+    calls = [
+        lambda: build_interpolant(y3, lam, nu=nu),
+        lambda: slice_interpolant(y, lam),
+        lambda: extremal_disc(y),
+        lambda: nu_window(y3, lam),
+        lambda: z_nu(y3, lam, nu),
+        lambda: default_q(Z, alpha, lam),
+        lambda: u_v_vectors(Z, alpha),
+        lambda: scale_point(y, lam),
+    ]
+    for k, call in enumerate(calls):
+        try:
+            out = call()
+        except PolydiscError:
+            continue
+        assert _is_finite(out), (k, out)
+
+
+def test_nu_window_and_z_nu_need_lambda0_in_the_disc():
+    for lam0 in (0.0, 1.0, 2.0, -1e300, 1e308 + 1e308j):
+        with pytest.raises(DomainError, match="lambda0 must satisfy"):
+            nu_window(WORKED_SHRUNK, lam0)
+        with pytest.raises(DomainError, match="lambda0 must satisfy"):
+            z_nu(WORKED_SHRUNK, lam0, 1.0)
+
+
+def test_default_q_is_blind_to_the_scale_of_alpha(rng):
+    Z = np.array([[0.3, 0.1], [0.0, 0.2]])
+    ref = default_q(Z, (1.0, 1.0), 0.5)
+    assert np.abs(default_q(Z, (1e300, 1e300), 0.5) - ref).max() <= 1e-15
+    ref = default_q(Z, (1.0, 0.0), 0.5)
+    for tiny in (1e-300, 5e-324):
+        assert np.abs(default_q(Z, (tiny, 0.0), 0.5) - ref).max() <= 1e-15
+    for _ in range(20):
+        Z = rand_contraction(rng)
+        alpha = np.array([unit_disc(rng), unit_disc(rng)])
+        ref = default_q(Z, alpha, 0.6j)
+        for k in (-1000, -600, -2, 3, 900):  # powers of two: bit for bit
+            assert default_q(Z, alpha * 2.0**k, 0.6j).tobytes() == ref.tobytes()

@@ -47,3 +47,36 @@ def test_every_private_helper_is_used():
         if refs[name] == _references(node)[name]  # read only inside its own definition
     ]
     assert orphans == []
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for each parameter, self and cls aside, that
+    the function's body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for a in params:
+            if a.arg not in ("self", "cls") and a.arg not in read:
+                yield f"{name}({a.arg})"
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a setting that does nothing:
+    # drop it, or read it
+    unread = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert unread == []
