@@ -246,8 +246,7 @@ def _cmd_plot_slice(args) -> int:
         y = np.tile(np.array(point.coords), (len(block) * res, 1))
         y.real[:, 0] = np.repeat(block, res)
         y.imag[:, 0] = np.tile(im_vals, len(block))
-        tg = membership.in_tilde_g_batch(y, band=args.band)
-        gg = membership.in_g_batch(y, band=args.band)
+        tg, gg = membership._tilde_g_and_g_batch(y, args.band)
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
         for re, row in zip(map(repr, block), codes):
             lines.extend([re + cell[k] for cell, k in zip(cells, row)])

@@ -288,13 +288,21 @@ def _mobius_entries(z, left, right, x):
     """The entries of M_Z(X) from the entry tuples z of Z and x of X, given
     (left, right) = _frame(*z)."""
     a, b, c, d = z
-    e, xs = _scaled(*x)
-    one = 1.0
-    if e > 0:
-        # a large X: (X - Z)(1 - Z* X)^{-1} is unchanged when both factors
-        # take 2^-e, and then nothing overflows
-        one, x = math.ldexp(1.0, -e), xs
     x11, x12, x21, x22 = x
+    one = 1.0
+    # entries of modulus under 1 have every part under 1, so _scaled would
+    # give e <= 0: only a larger X (or a non-finite one) is handed to it
+    try:
+        small = abs(x11) < 1.0 and abs(x12) < 1.0 and abs(x21) < 1.0 and abs(x22) < 1.0
+    except OverflowError:
+        small = False
+    if not small:
+        e, xs = _scaled(*x)
+        if e > 0:
+            # a large X: (X - Z)(1 - Z* X)^{-1} is unchanged when both
+            # factors take 2^-e, and then nothing overflows
+            one, x = math.ldexp(1.0, -e), xs
+            x11, x12, x21, x22 = x
     p, q, r, s = _mul((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()), x)
     inv = _inv2(one - p, -q, -r, one - s)
     diff = (x11 - a * one, x12 - b * one, x21 - c * one, x22 - d * one)

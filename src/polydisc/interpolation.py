@@ -80,7 +80,11 @@ def _one_lambda(lam) -> complex:
 def blaschke(lambda0: complex, lam: complex) -> complex:
     """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l; vanishes at
     lambda0, sends 0 to lambda0, unimodular on the circle."""
-    lambda0, lam = complex(lambda0), _one_lambda(lam)
+    return _blaschke(complex(lambda0), _one_lambda(lam))
+
+
+def _blaschke(lambda0: complex, lam: complex) -> complex:
+    # blaschke on a Python complex lambda0 and an already checked lam
     den = 1.0 - lambda0.conjugate() * lam
     _check_poles(den, lam, "the Blaschke factor")
     return (lambda0 - lam) / den
@@ -94,7 +98,7 @@ def blaschke(lambda0: complex, lam: complex) -> complex:
 def _zero_at(a: complex, lam: complex) -> complex:
     # e_a(l) = (l - a) / (1 - conj(a) l): the disc automorphism vanishing at a
     den = 1.0 - a.conjugate() * lam
-    _check_poles(den, lam, f"the Blaschke factor at {a}")
+    _check_poles(den, lam, "the Blaschke factor at {}", a)
     return (lam - a) / den
 
 
@@ -116,7 +120,8 @@ class ScalarSchur:
     mu_{wa}(e_a(l) * mu_{c1}(e_b(l) * t)) with e_x the zero-at-x Blaschke
     factor; parameters are stored, not the closed rational form.
 
-    Called on one lambda it returns a complex.
+    Called on one lambda it returns a complex; `_at` is that call on a
+    lambda already checked to be a finite Python complex.
     """
 
     kind: str
@@ -129,7 +134,9 @@ class ScalarSchur:
     t: complex = 0j
 
     def __call__(self, lam: complex) -> complex:
-        lam = _one_lambda(lam)
+        return self._at(_one_lambda(lam))
+
+    def _at(self, lam: complex) -> complex:
         if self.kind == "blaschke":
             acc = self.const
             for z in self.zeros:
@@ -329,10 +336,13 @@ class DiscFunction:
     `swap` exchanges coordinates j and n-j of the output (used when the
     input data arrived with |y_{n-1}| > |y_1| and was solved swapped).
 
-    A disc is evaluated one lambda at a time on Python complex entries of F;
-    `values` maps that evaluation over an array, so its rows equal single
-    calls bit for bit.  The entries of -Z, Q0, Qlin, U and the frame of
-    M_{-Z} are read at the first evaluation and kept for the disc's life.
+    A disc is evaluated one lambda at a time on Python complex entries of F
+    (`_psi`, which checks that every coordinate is finite); `values` maps
+    that evaluation over an array, so its rows equal single calls bit for
+    bit, and a single call wraps its coordinates in a CPoint without
+    checking them again.  The entries of -Z, Q0, Qlin, U and the frame of
+    M_{-Z}, and lambda0 as a Python complex, are read at the first
+    evaluation and kept for the disc's life.
     """
 
     kind: str
@@ -362,26 +372,29 @@ class DiscFunction:
     @cached_property
     def _consts(self) -> tuple:
         """The entry tuples the matrix_mobius and Takagi kinds read: -Z, the
-        frame of M_{-Z}, Q0 and Qlin (or None) for the first, U and U^T."""
+        frame of M_{-Z}, Q0, Qlin (or None) and lambda0 for the first, U and
+        U^T for the second."""
         if self.kind == "matrix_mobius":
             z = _entries(-self.Z)
             qlin = None if self.Qlin is None else _entries(self.Qlin)
-            return (z, *_frame(*z), _entries(self.Q0), qlin)
+            return (z, *_frame(*z), _entries(self.Q0), qlin, complex(self.lambda0))
         return _entries(self.U), _entries(self.U.T)
 
     def _core(self, lam: complex) -> tuple:
         """The entries of F(lam) diag(lam, 1), of F(lam) for the diagonal kind."""
         if self.kind == "diagonal":
-            return self.f(lam), 0j, 0j, self.g(lam)
+            return self.f._at(lam), 0j, 0j, self.g._at(lam)
         if self.kind == "matrix_mobius":
-            z, left, right, q, qlin = self._consts
+            z, left, right, q, qlin, lam0 = self._consts
             if qlin is not None:
                 q = [a + lam * b for a, b in zip(q, qlin)]
-            b = blaschke(self.lambda0, lam)
-            f11, f12, f21, f22 = _mobius_entries(z, left, right, [b * v for v in q])
+            q11, q12, q21, q22 = q
+            b = _blaschke(lam0, lam)
+            x = (b * q11, b * q12, b * q21, b * q22)
+            f11, f12, f21, f22 = _mobius_entries(z, left, right, x)
         else:  # takagi, worked_family
             u, ut = self._consts
-            f11, f12, f21, f22 = _mul(_mul(u, (self.d1, 0j, 0j, self.g(lam))), ut)
+            f11, f12, f21, f22 = _mul(_mul(u, (self.d1, 0j, 0j, self.g._at(lam))), ut)
         return f11 * lam, f12, f21 * lam, f22
 
     def _psi(self, lam: complex) -> list[complex]:
@@ -410,7 +423,9 @@ class DiscFunction:
         return mat2(*F)
 
     def __call__(self, lam: complex) -> CPoint:
-        return CPoint(tuple(self._psi(_one_lambda(lam))))
+        # _psi checked finiteness; complex() still converts, as CPoint
+        # would, a coordinate that a hand-built real ScalarSchur left real
+        return CPoint._unchecked(tuple(map(complex, self._psi(_one_lambda(lam)))))
 
     def to_json(self) -> dict:
         return {
@@ -444,10 +459,10 @@ class DiscFunction:
 def _verify_endpoints(
     disc: DiscFunction, lambda0: complex, target: CPoint, tol: float
 ) -> None:
-    at0, atl = disc.values([0.0, lambda0])
-    if max(abs(c) for c in at0) > tol:
+    at0, atl = disc._psi(0j), disc._psi(complex(lambda0))
+    if max(_cabs(c) for c in at0) > tol:
         raise ConstructionError("disc does not vanish at 0")
-    err = max(abs(a - b) for a, b in zip(atl, target.coords))
+    err = max(_cabs(a - b) for a, b in zip(atl, target.coords))
     if err > tol:
         raise ConstructionError(f"disc misses the target by {err:.3g}")
 

@@ -508,14 +508,19 @@ def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return _tilde_slack7_batch(y, closed=False, band=band) > 0.0
 
 
-def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float) -> np.ndarray:
-    """The in_g (open) or in_gamma (closed) verdict of every point of the planes."""
+def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float):
+    """(verdict, level0): the in_g (open) or in_gamma (closed) verdict of
+    every point of the planes, and the level-0 verdict C7 slack > 0, which
+    is in_tilde_g_batch's (None when no level runs)."""
     idx = np.arange(re.shape[1])
     verdict = np.zeros(idx.size, dtype=bool)
+    level0 = None
     while len(re) > 1 and idx.size:
         aq = np.hypot(re[-1], im[-1])
         # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
         slack, dr, di, w = _level(re, im, aq)
+        if level0 is None:
+            level0 = slack > 0.0
         if closed:
             keep = ~(aq > 1.0 + band)
             unit = keep & (np.abs(aq - 1.0) <= band)
@@ -529,7 +534,7 @@ def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float) -> np.nd
         re, im = dr / w, di / w
     a = np.hypot(re[0], im[0])
     verdict[idx] = (a <= 1.0 + band) if closed else (a < 1.0)
-    return verdict
+    return verdict, level0
 
 
 def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
@@ -541,20 +546,30 @@ def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
     ok &= ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
     factor = np.array([[(n - j) / n] for j in range(1, n)])
     verdict = np.zeros(ok.size, dtype=bool)
-    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], True, band)
+    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], True, band)[0]
     return verdict
 
 
 @np.errstate(all="ignore")
 def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_g(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), False, band)
+    return _descent(*_planes(s), False, band)[0]
+
+
+@np.errstate(all="ignore")
+def _tilde_g_and_g_batch(y: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """(in_tilde_g_batch(y), in_g_batch(y)) from one descent, whose first
+    level computes the slack in_tilde_g_batch reads."""
+    if y.shape[1] < 2:
+        raise DomainError("extended symmetrized polydisc needs n >= 2")
+    verdict, level0 = _descent(*_planes(y), False, band)
+    return level0, verdict
 
 
 @np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), True, band)
+    return _descent(*_planes(s), True, band)[0]
 
 
 @np.errstate(all="ignore")

@@ -55,6 +55,14 @@ class CPoint:
                 raise DomainError("non-finite coordinate")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _unchecked(cls, coords: tuple[complex, ...]) -> "CPoint":
+        """The point of `coords`, which the caller has made at least one
+        finite Python complex, without converting or checking them again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
+
     @property
     def n(self) -> int:
         return len(self.coords)
@@ -218,15 +226,21 @@ def _vanishes(x) -> bool:
     """|x| < 1e-300 for a scalar (tested without numpy) or anywhere in an array."""
     if isinstance(x, np.ndarray):
         return bool((abs(x) < 1e-300).any())
-    return _cabs(x) < 1e-300
+    try:
+        return abs(x) < 1e-300
+    except OverflowError:  # |x| past the largest double
+        return False
 
 
-def _check_poles(den, z, what: str) -> None:
+def _check_poles(den, z, what: str, *fields) -> None:
     """Raise PoleError at the first z (scalar or array) where the matching
-    denominator `den` vanishes numerically."""
+    denominator `den` vanishes numerically.  The message names the site
+    what.format(*fields) and is built only when raising: a caller passes a
+    template and its fields, never an f-string, which would be formatted on
+    every call."""
     if _vanishes(den):
         at = complex(np.asarray(z)[abs(den) < 1e-300][0] if isinstance(den, np.ndarray) else z)
-        raise PoleError(f"{what} has a pole at z={at}", at=at)
+        raise PoleError(f"{what.format(*fields)} has a pole at z={at}", at=at)
 
 
 @np.errstate(all="ignore")
@@ -237,7 +251,7 @@ def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     if degenerate_product(y, j):
         return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
     den = ynj * z - c
-    _check_poles(den, z, f"Phi_{j}")
+    _check_poles(den, z, "Phi_{}", j)
     return (c * q * z - yj) / den
 
 

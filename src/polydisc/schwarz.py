@@ -20,6 +20,7 @@ through Phi_{n-j} otherwise ("DivideNJ").
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -361,19 +362,25 @@ def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:
     return CPoint(tuple(_pi_coords(n, ents)))
 
 
+@functools.cache
+def _binom_row(n: int) -> tuple[int, ...]:
+    """(binom(n, 0), ..., binom(n, n)), built once per n."""
+    return tuple(math.comb(n, j) for j in range(n + 1))
+
+
 def _pi_coords(n: int, mats: list) -> list[complex]:
-    """pi_n(M_1, ..., M_k), k = floor(n/2), unchecked, from the entry tuples
-    (m11, m12, m21, m22) of the 2x2 matrices M_j: coordinate j is
+    """pi_n(M_1, ..., M_k), k = floor(n/2) >= 1, unchecked, from the entry
+    tuples (m11, m12, m21, m22) of the 2x2 matrices M_j: coordinate j is
     binom(n, j) [M_j]_11 and coordinate n-j is binom(n, j) [M_j]_22 (the
     middle one averaged for even n), last the determinant of M_1."""
-    k = n // 2
+    k, row = n // 2, _binom_row(n)
     out = [0j] * n
     for j in range(1, k + 1):
-        c, (a, _, _, d) = binom(n, j), mats[j - 1]
+        c, (a, _, _, d) = row[j], mats[j - 1]
         out[j - 1], out[n - 1 - j] = c * a, c * d
     if n % 2 == 0:
         a, _, _, d = mats[k - 1]
-        out[k - 1] = binom(n, k) * (a + d) / 2.0
+        out[k - 1] = row[k] * (a + d) / 2.0
     a, b, c, d = mats[0]
     out[n - 1] = a * d - b * c
     return out

@@ -295,6 +295,35 @@ def test_plot_slice_matches_scalar_replay(point, window):
     assert out == _scalar_slice(point, res, *window)
 
 
+def test_plot_slice_verdicts_equal_the_two_batch_predicates(capsys):
+    # plot-slice reads in_tilde_g off the first level of the in_g descent;
+    # every cell must equal in_tilde_g_batch and in_g_batch run separately,
+    # also on slices whose pinned |q| is 1 or more
+    from polydisc import cli
+    from polydisc.membership import in_g_batch, in_tilde_g_batch
+
+    rng = np.random.default_rng(2718)
+    res, seen = 15, set()
+    for n in range(2, 7):
+        for aq in (0.4, 0.95, 1.0, 1.3):
+            coords = [math.comb(n, j) * 0.9 * math.sqrt(rng.random())
+                      * complex(np.exp(2j * np.pi * rng.random())) for j in range(1, n)]
+            coords.append(aq * complex(np.exp(2j * np.pi * rng.random())))
+            point = json.dumps({"n": n, "coords": [[c.real, c.imag] for c in coords]})
+            assert cli.main(["plot-slice", "--point", point, "--resolution", str(res)]) == 0
+            span = n + 0.5
+            vals = [-span + (span - -span) * a / (res - 1) for a in range(res)]
+            cells = [(re, im) for re in vals for im in vals]
+            y = np.array([[complex(re, im)] + coords[1:] for re, im in cells])
+            tg, gg = in_tilde_g_batch(y), in_g_batch(y)
+            lines = ["re,im,in_tilde_g,in_g"] + [
+                f"{re!r},{im!r},{int(t)},{int(g)}" for (re, im), t, g in zip(cells, tg, gg)
+            ]
+            assert capsys.readouterr().out == "\n".join(lines) + "\n", (n, aq)
+            seen.update(zip(tg.tolist(), gg.tolist()))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize(
     "extra",
     [("--resolution", "1"), ("--resolution", "0"), ("--resolution", "-3"),

@@ -886,3 +886,115 @@ def test_default_q_is_blind_to_the_scale_of_alpha(rng):
         ref = default_q(Z, alpha, 0.6j)
         for k in (-1000, -600, -2, 3, 900):  # powers of two: bit for bit
             assert default_q(Z, alpha * 2.0**k, 0.6j).tobytes() == ref.tobytes()
+
+
+def test_single_calls_equal_the_checked_point(rng):
+    # disc(lam) skips CPoint's checks, not its conversion: a hand-built disc
+    # whose scalar functions are real constants still gives complex coordinates
+    const = ScalarSchur(kind="blaschke", const=1)
+    discs = [*_kind_discs(rng), DiscFunction(kind="diagonal", n=4, f=const, g=const)]
+    for disc in discs:
+        for lam in (0.0, 0.3 - 0.2j):
+            point, ref = disc(lam), CPoint(tuple(disc._psi(complex(lam))))
+            assert all(type(c) is complex for c in point.coords)
+            assert json.dumps(point.to_json()) == json.dumps(ref.to_json())
+
+
+def test_pole_messages_and_sites():
+    # the three pole sites of disc evaluation build their messages only when
+    # they raise; each message and .at is pinned through a single call, the
+    # core and values, which reports the first failing lambda
+    from polydisc.errors import PoleError
+    from polydisc.mobius import phi
+
+    f = ScalarSchur(kind="blaschke", zeros=(0.5 + 0j, -0.8 + 0j))
+    g = ScalarSchur(kind="np2", c1=0.5 + 0j, t=1.0 + 0j)  # 1 + conj(0.5) lam = 0 at -2
+    diag = DiscFunction(kind="diagonal", n=3, f=f, g=g)
+    mobius = DiscFunction(
+        kind="matrix_mobius", n=3, lambda0=0.5 + 0j, Z=np.zeros((2, 2), dtype=complex),
+        Q0=0.5 * np.eye(2, dtype=complex),
+    )
+    cases = [
+        (mobius, 2.0, "the Blaschke factor has a pole at z=(2+0j)"),
+        (diag, 2.0, "the Blaschke factor at (0.5+0j) has a pole at z=(2+0j)"),
+        (diag, -1.25, "the Blaschke factor at (-0.8+0j) has a pole at z=(-1.25+0j)"),
+        (diag, -2.0, "a Schur step has a pole at z=(-2+0j)"),
+    ]
+    poles = [lam for _, lam, _ in cases]
+    for disc, lam, message in cases:
+        for evaluate in (disc, disc.core, lambda v: disc.values([0.1, v, *poles])):
+            with pytest.raises(PoleError) as info:
+                evaluate(lam)
+            assert (str(info.value), info.value.at) == (message, lam)
+    with pytest.raises(PoleError, match=r"^the Blaschke factor has a pole at z=\(2\+0j\)$"):
+        blaschke(0.5, 2.0)
+    with pytest.raises(PoleError, match=r"^a Schur step has a pole at z=\(-2\+0j\)$"):
+        g(-2.0)
+    with pytest.raises(PoleError, match=r"^Phi_1 has a pole at z=\(1\.5\+0j\)$"):
+        phi(1, CPoint((1.0, 2.0, 0.5)), 1.5)  # y_2 z - 3 = 0
+
+
+# --- golden disc outputs -----------------------------------------------------
+
+# sha256 of _disc_digest() at the commit before disc evaluation lost its
+# per-call overhead; any change to a disc value, error or JSON moves it
+DISC_DIGEST = "845a1e300fba61e805446fbd13331669858b5104bfc594fa4c81340ac94fb9d6"
+
+
+def _digest_lams(discs, rng) -> list[complex]:
+    """0, +-1 and 1j; lambda in the unit disc; lambda of log-uniform modulus
+    in [1e-300, 1e300] (far outside the disc X = B Q leaves the unit ball,
+    which takes the rescale of M_{-Z}); and each disc's poles 1/conj(a)."""
+    lams = [0j, 1 + 0j, -1 + 0j, 1j]
+    lams += [unit_disc(rng, 0.999) for _ in range(24)]
+    for mod, angle in zip(10.0 ** rng.uniform(-300.0, 300.0, 48), rng.uniform(0.0, 2 * math.pi, 48)):
+        lams.append(complex(mod * cmath.exp(1j * angle)))
+    for disc in discs:
+        for a in (disc.lambda0, *(z for g in (disc.f, disc.g) if g is not None for z in (g.a, g.b))):
+            if a != 0:
+                lams.append(1.0 / complex(a).conjugate())
+    return lams
+
+
+def _disc_digest() -> str:
+    """sha256 over every kind of _kind_discs read at n = 2..6 and both swaps:
+    its JSON, and disc(lam), disc.core(lam), disc.values([lam]) at each
+    lambda of _digest_lams, values over all of them and over the ones in
+    the disc, and its scalar Schur functions at each lambda.  An output is
+    hashed as its complex bytes, a PolydiscError as type, message and .at."""
+    import hashlib
+
+    from polydisc.errors import PolydiscError
+
+    rng = np.random.default_rng(1313)
+    discs = _kind_discs(rng)
+    lams = _digest_lams(discs, rng)
+    inside = [lam for lam in lams if abs(lam) < 1.0]
+    h = hashlib.sha256()
+
+    def feed(call, *args):
+        try:
+            out = call(*args)
+        except PolydiscError as exc:
+            h.update(repr((type(exc).__name__, str(exc), getattr(exc, "at", None))).encode())
+            return
+        out = out.coords if isinstance(out, CPoint) else out
+        h.update(np.asarray(out, dtype=complex).tobytes())
+
+    for disc in discs:
+        for g in (disc.f, disc.g):
+            for lam in lams if g is not None else ():
+                feed(g, lam)
+    for disc in _variants(discs):
+        h.update(json.dumps(disc.to_json()).encode())
+        for lam in lams:
+            feed(disc, lam)
+            feed(disc.core, lam)
+            feed(disc.values, [lam])
+        feed(disc.values, lams)
+        feed(disc.values, inside)
+    return h.hexdigest()
+
+
+def test_disc_outputs_match_parent():
+    assert _disc_digest() == DISC_DIGEST

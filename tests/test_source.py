@@ -80,3 +80,24 @@ def test_every_parameter_is_read():
         for item in _unread_parameters(ast.parse(path.read_text()))
     ]
     assert unread == []
+
+
+def test_pole_messages_are_formatted_only_when_raised():
+    # _check_poles builds its message from a template and fields when it
+    # raises; an f-string or .format() argument would be formatted on every
+    # call, and some callers run once per lambda of a disc evaluation
+    calls, eager = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "_check_poles":
+                continue
+            calls += 1
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                for n in ast.walk(arg):
+                    if isinstance(n, ast.FormattedValue) or getattr(
+                        getattr(n, "func", None), "attr", None
+                    ) == "format":
+                        eager.append(f"{path.name}:{node.lineno}")
+    assert calls >= 5  # the pole sites are still found under this name
+    assert eager == []
