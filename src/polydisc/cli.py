@@ -70,12 +70,22 @@ def _emit(args, payload: dict | str) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_unread(args, what: str, **reads: bool) -> None:
+    """DomainError naming each option given on the command line (not None)
+    that `what`, a mode of a subcommand, does not read."""
+    unread = [f"--{k}" for k, ok in reads.items() if not ok and getattr(args, k) is not None]
+    if unread:
+        raise DomainError(f"{what} does not read {', '.join(unread)}")
+
+
 def _cmd_membership(args) -> int:
+    _refuse_unread(args, f"membership --set {args.set}", cond=args.set.startswith("tilde"))
     point = _parse_point(args.point)
+    cond = "ALL" if args.cond is None else args.cond
     if args.set == "tilde-g":
-        rep = membership.in_tilde_g(point, cond=args.cond, band=args.band)
+        rep = membership.in_tilde_g(point, cond=cond, band=args.band)
     elif args.set == "tilde-gamma":
-        rep = membership.in_tilde_gamma(point, cond=args.cond, band=args.band)
+        rep = membership.in_tilde_gamma(point, cond=cond, band=args.band)
     elif args.set == "g":
         rep = membership.in_g(point, band=args.band)
     elif args.set == "gamma":
@@ -102,16 +112,16 @@ def _cmd_schwarz(args) -> int:
 
 def _cmd_interpolate(args) -> int:
     """Strict mode (the default) reads --lambda0 and --nu; --worked-family
-    reads --t and builds the family through its own point and lambda0;
-    --extremal reads neither, its lambda0 being max_j D_j of the point."""
+    reads --t and builds the family through its own point and lambda0,
+    without --band or --seed; --extremal reads neither --lambda0 nor --nu,
+    its lambda0 being max_j D_j of the point."""
     point = _parse_point(args.point)
-    reads = {"lambda0": not args.extremal, "nu": not (args.worked_family or args.extremal),
-             "t": args.worked_family}
-    unread = [f"--{k}" for k, ok in reads.items() if not ok and getattr(args, k) is not None]
-    if unread:
-        raise DomainError(f"this mode of interpolate does not read {', '.join(unread)}")
+    built = not args.worked_family
+    _refuse_unread(args, "this mode of interpolate", lambda0=not args.extremal,
+                   nu=built and not args.extremal, t=args.worked_family, band=built, seed=built)
     lam0 = _parse_complex("0.5" if args.lambda0 is None else args.lambda0)
-    rng = np.random.default_rng(args.seed)
+    band = _or_default(args, "band")
+    rng = np.random.default_rng(_or_default(args, "seed"))
     if args.worked_family:
         if point != interpolation.WORKED_FAMILY_TARGET or (
                 args.lambda0 is not None and lam0 != interpolation.WORKED_FAMILY_LAMBDA0):
@@ -119,10 +129,10 @@ def _cmd_interpolate(args) -> int:
         t = _parse_complex("0" if args.t is None else args.t)
         disc = interpolation.worked_family(interpolation.np2(0.0, 0.3, -0.8, 0.625, t=t))
     elif args.extremal:
-        _, disc = interpolation.extremal_disc(point, band=args.band, rng=rng)
+        _, disc = interpolation.extremal_disc(point, band=band, rng=rng)
     else:
         disc = interpolation.build_interpolant(
-            point, lam0, nu=1.0 if args.nu is None else args.nu, band=args.band, rng=rng
+            point, lam0, nu=1.0 if args.nu is None else args.nu, band=band, rng=rng
         )
     lams = [_parse_complex(text) for text in args.eval or []]
     evaluations = [
@@ -143,8 +153,11 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    sep = args.kind == "separating"
+    _refuse_unread(args, f"witness --kind {args.kind}", point=sep, seed=sep, samples=sep, n=not sep)
+    n = 3 if args.n is None else args.n
     if args.kind == "nonconvex":
-        a, b, c = geometry.nonconvex_witness(args.n)
+        a, b, c = geometry.nonconvex_witness(n)
         payload = {
             "kind": "nonconvex",
             "a": a.to_json(),
@@ -155,7 +168,7 @@ def _cmd_witness(args) -> int:
             "midpoint_in_closure": False,
         }
     elif args.kind == "noncircular":
-        y, iy = geometry.noncircular_witness(args.n)
+        y, iy = geometry.noncircular_witness(n)
         payload = {
             "kind": "noncircular",
             "point": y.to_json(),
@@ -168,7 +181,8 @@ def _cmd_witness(args) -> int:
             raise DomainError("witness --kind separating needs --point")
         point = _parse_point(args.point)
         poly = geometry.separating_polynomial(
-            point, samples=args.samples, rng=np.random.default_rng(args.seed)
+            point, samples=_or_default(args, "samples"),
+            rng=np.random.default_rng(_or_default(args, "seed")),
         )
         payload = {"kind": "separating", "polynomial": poly.to_json()}
     _emit(args, payload)
@@ -329,6 +343,13 @@ _SHARED = {  # options several subcommands read, by name
 }
 
 
+def _or_default(args, name: str):
+    """A shared option that only some modes read (parsed with default None):
+    its value, or its _SHARED default when not given."""
+    value = getattr(args, name)
+    return _SHARED[name]["default"] if value is None else value
+
+
 def _subcommand(subs, name: str, fn, help: str, *shared: str):
     """Subcommand `name`, run by `fn`, with the named options of _SHARED."""
     s = subs.add_parser(name, help=help)
@@ -350,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = _subcommand(subs, "membership", _cmd_membership, "set membership with condition margins",
                     "point", "output", "band", "assert")
     s.add_argument("--set", choices=_SETS, default="tilde-g")
-    s.add_argument("--cond", default="ALL", help="condition id (e.g. C7) or ALL")
+    s.add_argument("--cond", help="condition id (e.g. C7) or ALL (default; tilde sets only)")
 
     s = _subcommand(subs, "schwarz", _cmd_schwarz, "two-point Schwarz-lemma conditions",
                     "point", "output", "band", "assert")
@@ -359,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = _subcommand(subs, "interpolate", _cmd_interpolate, "construct and evaluate a disc map",
                     "point", "output", "band", "seed")
+    s.set_defaults(band=None, seed=None)  # not read by --worked-family: see _or_default
     s.add_argument("--lambda0", help="complex 're,im' (default 0.5)")
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--eval", action="append", help="lambda to evaluate (repeatable)")
@@ -372,10 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = _subcommand(subs, "witness", _cmd_witness, "geometric witnesses",
                     "output", "seed", "samples")
+    s.set_defaults(seed=None, samples=None)  # read by --kind separating only: see _or_default
     s.add_argument("--point", help="point JSON (read by --kind separating)")
     s.add_argument("--kind", choices=("nonconvex", "noncircular", "separating"),
                    default="nonconvex")
-    s.add_argument("--n", type=int, default=3)
+    s.add_argument("--n", type=int, help="dimension (default 3; not read by --kind separating)")
 
     s = _subcommand(subs, "oracle", _cmd_oracle, "forward-oracle soundness sweep",
                     "output", "band", "seed", "samples", "assert")
@@ -400,9 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "grid", 8) < 8:
             raise ValueError("grid must be at least 8")
-        if not 0.0 < getattr(args, "band", 1e-7) <= 1e-3:
+        # None: an option the subcommand does not take, or one a mode reads and was not given
+        band, samples = getattr(args, "band", None), getattr(args, "samples", None)
+        if band is not None and not 0.0 < band <= 1e-3:
             raise ValueError("band must lie in (0, 1e-3]")
-        if getattr(args, "samples", 1) < 1:
+        if samples is not None and samples < 1:
             raise ValueError("samples must be at least 1")
         return args.fn(args)
     except (PolydiscError, ValueError, KeyError, json.JSONDecodeError) as exc:

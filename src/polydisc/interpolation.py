@@ -78,9 +78,12 @@ def _one_lambda(lam) -> complex:
 
 
 def blaschke(lambda0: complex, lam: complex) -> complex:
-    """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l; vanishes at
-    lambda0, sends 0 to lambda0, unimodular on the circle."""
-    return _blaschke(complex(lambda0), _one_lambda(lam))
+    """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l, for |lambda0| < 1;
+    vanishes at lambda0, sends 0 to lambda0, unimodular on the circle."""
+    lambda0 = _one_lambda(lambda0)
+    if not _cabs(lambda0) < 1.0:
+        raise DomainError("lambda0 must lie in the open unit disc")
+    return _blaschke(lambda0, _one_lambda(lam))
 
 
 def _blaschke(lambda0: complex, lam: complex) -> complex:
@@ -505,40 +508,41 @@ def build_interpolant(
     kills Q at lambda0 and only Q(0) enters at 0), so distinct Qlin give
     distinct interpolants with the same data.
 
-    Exactly-marginal problems are refused: see extremal_disc for the
-    boundary construction, and worked_family for the worked marginal family.
+    Degenerate data (y_1 y_2 = 9 q) has the diagonal disc, with no nu or
+    Qlin to choose.  Exactly-marginal problems are refused: see
+    extremal_disc for the boundary construction, and worked_family for the
+    worked marginal family.
     """
     lam0 = complex(lambda0)
     SchwarzProblem(lambda0=lam0, target=y0)  # validates |lambda0| and membership
     if y0.n != 3:
         raise DomainError("build_interpolant is the n = 3 constructor")
     rng = rng if rng is not None else np.random.default_rng(0)
-    if max(abs(c) for c in y0.coords) == 0.0:
-        zero = ScalarSchur(kind="blaschke", const=0j)
-        return DiscFunction(kind="diagonal", n=3, swap=False, lambda0=lam0, f=zero, g=zero)
     ys = y0.swap() if abs(y0.y(2)) > abs(y0.y(1)) else y0
-    if degenerate_product(ys, 1):
-        if max(abs(ys.y(1)), abs(ys.y(2))) / 3.0 >= abs(lam0) - band:
+    if degenerate_product(ys, 1):  # the zero target included
+        if nu != 1.0 or Qlin is not None:
+            raise DomainError("degenerate data has the diagonal disc: it takes no nu and no Qlin")
+        top = max(abs(ys.y(1)), abs(ys.y(2))) / 3.0
+        if top > 0.0 and top >= abs(lam0) - band:  # psi = 0 serves the zero target at any lambda0
             raise MarginalProblemError("degenerate data sits on the Schwarz bound")
-        disc = _slice_core(y0, lam0, band)
-        _verify_endpoints(disc, lam0, y0, 1e-9)
-        return disc
-    theta1, theta2 = nu_window(ys, lam0, band=band)
-    if not theta1 < nu * nu < theta2:
-        raise DomainError(
-            f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})"
-        )
-    if not nu > 0:
-        raise DomainError("nu must be positive")
-    disc = _slice_core(y0, lam0, band, nu, strict=True)
-    qnorm = op_norm(disc.Q0)
-    if qnorm > 1.0 + 1e-11:
-        raise DomainError(f"Q0 is not a contraction (norm {qnorm:.6g})")
-    if Qlin is not None:
-        Qlin = np.asarray(Qlin, dtype=complex)
-        if qnorm + op_norm(Qlin) > 1.0 + 1e-11:
-            raise DomainError("Q0 + lambda Qlin can leave the Schur class")
-        disc = replace(disc, Qlin=Qlin)
+    else:
+        theta1, theta2 = nu_window(ys, lam0, band=band)
+        if not theta1 < nu * nu < theta2:
+            raise DomainError(
+                f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})"
+            )
+        if not nu > 0:
+            raise DomainError("nu must be positive")
+    disc = _slice_core(y0, lam0, band, nu)
+    if disc.Q0 is not None:
+        qnorm = op_norm(disc.Q0)
+        if qnorm > 1.0 + 1e-11:
+            raise DomainError(f"Q0 is not a contraction (norm {qnorm:.6g})")
+        if Qlin is not None:
+            Qlin = np.asarray(Qlin, dtype=complex)
+            if qnorm + op_norm(Qlin) > 1.0 + 1e-11:
+                raise DomainError("Q0 + lambda Qlin can leave the Schur class")
+            disc = replace(disc, Qlin=Qlin)
     _verify_endpoints(disc, lam0, y0, 1e-9)
     _verify_range(disc, 64, rng, band)
     return disc
@@ -588,19 +592,17 @@ def worked_family(g: ScalarSchur) -> DiscFunction:
     return disc
 
 
-def _slice_core(
-    y: CPoint, lam0: complex, band: float, nu: float = 1.0, strict: bool = False
-) -> DiscFunction:
+def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscFunction:
     """The single 2x2 core driving a disc through (0, 0) and (lam0, y) for a
     point of the slice J_n: only the pair (y_1, y_{n-1}) is interpolated and
     the proportionality relations land every other coordinate automatically.
 
     Degenerate pair (y_1 y_{n-1} = binom^2 q): the diagonal disc.  Strict
-    pair subproblem (||Z_nu|| < 1 - band): matricial Moebius route.  Exactly
-    marginal (||Z|| = 1, the extremal case): Takagi diagonalization with the
-    top singular direction frozen and a scalar two-point closure.  `strict`
-    data, whose sup-norm is certified strictly under |lam0|, takes the
-    Moebius route at every ||Z_nu||, k_rho refusing ||Z_nu|| >= 1.
+    pair subproblem, ||Z_nu|| < 1 - band or the branch sup-norm D_1 under
+    |lam0| - band: matricial Moebius route, k_rho refusing ||Z_nu|| >= 1.
+    Otherwise exactly marginal (||Z|| = 1, the extremal case): Takagi
+    diagonalization with the top singular direction frozen and a scalar
+    two-point closure.
     """
     n = y.n
     swap = abs(y.y(1)) < abs(y.y(n - 1))
@@ -619,7 +621,7 @@ def _slice_core(
         )
     Z = _z_nu_general(c, y1, yn1, q, lam0, nu)
     zn = op_norm(Z)
-    if strict or zn < 1.0 - band:
+    if zn < 1.0 - band or d_norm(1, ys) < abs(lam0) - band:
         K = k_rho(Z, abs(lam0))
         lam_min, alpha = feasibility_alpha(K)
         if lam_min > band:

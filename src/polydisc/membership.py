@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clinalg import _scaled, _unscale
 from .errors import DomainError
 from .mobius import (
     CPoint,
@@ -314,16 +315,22 @@ def _tilde_slack7(coords: tuple[complex, ...], closed: bool, band: float) -> flo
 
 
 def beta_recover(y: CPoint) -> BetaVector:
-    """The forced beta-representation beta_j = (y_j - conj(y_{n-j}) q) / (1 - |q|^2)."""
+    """The forced beta-representation beta_j = (y_j - conj(y_{n-j}) q) / (1 - |q|^2);
+    a beta past the double range raises DomainError."""
     if _cabs(y.q) >= 1.0:
         raise DomainError("beta recovery needs |q| < 1")
-    return BetaVector(y.n, _beta_coords(y.coords))
+    betas = _beta_coords(y.coords)
+    if not all(map(cmath.isfinite, betas)):
+        raise DomainError("a beta coordinate leaves the double range")
+    return BetaVector(y.n, betas)
 
 
 def b_matrices(y: CPoint) -> list[np.ndarray]:
     """The symmetric matrices of condition (9): diag (y_j/C, y_{n-j}/C),
     off-diagonal any square root of y_j y_{n-j}/C^2 - q (principal branch);
     all have determinant q, and membership is equivalent to every norm < 1.
+    Where a d - q overflows, the root is taken of the pair scaled exactly by
+    (2^-e, 2^-e, 4^-e); an entry past the double range raises DomainError.
     """
     n = y.n
     if n < 2:
@@ -334,6 +341,13 @@ def b_matrices(y: CPoint) -> list[np.ndarray]:
         a = y.y(j) / c
         d = y.y(n - j) / c
         k = cmath.sqrt(a * d - y.q)
+        if not cmath.isfinite(k):
+            e, (sa, sd, _, _) = _scaled(a, d, cmath.sqrt(y.q), 0j)
+            f = math.ldexp(1.0, -e)
+            k = cmath.sqrt(sa * sd - y.q * f * f)
+            k = complex(_unscale(k.real, e), _unscale(k.imag, e))
+            if not cmath.isfinite(k):
+                raise DomainError(f"the off-diagonal of B_{j} is past the double range")
         out.append(np.array([[a, k], [k, d]], dtype=complex))
     return out
 
@@ -621,11 +635,14 @@ def _polyval(coeffs: list[complex], z: complex) -> complex:
 @np.errstate(all="ignore")
 def costara_f(s: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Costara's rational function f_s at z, or elementwise over an array
-    of points."""
+    of points.  A value at one point that is not finite raises DomainError."""
     num, den = _costara_coeffs(s)
     d = _polyval(den, z)
     _check_poles(d, z, "f_s")
-    return _polyval(num, z) / d
+    val = _polyval(num, z) / d
+    if np.ndim(z) == 0 and not cmath.isfinite(val):  # the grid oracles test a whole array
+        raise DomainError(f"f_s is not finite at z={complex(z)}")
+    return val
 
 
 @np.errstate(all="ignore")

@@ -246,13 +246,17 @@ def _check_poles(den, z, what: str, *fields) -> None:
 @np.errstate(all="ignore")
 def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Phi_j(z, y) at a point z, or elementwise over an array of points; the
-    constant branch y_j / binom when the product degenerates."""
+    constant branch y_j / binom when the product degenerates.  A value at
+    one point that is not finite raises DomainError."""
     c, yj, ynj, q = _parts(y, j)
     if degenerate_product(y, j):
         return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
     den = ynj * z - c
     _check_poles(den, z, "Phi_{}", j)
-    return (c * q * z - yj) / den
+    val = (c * q * z - yj) / den
+    if np.ndim(z) == 0 and not cmath.isfinite(val):  # the grid oracles test a whole array
+        raise DomainError(f"Phi_{j} is not finite at z={complex(z)}")
+    return val
 
 
 def d_norm(j: int, y: CPoint) -> float:

@@ -212,9 +212,15 @@ def check_condition(
 def xj_quantities(p: SchwarzProblem, j: int) -> tuple[float, float, float]:
     """(X_j, X_{n-j}, J) for a non-degenerate pair; X's are >= 2 exactly when
     the branch-selected sup-norm bound holds, J is the first norm constraint
-    on the off-diagonal scaling nu^2."""
-    y = p.target
-    return _xj_terms(binom(p.n, j), y.y(j), y.y(p.n - j), y.q, abs(p.lambda0))
+    on the off-diagonal scaling nu^2.  Values past the double range, as at
+    a |lambda0| whose square underflows, raise DomainError."""
+    y, al = p.target, abs(p.lambda0)
+    if al * al == 0.0:
+        raise DomainError("|lambda0|^2 underflows: X/J quantities leave the double range")
+    out = _xj_terms(binom(p.n, j), y.y(j), y.y(p.n - j), y.q, al)
+    if not all(map(math.isfinite, out)):
+        raise DomainError("X/J quantities leave the double range at this |lambda0|")
+    return out
 
 
 def _xj_terms(
@@ -287,7 +293,8 @@ def schur_certificates(
     symmetric matrix Z_j with w_j^2 = (y_j y_{n-j} - binom^2 q)/(binom^2
     lambda0) is tested: norm 1 within band means the problem is exactly
     extremal (feasible but flagged marginal; the strict construction
-    refuses it), norm < 1 delegates to the sign of K_{Z_j}(|lambda0|).
+    refuses it), norm < 1 delegates to the sign of K_{Z_j}(|lambda0|).  A
+    Z_j past the double range raises DomainError.
     """
     lam = p.lambda0
     al = abs(lam)
@@ -310,6 +317,8 @@ def schur_certificates(
                 K = k_rho(Z, al)
                 lam_min, alpha = feasibility_alpha(K)
                 feasible, marginal, slack = lam_min <= band, False, -lam_min
+        if not np.isfinite(Z).all():  # y / lambda0 past the double range at a tiny lambda0
+            raise DomainError(f"Z_{j} leaves the double range at this lambda0")
         out.append(SchurCertificate(
             j=j, branch=p.branch(j), Z=Z, w_j=w, K=K, alpha=alpha,
             feasible=feasible, marginal=marginal, slack=slack,

@@ -108,7 +108,15 @@ STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
      ("interpolate", "--extremal", "--point", WORKED_POINT, "--nu", "2"),
      ("interpolate", "--extremal", "--point", WORKED_POINT, "--t", "0.2"),
      ("interpolate", "--point", STRICT_POINT, "--lambda0=0.5,0", "--t", "0.2"),
-     ("interpolate", "--worked-family", "--extremal", "--point", WORKED_POINT)],
+     ("interpolate", "--worked-family", "--extremal", "--point", WORKED_POINT),
+     ("interpolate", "--worked-family", "--point", WORKED_POINT, "--band", "1e-3", "--seed", "9"),
+     # each membership set and witness kind rejects the options it does not read
+     ("membership", "--set", "g", "--point", GAP_POINT, "--cond", "bogus"),
+     ("membership", "--set", "gamma", "--point", GAP_POINT, "--cond", "C7"),
+     ("membership", "--set", "b-gamma", "--point", GAP_POINT, "--cond", "ALL"),
+     ("witness", "--kind", "separating", "--point", GAP_POINT, "--n", "7"),
+     ("witness", "--kind", "nonconvex", "--seed", "3", "--samples", "5"),
+     ("witness", "--kind", "noncircular", "--point", GAP_POINT)],
 )
 def test_option_misuse_exit_2(argv):
     code, out, err = run_cli(*argv)

@@ -328,15 +328,50 @@ def test_build_refuses_the_marginal_data_the_slice_builds(rng):
 
 def test_build_keeps_the_moebius_route_up_to_norm_one():
     # sup-norm 1.5e-7 under |lambda0| passes the strictness band, but
-    # ||Z_1|| is within the band of 1: the slice reads the pair as marginal
-    # and goes through Takagi, build_interpolant stays on the Moebius route
+    # ||Z_1|| is within the band of 1: the strict sup-norm keeps the slice
+    # core on the Moebius route, for build_interpolant and the slice alike
     y = CPoint((-0.64 + 0.204j, -0.394 + 0.501j, -0.094 - 0.729j))
     lam0 = d_norm(1, y) + 1.5e-7
     assert op_norm(z_nu(y, lam0, 1.0)) > 1.0 - 1e-7
     disc = build_interpolant(y, lam0)
     assert disc.kind == "matrix_mobius"
     assert max(abs(a - b) for a, b in zip(disc(lam0).coords, y.coords)) <= 1e-9
-    assert slice_interpolant(y, lam0).kind == "takagi"
+    assert disc.to_json() == slice_interpolant(y, lam0).to_json()
+
+
+def test_build_and_slice_agree_on_the_sliver():
+    # sup-norm 1e-7..1e-5 under |lambda0|: the sliver where ||Z_1|| can sit
+    # within the band of 1 although the data is strict; the route is read
+    # off the data, so both builders make one disc
+    rng = np.random.default_rng(20261019)
+    near_one = 0
+    for _ in range(300):
+        y, _ = strict_problem(rng)
+        ys = y if abs(y.y(2)) <= abs(y.y(1)) else y.swap()
+        lam0 = (d_norm(1, ys) + 10 ** (-7 + 2 * rng.random())) * np.exp(2j * np.pi * rng.random())
+        near_one += op_norm(z_nu(ys, lam0, 1.0)) >= 1.0 - 1e-7  # Takagi by ||Z_1|| alone
+        disc = build_interpolant(y, lam0)
+        assert disc.kind == "matrix_mobius"
+        assert disc.to_json() == slice_interpolant(y, lam0).to_json()
+    assert near_one > 0
+
+
+@pytest.mark.parametrize("y", [CPoint((0.6, 0.3, 0.02)), CPoint((0, 0, 0))])
+def test_build_refuses_nu_and_qlin_on_diagonal_data(y):
+    # y_1 y_2 = 9 q: the diagonal disc has neither nu nor Q to set
+    for kwargs in ({"nu": 7.0}, {"Qlin": 5 * np.eye(2)}, {"nu": 1.0, "Qlin": np.zeros((2, 2))}):
+        with pytest.raises(DomainError, match="diagonal disc"):
+            build_interpolant(y, 0.5, **kwargs)
+    assert build_interpolant(y, 0.5, nu=1.0).kind == "diagonal"
+
+
+def test_build_checks_the_range_on_every_route():
+    # 64 range samples draw 128 uniforms, degenerate and zero targets too
+    for y in (CPoint((0.6, 0.3, 0.02)), CPoint((0, 0, 0)), WORKED_SHRUNK):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        build_interpolant(y, WORKED_LAMBDA0, rng=rng)
+        ref.random(128)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_build_follows_the_public_recipe_at_any_nu(rng):

@@ -101,3 +101,23 @@ def test_pole_messages_are_formatted_only_when_raised():
                         eager.append(f"{path.name}:{node.lineno}")
     assert calls >= 5  # the pole sites are still found under this name
     assert eager == []
+
+
+def test_no_boolean_switch_parameters():
+    # a parameter defaulting to True or False is a switch its callers flip:
+    # decide from the data instead (dataclass fields are not parameters)
+    switches = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)  # None where no default
+            switches += [
+                f"{path.name}:{getattr(node, 'name', '<lambda>')}({a.arg})"
+                for a, d in pairs
+                if isinstance(d, ast.Constant) and isinstance(d.value, bool)
+            ]
+    assert switches == []

@@ -1,0 +1,143 @@
+"""Totality on the whole finite double range for the public names that no
+other property covers: each call gives finite output or a PolydiscError,
+under warnings as errors."""
+
+import dataclasses
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polydisc import (
+    CPoint,
+    DomainError,
+    PolydiscError,
+    SchwarzProblem,
+    b_matrices,
+    beta_recover,
+    blaschke,
+    carath_lower,
+    check_condition,
+    costara_f,
+    dist_formula,
+    gn_schwarz_bound,
+    in_b_gamma,
+    in_g,
+    in_gamma,
+    in_J_n,
+    lift,
+    mobius_dist,
+    np2,
+    phi,
+    schur_certificates,
+    starlike_scale,
+    supnorm_comparison,
+    symmetrize,
+    xj_quantities,
+)
+
+# half of the parts log-uniform in [1e-307, 1.7e308], either sign
+_WIDE = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([1.0, -1.0]),
+                  st.floats(-307.0, math.log10(1.7e308)))
+_PART = st.one_of(st.floats(-3.0, 3.0), _WIDE)
+_COMPLEX = st.builds(complex, _PART, _PART)
+
+
+def _finite(v) -> bool:
+    """Every number inside v (containers, arrays and dataclasses) is finite;
+    an object with a JSON form is read through it, which writes a +-inf
+    slack (its sign is the verdict) as +-1e308 and must hold no NaN."""
+    if hasattr(v, "to_json"):
+        try:
+            json.dumps(v.to_json(), allow_nan=False)
+        except ValueError:
+            return False
+        return True
+    if v is None or isinstance(v, (bool, int, str, np.bool_)):
+        return True
+    if isinstance(v, (float, complex, np.number)):
+        return bool(np.isfinite(v))
+    if isinstance(v, np.ndarray):
+        return bool(np.isfinite(v).all())
+    if isinstance(v, (list, tuple)):
+        return all(map(_finite, v))
+    if dataclasses.is_dataclass(v):
+        return all(_finite(getattr(v, f.name)) for f in dataclasses.fields(v))
+    raise TypeError(f"no finiteness rule for {type(v).__name__}")
+
+
+def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
+    """(name, call) for every covered name."""
+    yield "in_g", lambda: in_g(y)
+    yield "in_gamma", lambda: in_gamma(y)
+    yield "in_b_gamma", lambda: in_b_gamma(y)
+    yield "beta_recover", lambda: beta_recover(y)
+    yield "b_matrices", lambda: b_matrices(y)
+    yield "symmetrize", lambda: symmetrize(y.coords)
+    yield "phi", lambda: phi(j, y, z)
+    yield "costara_f", lambda: costara_f(y, z)
+    yield "blaschke", lambda: blaschke(z, w)
+    yield "np2", lambda: np2(z, w, y.y(1), y.q, r)
+    yield "mobius_dist", lambda: mobius_dist(z, w)
+    yield "in_J_n", lambda: in_J_n(y)
+    yield "supnorm_comparison", lambda: supnorm_comparison(y)
+    yield "starlike_scale", lambda: starlike_scale(y, r)
+    yield "carath_lower", lambda: carath_lower(y, grid=16)
+    yield "dist_formula", lambda: dist_formula(y)
+    yield "gn_schwarz_bound", lambda: gn_schwarz_bound(y, z, grid=16)
+    try:
+        p = SchwarzProblem(lambda0=z, target=y)
+    except PolydiscError:
+        return
+    for c in range(2, 12):
+        yield f"check_condition({c})", lambda c=c: check_condition(p, c)
+    yield "schur_certificates", lambda: schur_certificates(p)
+    yield "lift", lambda: lift(p)
+    yield "xj_quantities", lambda: xj_quantities(p, j)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(_COMPLEX, min_size=2, max_size=8), _COMPLEX, _COMPLEX,
+       st.integers(1, 7), st.floats(0.0, 0.999))
+@example([1e300, 1e300, 1e300], 1e10, 0.5, 1, 0.5)  # phi: nan
+@example([1e308, 1e200, 1e308], 1e100 + 1e100j, 0.5, 1, 0.5)  # phi: inf + nan j
+@example([1e200, 0.5, 0.2], 1e200, 0.5, 1, 0.5)  # costara_f: nan
+@example([0.5, 0.5, 0.2], 1e300 + 1e300j, 0.5, 1, 0.5)  # costara_f: nan
+@example([0.5, 0.5, 0.2], 1e308 + 1e308j, 0.5, 1, 0.5)  # blaschke: -inf j
+@example([1e200, 1e200, 0.5], 0.5, 0.5, 1, 0.5)  # b_matrices: a d overflows
+@example([1.54e308j, 0.5j], 0.5, 0.5, 1, 0.5)  # beta_recover: inf
+@example([0.3, 0.2, 0.1], 1e-200, 0.5, 1, 0.5)  # xj_quantities: |lambda0|^2 = 0
+@example([0.6, 0.3, 0.02], 1e-320, 0.5, 1, 0.5)  # schur_certificates: Z_1 = inf
+@example([0.6, 0.3, 0.02], 0.3 + 0.2j, 0.1, 1, 0.5)  # a degenerate problem
+@example([1.35, 0.675, 0.45], -0.8, 0.1, 1, 0.5)  # a strict problem
+def test_public_names_total_on_finite_doubles(coords, z, w, j, r):
+    y = CPoint(tuple(coords))
+    j = 1 + (j - 1) % (y.n - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in _calls(y, z, w, j, r):
+            try:
+                out = call()
+            except PolydiscError:
+                continue
+            assert _finite(out), (name, out)
+
+
+def test_blaschke_needs_lambda0_in_the_disc():
+    # B is unimodular on the circle only for |lambda0| < 1: at lambda0 = 2,
+    # B(0.3) would read 4.25
+    for lam0 in (2.0, 1.0, -1j, 1e308 + 1e308j):
+        with pytest.raises(DomainError, match="open unit disc"):
+            blaschke(lam0, 0.3)
+
+
+def test_b_matrices_off_diagonal_past_the_product_range():
+    # a d = 1.1e399 overflows, its root 3.33e199 does not
+    (B,) = b_matrices(CPoint((1e200, 1e200, 0.5)))
+    assert B[0, 1] == B[1, 0]
+    assert abs(B[0, 1] - 1e200 / 3.0) <= 1e-15 * 1e200
+    assert np.isfinite(B).all()
