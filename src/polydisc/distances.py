@@ -98,9 +98,8 @@ def lempert_upper(
     The extremal disc at lambda = max_j D_j(y) is constructed whenever the
     boundary machinery applies; if it does not (for instance |q| equal to
     the sup-norm), the sentinel +inf is returned with no disc, leaving the
-    closed form untouched."""
-    if not in_J_n(y):
-        raise DomainError("certified construction is only available on J_n")
+    closed form untouched.  A point off J_n raises extremal_disc's
+    DomainError."""
     try:
         lam0, disc = extremal_disc(y, band=band, rng=rng)
     except InfeasibleError:

@@ -39,8 +39,8 @@ from .errors import (
     MarginalProblemError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
-from .mobius import CPoint, _cabs, _check_poles, binom, d_norm, degenerate_product
-from .schwarz import SchwarzProblem, _pi_coords, _xj_terms, _z_nu_general, feasibility_alpha, k_rho
+from .mobius import CPoint, _cabs, _check_poles, _degenerate, _pair_terms, binom, d_norm, degenerate_product
+from .schwarz import SchwarzProblem, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
 __all__ = [
     "ScalarSchur",
@@ -90,7 +90,12 @@ def _blaschke(lambda0: complex, lam: complex) -> complex:
     # blaschke on a Python complex lambda0 and an already checked lam
     den = 1.0 - lambda0.conjugate() * lam
     _check_poles(den, lam, "the Blaschke factor")
-    return (lambda0 - lam) / den
+    val = (lambda0 - lam) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:  # a huge lam: divide through by it
+        den = 1.0 / lam - lambda0.conjugate()
+        _check_poles(den, lam, "the Blaschke factor")
+        val = (lambda0 / lam - 1.0) / den
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +107,24 @@ def _zero_at(a: complex, lam: complex) -> complex:
     # e_a(l) = (l - a) / (1 - conj(a) l): the disc automorphism vanishing at a
     den = 1.0 - a.conjugate() * lam
     _check_poles(den, lam, "the Blaschke factor at {}", a)
-    return (lam - a) / den
+    val = (lam - a) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:  # a huge lam: divide through by it
+        den = 1.0 / lam - a.conjugate()
+        _check_poles(den, lam, "the Blaschke factor at {}", a)
+        val = (1.0 - a / lam) / den
+    return val
 
 
 def _disc_auto(w: complex, s: complex, lam: complex) -> complex:
     # mu_w(s) = (w + s) / (1 + conj(w) s): disc automorphism sending 0 to w
     den = 1.0 + w.conjugate() * s
     _check_poles(den, lam, "a Schur step")
-    return (w + s) / den
+    val = (w + s) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and s:  # a huge s: divide through by it
+        den = 1.0 / s + w.conjugate()
+        _check_poles(den, lam, "a Schur step")
+        val = (w / s + 1.0) / den
+    return val
 
 
 @dataclass(frozen=True)
@@ -123,8 +138,9 @@ class ScalarSchur:
     mu_{wa}(e_a(l) * mu_{c1}(e_b(l) * t)) with e_x the zero-at-x Blaschke
     factor; parameters are stored, not the closed rational form.
 
-    Called on one lambda it returns a complex; `_at` is that call on a
-    lambda already checked to be a finite Python complex.
+    Called on one lambda it returns a complex, and a value that is not
+    finite raises DomainError; `_at` is that call, unchecked, on a lambda
+    already checked to be a finite Python complex.
     """
 
     kind: str
@@ -137,7 +153,10 @@ class ScalarSchur:
     t: complex = 0j
 
     def __call__(self, lam: complex) -> complex:
-        return self._at(_one_lambda(lam))
+        val = self._at(_one_lambda(lam))
+        if not cmath.isfinite(val):
+            raise DomainError(f"the Schur function is not finite at lambda={lam}")
+        return val
 
     def _at(self, lam: complex) -> complex:
         if self.kind == "blaschke":
@@ -597,19 +616,19 @@ def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscF
     point of the slice J_n: only the pair (y_1, y_{n-1}) is interpolated and
     the proportionality relations land every other coordinate automatically.
 
-    Degenerate pair (y_1 y_{n-1} = binom^2 q): the diagonal disc.  Strict
-    pair subproblem, ||Z_nu|| < 1 - band or the branch sup-norm D_1 under
-    |lam0| - band: matricial Moebius route, k_rho refusing ||Z_nu|| >= 1.
-    Otherwise exactly marginal (||Z|| = 1, the extremal case): Takagi
-    diagonalization with the top singular direction frozen and a scalar
-    two-point closure.
+    Degenerate pair (y_1 y_{n-1} = binom^2 q): the diagonal disc.  Otherwise
+    the route of the pair's Schur certificate (`schwarz._pair_route`) at
+    Z_nu: strict, the matricial Moebius route; marginal (||Z|| = 1, the
+    extremal case), Takagi diagonalization with the top singular direction
+    frozen and a scalar two-point closure.
     """
     n = y.n
     swap = abs(y.y(1)) < abs(y.y(n - 1))
     ys = y.swap() if swap else y
     y1, yn1, q = ys.y(1), ys.y(n - 1), ys.q
     c = float(binom(n, 1))
-    if degenerate_product(ys, 1):
+    row = tuple(map(float, _pair_terms(c, y1, yn1, q)))
+    if _degenerate(c, row[5], row[2]):
         if max(abs(y1), abs(yn1)) / c >= abs(lam0) + band:
             raise InfeasibleError("degenerate data exceeds the Schwarz bound")
         f = ScalarSchur(kind="blaschke", const=y1 / (c * lam0), zeros=(0j,))
@@ -619,21 +638,19 @@ def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscF
         raise InfeasibleError(
             "doubly marginal data: |q| = |lambda0| leaves no Schur slack"
         )
-    Z = _z_nu_general(c, y1, yn1, q, lam0, nu)
-    zn = op_norm(Z)
-    if zn < 1.0 - band or d_norm(1, ys) < abs(lam0) - band:
-        K = k_rho(Z, abs(lam0))
-        lam_min, alpha = feasibility_alpha(K)
-        if lam_min > band:
+    route, Z, _, _, alpha, feasible, _, _ = _pair_route(c, y1, yn1, q, lam0, nu, band, row)
+    if route == "strict":
+        if not feasible:
             raise InfeasibleError("feasibility matrix is positive definite")
         Q0 = default_q(Z, alpha, lam0)
         return DiscFunction(
             kind="matrix_mobius", n=n, swap=swap, lambda0=complex(lam0), Z=Z, Q0=Q0
         )
-    if zn > 1.0 + band:
+    if route == "infeasible":
         raise InfeasibleError("pair norm exceeds 1: no disc exists at this lambda0")
     U, s = takagi(Z)
-    if np.abs(U @ np.diag(s) @ U.T - Z).max() > 1e-9:
+    usu = _mul(_mul(_entries(U), (float(s[0]), 0j, 0j, float(s[1]))), _entries(U.T))
+    if max(abs(a - b) for a, b in zip(usu, _entries(Z))) > 1e-9:
         raise ConstructionError("Takagi factorization failed")
     d1 = complex(min(s[0], 1.0))
     t0 = _takagi_g0(U, d1)
@@ -653,7 +670,10 @@ def slice_interpolant(
     at a caller-chosen lambda0 with |lambda0| at or above max_j D_j(y) (on
     the slice the Schwarz conditions are sufficient, so such a disc exists).
     Unlike build_interpolant this works at every dimension and also accepts
-    the exactly-marginal |lambda0| = max D_j case."""
+    the exactly-marginal |lambda0| = max D_j case.  A point off the slice
+    (or outside tilde-G_n) raises DomainError before anything is built."""
+    if not in_J_n(y):
+        raise DomainError("the slice construction needs a point of the slice J_n in tilde-G_n")
     lam0 = complex(lambda0)
     rng = rng if rng is not None else np.random.default_rng(0)
     if not 0.0 < abs(lam0) < 1.0:

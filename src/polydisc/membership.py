@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import _scaled, _unscale
+from .clinalg import _scaled, _svals, _svals_sq, _unscale, mat2
 from .errors import DomainError
 from .mobius import (
     CPoint,
@@ -40,7 +40,6 @@ from .mobius import (
     _check_poles,
     _degenerate,
     _pair_terms,
-    _root,
     _sup_formula,
     binom,
     circle,
@@ -195,15 +194,17 @@ def _tilde_slacks(y: CPoint, closed: bool, band: float) -> dict[str, float]:
             c3, c3p = min(c3, c - b), min(c3p, c - a)
             if closed:
                 c4, c4p = min(c4, c - a), min(c4p, c - b)
-        # ||B_j||^2 = (T + sqrt(T^2 - 4 |det|^2)) / 2, det B_j = q (b_matrices)
-        T = (a * a + b * b + 2 * k) / (c * c)
+        # ||B_j|| off clinalg's Gram kernel; the scaled _svals, at about twice
+        # the cost, only where a square overflows
+        bj = _b_entries(coords, j)
+        s2 = _svals_sq(*bj)[0]
         rows.append((
             c3, c3p, c4, c4p,
             min(_s8(c, 1, a, b, aq, x), c - b),
             min(_s8(c, 1, b, a, aq, z), c - a),
             _s9(c, 1, a, b, aq, k),
             c7,
-            1 - _root((T + _root(T * T - 4 * aq * aq)) / 2),
+            1 - (math.sqrt(s2) if s2 < math.inf else _svals(*bj)[0]),
         ))
     out = dict(zip(_ROW_CONDS, map(float, map(min, zip(*rows)))))
     out["C6"] = min(out["C6"], 1.0 - abs_q)  # |q| < 1 (<= 1 closed)
@@ -329,27 +330,28 @@ def b_matrices(y: CPoint) -> list[np.ndarray]:
     """The symmetric matrices of condition (9): diag (y_j/C, y_{n-j}/C),
     off-diagonal any square root of y_j y_{n-j}/C^2 - q (principal branch);
     all have determinant q, and membership is equivalent to every norm < 1.
-    Where a d - q overflows, the root is taken of the pair scaled exactly by
-    (2^-e, 2^-e, 4^-e); an entry past the double range raises DomainError.
     """
-    n = y.n
-    if n < 2:
+    if y.n < 2:
         raise DomainError("needs n >= 2")
-    out = []
-    for j in range(1, n // 2 + 1):
-        c = float(binom(n, j))
-        a = y.y(j) / c
-        d = y.y(n - j) / c
-        k = cmath.sqrt(a * d - y.q)
+    return [mat2(*_b_entries(y.coords, j)) for j in range(1, y.n // 2 + 1)]
+
+
+def _b_entries(coords: tuple[complex, ...], j: int) -> tuple[complex, complex, complex, complex]:
+    """The entry tuple of b_matrices' B_j.  Where a d - q overflows, the root
+    is taken of the pair scaled exactly by (2^-e, 2^-e, 4^-e); an entry past
+    the double range raises DomainError."""
+    n, q = len(coords), coords[-1]
+    c = float(math.comb(n, j))
+    a, d = coords[j - 1] / c, coords[n - 1 - j] / c
+    k = cmath.sqrt(a * d - q)
+    if not cmath.isfinite(k):
+        e, (sa, sd, _, _) = _scaled(a, d, cmath.sqrt(q), 0j)
+        f = math.ldexp(1.0, -e)
+        k = cmath.sqrt(sa * sd - q * f * f)
+        k = complex(_unscale(k.real, e), _unscale(k.imag, e))
         if not cmath.isfinite(k):
-            e, (sa, sd, _, _) = _scaled(a, d, cmath.sqrt(y.q), 0j)
-            f = math.ldexp(1.0, -e)
-            k = cmath.sqrt(sa * sd - y.q * f * f)
-            k = complex(_unscale(k.real, e), _unscale(k.imag, e))
-            if not cmath.isfinite(k):
-                raise DomainError(f"the off-diagonal of B_{j} is past the double range")
-        out.append(np.array([[a, k], [k, d]], dtype=complex))
-    return out
+            raise DomainError(f"the off-diagonal of B_{j} is past the double range")
+    return a, k, k, d
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,6 @@ def _pair_terms(c, yj, ynj, q, al=1) -> tuple:
         return _pair_terms(c, _exact(yj), _exact(ynj), _exact(q), Decimal(al))
 
 
-def _root(x):
-    """sqrt(max(x, 0)) of a double or a Decimal, in its own type."""
-    if not x > 0:
-        return 0 * x
-    return x.sqrt() if isinstance(x, Decimal) else math.sqrt(x)
-
-
 def _degenerate(c, k, aq) -> bool:
     """y_j y_{n-j} = c^2 q within the scale-aware tolerance, from the row's
     k = |y_j y_{n-j} - c^2 q| and aq = |q|."""

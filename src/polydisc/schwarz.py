@@ -283,46 +283,44 @@ def feasibility_alpha(K: np.ndarray) -> tuple[float, np.ndarray]:
     return eig.lam_min, eig.v_min.conj()
 
 
+def _pair_route(c, yj, ynj, q: complex, lam: complex, nu: float, band: float, row) -> tuple:
+    """Condition (5) on one index pair, read larger coordinate first, at Z_nu:
+    (route, Z_nu, [Z_nu]_21, K, alpha, feasible, marginal, slack) from the
+    pair's row of doubles.  The route is "degenerate" (y_j y_{n-j} = c^2 q:
+    the diagonal pair, feasible iff both coordinates fit under |lambda0|),
+    "strict" (||Z_nu|| < 1 - band or the branch sup-norm D < |lambda0| -
+    band: feasible iff K_{Z_nu}(|lambda0|) has lambda_min <= band), else
+    "marginal" (||Z_nu|| <= 1 + band: exactly extremal) or "infeasible",
+    both with slack |lambda0| - D."""
+    a, b, aq, _, z, k = row
+    al = abs(lam)
+    if _degenerate(c, k, aq):
+        top = max(a, b) / c
+        Z = np.array([[yj / (c * lam), 0.0], [0.0, ynj / c]])
+        return ("degenerate", Z, 0.0, None, None, top <= al + band, abs(top - al) < band, al - top)
+    Z = _z_nu_general(c, yj, ynj, q, lam, nu)
+    w = complex(Z[1, 0])
+    zn, D = op_norm(Z), _sup_formula(c, a, b, z, k, False)
+    if zn < 1.0 - band or D < al - band:
+        K = k_rho(Z, al)
+        lam_min, alpha = feasibility_alpha(K)
+        return ("strict", Z, w, K, alpha, lam_min <= band, False, -lam_min)
+    marginal = zn <= 1.0 + band
+    return ("marginal" if marginal else "infeasible", Z, w, None, None, marginal, marginal, al - D)
+
+
 def schur_certificates(
     p: SchwarzProblem, band: float = BOUNDARY_BAND
 ) -> list[SchurCertificate]:
-    """Condition (5) made constructive, one certificate per index pair.
-
-    Degenerate product: the diagonal pair of classical Schwarz problems;
-    feasible iff both coordinates fit under |lambda0|.  Otherwise the
-    symmetric matrix Z_j with w_j^2 = (y_j y_{n-j} - binom^2 q)/(binom^2
-    lambda0) is tested: norm 1 within band means the problem is exactly
-    extremal (feasible but flagged marginal; the strict construction
-    refuses it), norm < 1 delegates to the sign of K_{Z_j}(|lambda0|).  A
-    Z_j past the double range raises DomainError.
-    """
-    lam = p.lambda0
-    al = abs(lam)
+    """Condition (5) made constructive: per index pair, `_pair_route` at
+    nu = 1, the route the slice construction takes.  A Z_j past the double
+    range raises DomainError."""
     out = []
-    for j, c, yj, ynj, (a, b, aq, _, z, k) in _branch_rows(p):
-        K = alpha = None
-        if _degenerate(c, k, aq):
-            w, top = 0.0, max(a, b) / c
-            Z = np.array([[yj / (c * lam), 0.0], [0.0, ynj / c]])
-            feasible, marginal, slack = top <= al + band, abs(top - al) < band, al - top
-        else:
-            Z = _z_nu_general(c, yj, ynj, p.target.q, lam, 1.0)
-            w = complex(Z[1, 0])  # w_j / 1.0, which is w_j exactly
-            zn = op_norm(Z)
-            if zn >= 1.0 - band:
-                # the branch's sup-norm D, read off the same row
-                feasible = marginal = zn <= 1.0 + band
-                slack = al - _sup_formula(c, a, b, z, k, False)
-            else:
-                K = k_rho(Z, al)
-                lam_min, alpha = feasibility_alpha(K)
-                feasible, marginal, slack = lam_min <= band, False, -lam_min
+    for j, c, yj, ynj, row in _branch_rows(p):
+        _, Z, *fields = _pair_route(c, yj, ynj, p.target.q, p.lambda0, 1.0, band, row)
         if not np.isfinite(Z).all():  # y / lambda0 past the double range at a tiny lambda0
             raise DomainError(f"Z_{j} leaves the double range at this lambda0")
-        out.append(SchurCertificate(
-            j=j, branch=p.branch(j), Z=Z, w_j=w, K=K, alpha=alpha,
-            feasible=feasible, marginal=marginal, slack=slack,
-        ))
+        out.append(SchurCertificate(j, p.branch(j), Z, *fields))
     return out
 
 

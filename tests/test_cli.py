@@ -507,6 +507,13 @@ _FUZZ_VALUES = {  # (valid, invalid) values of every option, sizes capped
 _FUZZ_FLAGS = ["--assert", "--worked-family", "--extremal", "--bogus"]
 
 
+def test_extremal_off_the_slice_exits_2_naming_the_slice():
+    point = '{"n":4,"coords":[[1.0,0.2],[0.9,0],[0.3,0.1],[0.05,0]]}'
+    code, out, err = _main(["interpolate", "--point", point, "--extremal"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "slice J_n" in err
+
+
 def test_cli_exit_contract_fuzz():
     # any argument vector over the eight subcommands exits 0, 1 or 2, and
     # nothing but argparse's own exit leaves main; options are mostly the
@@ -529,22 +536,27 @@ def test_cli_exit_contract_fuzz():
         opts = st.lists(st.one_of(option(own), option(own), option(own), option(anything)), max_size=6)
         return opts.map(lambda o: [command] + [a for pair in o for a in pair])
 
-    codes = []
+    codes, plain_witness = [], []
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)).flatmap(argv))
     @example(["membership", f"--point={GAP_POINT}", "--set=g", "--assert"])
     def check(args):
-        if args[0] in ("oracle", "regress", "witness") and not any(
+        # the default, 10000, is too slow here; witness reads --samples only
+        # for --kind=separating, and its other kinds refuse it
+        if (args[0] in ("oracle", "regress") or "--kind=separating" in args) and not any(
                 a.startswith("--samples=") for a in args):
-            args.append("--samples=40")  # the default, 10000, is too slow here
+            args.append("--samples=40")
         code, _, err = _main(args)
         assert code in (0, 1, 2), (args, code)
         assert "Traceback" not in err
         if code == 2:
             assert "error:" in err, args
         codes.append(code)
+        if args[0] == "witness" and "--kind=separating" not in args:
+            plain_witness.append(code)
 
     check()
     assert set(codes) == {0, 1, 2}
+    assert 0 in plain_witness  # a nonconvex or noncircular witness ran to the end

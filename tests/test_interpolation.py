@@ -13,6 +13,7 @@ from polydisc.errors import (
     DomainError,
     InfeasibleError,
     MarginalProblemError,
+    PoleError,
 )
 from polydisc.interpolation import (
     DiscFunction,
@@ -63,6 +64,24 @@ def test_blaschke_values():
     for k in range(32):
         z = cmath.exp(2j * math.pi * k / 32)
         assert abs(blaschke(WORKED_LAMBDA0, z)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_moebius_factors_at_a_huge_lambda():
+    # the direct denominator 1 - conj(a) lambda, or CPython's quotient by it,
+    # overflows; dividing through by lambda gives the limit 1 / conj(a)
+    lam = 1.7e308 + 1.7e308j
+    limit = 1.0 / (0.7 - 0.7j)
+    assert abs(blaschke(0.7 + 0.7j, lam) - limit) <= 1e-15
+    assert abs(ScalarSchur(kind="blaschke", zeros=(0.7 + 0.7j,))(lam) + limit) <= 1e-15
+    assert abs(np2(0, 0.3, -0.8, 0.625, t=0.5)(lam) - 10.0 / 3.0) <= 1e-14
+    # a value past the double range is refused, not returned
+    with pytest.raises(DomainError, match="not finite"):
+        ScalarSchur(kind="blaschke", const=1e308, zeros=(0j, 0j))(1e300)
+    # |a lambda| is 1 up to an ulp: the direct quotient overflows and the
+    # divided-through denominator vanishes, which is the pole of e_a
+    lam = 1.9 * 2.0**1000
+    with pytest.raises(PoleError):
+        ScalarSchur(kind="blaschke", zeros=(1.0 / lam,))(lam)
 
 
 def test_np2_zero_data(rng):
@@ -511,7 +530,8 @@ def test_extremal_disc_even_dimensions(rng):
 
 def test_extremal_disc_is_the_slice_interpolant_at_the_sup_norm(rng):
     # extremal_disc(y) is slice_interpolant(y, max_j D_j(y)) bit for bit, and
-    # where no disc passes its checks both fail with the same error
+    # where no disc can be built both fail with the same error: a point
+    # nudged off the slice is refused up front, before anything is built
     from polydisc.errors import ConstructionError
     from polydisc.interpolation import slice_interpolant
     from polydisc.sampling import j_point
@@ -532,7 +552,7 @@ def test_extremal_disc_is_the_slice_interpolant_at_the_sup_norm(rng):
         seed = int(rng.integers(1 << 30))
         try:
             ref = slice_interpolant(y, top, rng=np.random.default_rng(seed))
-        except (ConstructionError, InfeasibleError) as exc:
+        except (ConstructionError, InfeasibleError, DomainError) as exc:
             with pytest.raises(type(exc)) as info:
                 extremal_disc(y, rng=np.random.default_rng(seed))
             assert str(info.value) == str(exc)
@@ -543,7 +563,7 @@ def test_extremal_disc_is_the_slice_interpolant_at_the_sup_norm(rng):
         assert json.dumps(disc.to_json()) == json.dumps(ref.to_json())
         assert disc.values(lams + [lam0]).tobytes() == ref.values(lams + [lam0]).tobytes()
         kinds.add(disc.kind)
-    assert {"takagi", "diagonal"} <= kinds and ConstructionError in failed
+    assert {"takagi", "diagonal"} <= kinds and DomainError in failed
     with pytest.raises(DomainError, match=r"not strictly inside \(sup-norm >= 1\)"):
         extremal_disc(WORKED_POINT.scale(2.0))
     for n in (2, 3, 6):
@@ -581,6 +601,21 @@ def test_slice_interpolant_strict_lambda(rng):
         assert max(abs(c) for c in disc(0.0).coords) <= 1e-9
         assert max(abs(a - b) for a, b in zip(disc(lam0).coords, y.coords)) <= 1e-9
         done += 1
+
+
+def test_slice_builders_refuse_a_point_off_the_slice():
+    # the point the CLI's --extremal once failed on late, with the disc
+    # missing its target by 0.237
+    from polydisc.distances import lempert_upper
+    from polydisc.interpolation import slice_interpolant
+    from polydisc.schwarz import in_J_n
+
+    y = CPoint((1.0 + 0.2j, 0.9, 0.3 + 0.1j, 0.05))
+    assert in_tilde_g(y).verdict and not in_J_n(y)
+    for build in (lambda: slice_interpolant(y, 0.9), lambda: extremal_disc(y),
+                  lambda: lempert_upper(y)):
+        with pytest.raises(DomainError, match="slice J_n"):
+            build()
 
 
 def test_slice_interpolant_rejects_low_lambda(rng):

@@ -154,9 +154,39 @@ def test_b_matrices_det_and_norm(rng):
             det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
             assert abs(det - y.q) <= 1e-12 * (1 + abs(y.q))
             assert op_norm(B) < 1.0
-        # C9 reads the closed-form norm off the pair's moduli
+        # C9 reads each ||B_j|| off clinalg's Gram kernel, as op_norm does
         c9 = in_tilde_g(y, cond="C9").condition("C9").slack
         assert abs(c9 - (1.0 - max(op_norm(B) for B in mats))) <= 1e-12
+
+
+def _c9_exact(y: CPoint) -> float:
+    """1 - max_j ||B_j||, B_j built and its singular values taken in 200-bit
+    mpmath from the double coordinates of y."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        n, q = y.n, mpmath.mpc(y.q)
+        top = 0
+        for j in range(1, n // 2 + 1):
+            c = mpmath.binomial(n, j)
+            a, d = mpmath.mpc(y.y(j)) / c, mpmath.mpc(y.y(n - j)) / c
+            k = mpmath.sqrt(a * d - q)  # either root: the norm is the same
+            top = max(top, max(mpmath.svd_c(mpmath.matrix([[a, k], [k, d]]), compute_uv=False)))
+        return float(1 - top)
+
+
+def test_c9_matches_a_high_precision_svd():
+    # on the distinguished boundary both singular values of B_j are 1, where
+    # the discriminant T^2 - 4|q|^2 cancels; the Gram kernel keeps every digit
+    rng = np.random.default_rng(5)
+    for i in range(280):
+        n = 2 + i % 7
+        if i % 2:
+            y = symmetrize(np.exp(2j * np.pi * rng.random(n)))
+        else:
+            y = tilde_g_point(n, rng)
+        c9 = in_tilde_g(y, cond="C9").condition("C9").slack
+        assert abs(c9 - _c9_exact(y)) <= 1e-14, (i, y)
 
 
 # --- G_n / Gamma_n / b Gamma_n ---------------------------------------------

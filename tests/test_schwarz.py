@@ -220,6 +220,29 @@ def test_certificates_worked_marginal():
     _assert_plain_fields(cert)
 
 
+def test_certificate_route_is_the_slice_builders_on_the_sliver():
+    # sliver data: the sup-norm D_1 just under |lambda0|, so ||Z_1|| can sit
+    # within the band of 1 although the problem is strict; S5 and the slice
+    # construction read one route, so S5 is marginal exactly when the slice
+    # builder makes a Takagi disc
+    from polydisc.interpolation import slice_interpolant
+
+    rng = np.random.default_rng(11)
+    near_one = 0
+    for _ in range(300):
+        y = tilde_g_point(3, rng)
+        top = max(d_norm(1, y), d_norm(2, y))
+        gap = 10 ** rng.uniform(-7, -5)
+        if not top + gap < 1.0:
+            continue
+        lam0 = (top + gap) * cmath.exp(2j * cmath.pi * rng.random())
+        (cert,) = schur_certificates(SchwarzProblem(lambda0=lam0, target=y))
+        disc = slice_interpolant(y, lam0)
+        assert cert.marginal == (disc.kind == "takagi"), (y, lam0)
+        near_one += op_norm(cert.Z) >= 1.0 - 1e-7  # where ||Z_1|| alone says marginal
+    assert near_one >= 5
+
+
 def test_certificates_shrunk_worked_strict():
     p = SchwarzProblem(lambda0=WORKED_LAMBDA0, target=WORKED_POINT.scale(0.9))
     (cert,) = schur_certificates(p)

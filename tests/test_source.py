@@ -121,3 +121,31 @@ def test_no_boolean_switch_parameters():
                 if isinstance(d, ast.Constant) and isinstance(d.value, bool)
             ]
     assert switches == []
+
+
+def test_no_blas_products_on_construction_paths():
+    # the 2x2 algebra runs on clinalg's entry tuples: a numpy matrix product
+    # (@) or an np.linalg call would bring BLAS/LAPACK back, and a BLAS call
+    # can slow the process's later float code; identity_regressions keeps
+    # its numpy determinants as the independent side of its regressions
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "identity_regressions"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            linalg = isinstance(node, ast.Attribute) and node.attr == "linalg"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                mod = getattr(node, "module", None)
+                dotted = [f"{mod}.{a.name}" if mod else a.name for a in node.names]
+                linalg = any(d.startswith("numpy.linalg") for d in dotted)
+            if matmul or linalg:
+                found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
