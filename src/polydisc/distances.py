@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import BOUNDARY_BAND, in_tilde_g
-from .mobius import CPoint, circle, d_norm, phi
+from .mobius import CPoint, _cabs, circle, d_norm, phi
 from .schwarz import in_J_n
 
 __all__ = [
@@ -57,7 +57,7 @@ class DistanceResult:
 def mobius_dist(z: complex, w: complex) -> float:
     """Pseudo-hyperbolic distance |z - w| / |1 - conj(w) z| on the disc."""
     z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if _cabs(z) >= 1.0 or _cabs(w) >= 1.0:
         raise DomainError("both points must lie in the open unit disc")
     return abs(z - w) / abs(1.0 - w.conjugate() * z)
 

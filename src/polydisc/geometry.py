@@ -7,7 +7,7 @@ witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,24 +84,24 @@ def _find_witness(y: CPoint) -> tuple[int, complex, float]:
     """An index j and interior z with |Phi_j(z, y)| > 1 (guaranteed to exist
     for a non-boundary exterior point with all coordinate bounds holding).
 
-    Radii are swept inward-out so the witness sits at the smallest radius
-    that already exceeds 1 + 1e-6 (small |z| keeps the truncation degree of
-    the separating polynomial low); among the 1024 angles at that radius the
-    largest value is taken, the first (j, angle) on ties.
+    Radii are swept inward-out, one ring of 1024 angles at a time, and the
+    sweep stops at the first radius whose largest value exceeds 1 + 1e-6
+    (small |z| keeps the truncation degree of the separating polynomial
+    low); that largest value is the witness, the first (j, angle) on ties.
     """
-    radii = np.array([0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999])
-    z = radii[:, None] * circle(1024)
-    # |Phi_j| indexed (radius, j, angle); the coordinate bounds hold, so
-    # |y_{n-j} z| < binom and Phi_j has no pole on these points
-    vals = np.stack(
-        [np.abs(phi(j, y, z)) for j in range(1, y.n // 2 + 1)], axis=1
-    )
-    for zr, vr in zip(z, vals):
+    vr = np.empty((y.n // 2, 1024))  # |Phi_j| on one ring, indexed (j - 1, angle)
+    peaks = []
+    for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        zr = r * circle(1024)
+        # the coordinate bounds hold: |y_{n-j} z| < binom, so Phi_j has no pole here
+        for j in range(1, y.n // 2 + 1):
+            np.abs(phi(j, y, zr), out=vr[j - 1])
         i, k = np.unravel_index(np.argmax(vr), vr.shape)
         if vr[i, k] > 1.0 + 1e-6:
             return int(i) + 1, complex(zr[k]), float(vr[i, k])
+        peaks.append(vr[i, k])
     raise ConstructionError(
-        f"no interior witness |Phi_j| > 1 found (best {vals.max():.6g}); "
+        f"no interior witness |Phi_j| > 1 found (best {np.max(peaks):.6g}); "
         "the point may be too close to the boundary"
     )
 
@@ -123,8 +123,7 @@ def separating_polynomial(
     forward-generated interior points.
     """
     n = y.n
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = rng if rng is not None else np.random.default_rng(0)
     if in_tilde_gamma(y, cond="C7").verdict:
         raise DomainError("point is inside the closure; nothing to separate")
     table: dict[tuple[int, ...], complex] | None = None
@@ -145,25 +144,23 @@ def separating_polynomial(
         j, z, val = _find_witness(y)
         c = float(binom(n, j))
         eps = (val - 1.0) / 6.0
-        k = 0
-        while 2.0 * abs(z) ** (k + 1) / (1.0 - abs(z)) >= eps:
+        r, k = abs(z), 0
+        while 2.0 * r ** (k + 1) / (1.0 - r) >= eps:
             k += 1
             if k > 20000:
                 raise ConstructionError("witness margin too thin to truncate")
         table = {}
         scale = 1.0 / (1.0 + eps)
         zi = 1.0 + 0j  # (z / binom)^i, accumulated to avoid overflow
+        # keys x_j x_{n-j}^i and x_n x_{n-j}^i (x_{n-j} is x_j at the middle
+        # index) never coincide; 0.0 + and 0.0 - turn a -0.0 part into 0.0
+        e1, e2 = [0] * n, [0] * n
+        e1[j - 1] = e2[n - 1] = 1
         for i in range(k + 1):
-            expo = [0] * n
-            expo[n - j - 1] = i
-            e1 = list(expo)
-            e1[j - 1] += 1
-            key = tuple(e1)
-            table[key] = table.get(key, 0.0) + scale * zi / c
-            e2 = list(expo)
-            e2[n - 1] += 1
-            key = tuple(e2)
-            table[key] = table.get(key, 0.0) - scale * zi * z
+            e1[n - j - 1] = i + (2 * j == n)
+            e2[n - j - 1] = i
+            table[tuple(e1)] = 0.0 + scale * zi / c
+            table[tuple(e2)] = 0.0 - scale * zi * z
             zi *= z / c
 
         def evaluator(x, j=j, z=z, k=k, c=c, scale=scale) -> np.ndarray:
@@ -178,23 +175,14 @@ def separating_polynomial(
             )
             return scale * (x[j - 1] / c - x[n - 1] * z) * series
 
-    poly = SeparatingPoly(
-        n=n, coeff_table=table, sup_bound=0.0, value_at_target=0.0, _eval=evaluator
-    )
+    poly = SeparatingPoly(n, table, sup_bound=0.0, value_at_target=0.0, eps=eps, _eval=evaluator)
     target_val = abs(poly(y))
     sup = float(np.abs(poly.values(tilde_g_points(n, rng, samples))).max(initial=0.0))
     if target_val <= 1.0 + eps:
         raise ConstructionError(
             f"certificate failed: |f(y)| = {target_val:.6g} <= 1 + eps"
         )
-    return SeparatingPoly(
-        n=n,
-        coeff_table=table,
-        sup_bound=sup,
-        value_at_target=target_val,
-        eps=eps,
-        _eval=evaluator,
-    )
+    return replace(poly, sup_bound=sup, value_at_target=target_val)
 
 
 def starlike_scale(y: CPoint, r: float, band: float = BOUNDARY_BAND) -> MembershipReport:

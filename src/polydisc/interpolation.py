@@ -40,7 +40,7 @@ from .errors import (
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
 from .mobius import CPoint, _cabs, _check_poles, _degenerate, _pair_terms, binom, d_norm, degenerate_product
-from .schwarz import SchwarzProblem, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
+from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
 __all__ = [
     "ScalarSchur",
@@ -60,6 +60,10 @@ __all__ = [
     "WORKED_FAMILY_LAMBDA0",
 ]
 
+# build_interpolant keeps nu^2 this far (relative) inside the nu window: nearer
+# an edge the entries of K_{Z_nu} lose eps / (1 - ||Z_nu||)^2 to cancellation
+# and its lambda_min, near 0 there, comes out wrong (seen 1.6e-6 from an edge)
+_NU_EDGE_MARGIN = 1e-5
 WORKED_FAMILY_TARGET = CPoint((1.5 + 0j, 0.75 + 0j, 0.5 + 0j))
 WORKED_FAMILY_LAMBDA0 = -0.8 + 0j
 _WF_G_AT_0 = 0.3 + 0j
@@ -203,17 +207,17 @@ def np2(a: complex, wa: complex, b: complex, wb: complex, t: complex = 0j) -> Sc
     parameter |t| <= 1 (distinct t give distinct g when the data is strictly
     solvable, i.e. pseudo-hyperbolic d(wa, wb) < d(a, b))."""
     a, wa, b, wb, t = (complex(v) for v in (a, wa, b, wb, t))
-    if abs(a) >= 1 or abs(b) >= 1 or a == b:
+    if _cabs(a) >= 1 or _cabs(b) >= 1 or a == b:
         raise DomainError("nodes must be distinct points of the open disc")
-    if abs(wa) >= 1 or abs(wb) >= 1:
+    if _cabs(wa) >= 1 or _cabs(wb) >= 1:
         raise DomainError("values must lie in the open disc")
-    if abs(t) > 1:
+    if _cabs(t) > 1:
         raise DomainError("|t| must be at most 1")
     eab = (b - a) / (1.0 - a.conjugate() * b)
     c1 = (wb - wa) / (1.0 - wa.conjugate() * wb) / eab
-    if abs(c1) > 1.0 + 1e-9:
+    if _cabs(c1) > 1.0 + 1e-9:
         raise InfeasibleError(
-            f"two-point data unsolvable: pseudo-hyperbolic ratio {abs(c1):.12g} > 1"
+            f"two-point data unsolvable: pseudo-hyperbolic ratio {_cabs(c1):.12g} > 1"
         )
     if abs(c1) > 1.0:
         # exactly-marginal data lands here through roundoff (chained extremal
@@ -243,8 +247,7 @@ def _window_from_x2(x2: float) -> tuple[float, float]:
 def _check_n3_ordered(y0: CPoint, lambda0: complex, band: float) -> None:
     if y0.n != 3:
         raise DomainError("this operation is stated for n = 3")
-    if not 0.0 < _cabs(complex(lambda0)) < 1.0:
-        raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
+    _check_lambda0(lambda0)
     if abs(y0.y(2)) > abs(y0.y(1)):
         raise DomainError("requires |y_2| <= |y_1|; swap the point first")
     if degenerate_product(y0, 1):
@@ -520,7 +523,7 @@ def build_interpolant(
     strict data (branch-selected sup-norm strictly under |lambda0|): the
     n = 3 front end of the slice construction, run at Z_nu.
 
-    nu must lie in the window of nu_window (nu = 1 always does); alpha is
+    nu^2 must lie in the window of nu_window, _NU_EDGE_MARGIN inside (nu = 1 does); alpha is
     the conjugated bottom eigenvector of K_{Z_nu}(|lambda0|) and Q(0) the
     canonical constant Q0 of default_q.  A nonzero Qlin perturbs Q to
     Q0 + lambda Qlin: both endpoints are blind to it (the Blaschke factor
@@ -547,11 +550,12 @@ def build_interpolant(
     else:
         theta1, theta2 = nu_window(ys, lam0, band=band)
         if not theta1 < nu * nu < theta2:
-            raise DomainError(
-                f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})"
-            )
+            raise DomainError(f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})")
         if not nu > 0:
             raise DomainError("nu must be positive")
+        if not theta1 * (1.0 + _NU_EDGE_MARGIN) < nu * nu < theta2 * (1.0 - _NU_EDGE_MARGIN):
+            raise MarginalProblemError(f"nu^2 = {nu * nu:.6g} is within a relative "
+                                       f"{_NU_EDGE_MARGIN:g} of a window edge ({theta1:.6g}, {theta2:.6g})")
     disc = _slice_core(y0, lam0, band, nu)
     if disc.Q0 is not None:
         qnorm = op_norm(disc.Q0)
@@ -674,13 +678,11 @@ def slice_interpolant(
     (or outside tilde-G_n) raises DomainError before anything is built."""
     if not in_J_n(y):
         raise DomainError("the slice construction needs a point of the slice J_n in tilde-G_n")
-    lam0 = complex(lambda0)
+    lam0 = _check_lambda0(lambda0)
     rng = rng if rng is not None else np.random.default_rng(0)
-    if not 0.0 < abs(lam0) < 1.0:
-        raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
     top = max(d_norm(j, y) for j in range(1, y.n))
-    if abs(lam0) < top - band:
-        raise InfeasibleError("|lambda0| is below the sup-norm bound")
+    if abs(lam0) < top:  # no disc through y: refused here, not by a late miss
+        raise InfeasibleError(f"|lambda0| = {abs(lam0):.17g} is below the sup-norm bound max_j D_j = {top:.17g}")
     disc = _slice_core(y, lam0, band)
     _verify_endpoints(disc, lam0, y, 1e-9)
     _verify_range(disc, 32, rng, band)

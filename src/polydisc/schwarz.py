@@ -39,7 +39,7 @@ from .membership import (
     in_tilde_g,
     in_tilde_gamma,
 )
-from .mobius import CPoint, _degenerate, _pair_terms, _sup_formula, binom, d_norm
+from .mobius import CPoint, _cabs, _degenerate, _pair_terms, _sup_formula, binom, d_norm
 
 __all__ = [
     "SchwarzProblem",
@@ -60,16 +60,21 @@ __all__ = [
 SCHWARZ_CONDITIONS = tuple(range(2, 12))
 
 
+def _check_lambda0(lambda0: complex) -> complex:
+    """complex(lambda0), refused unless 0 < |lambda0| < 1 (an overflowing modulus included)."""
+    lam = complex(lambda0)
+    if not 0.0 < _cabs(lam) < 1.0:
+        raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
+    return lam
+
+
 @dataclass(frozen=True)
 class SchwarzProblem:
     lambda0: complex
     target: CPoint
 
     def __post_init__(self):
-        lam = complex(self.lambda0)
-        object.__setattr__(self, "lambda0", lam)
-        if not 0.0 < abs(lam) < 1.0:
-            raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
+        object.__setattr__(self, "lambda0", _check_lambda0(self.lambda0))
         if self.target.n < 2:
             raise DomainError("target must have dimension n >= 2")
         if not in_tilde_g(self.target, cond="C7").verdict:
@@ -398,9 +403,7 @@ def gn_schwarz_bound(
 ) -> ConditionMargin:
     """Necessary Schwarz bound for the symmetrized polydisc: the sup of
     Costara's function over the closed disc must not exceed |lambda0|."""
-    lam = complex(lambda0)
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
+    lam = _check_lambda0(lambda0)
     slack = abs(lam) - costara_sup(s0, grid)
     return ConditionMargin("costara-sup", slack >= -band, slack, abs(slack) < band)
 

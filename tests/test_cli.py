@@ -108,6 +108,9 @@ STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
      ("interpolate", "--extremal", "--point", WORKED_POINT, "--nu", "2"),
      ("interpolate", "--extremal", "--point", WORKED_POINT, "--t", "0.2"),
      ("interpolate", "--point", STRICT_POINT, "--lambda0=0.5,0", "--t", "0.2"),
+     # a lambda0 whose modulus overflows a double is out of range, not a crash
+     ("schwarz", "--point", STRICT_POINT, "--lambda0=1.7e308,1.7e308"),
+     ("interpolate", "--point", STRICT_POINT, "--lambda0=1.7e308,1.7e308"),
      ("interpolate", "--worked-family", "--extremal", "--point", WORKED_POINT),
      ("interpolate", "--worked-family", "--point", WORKED_POINT, "--band", "1e-3", "--seed", "9"),
      # each membership set and witness kind rejects the options it does not read

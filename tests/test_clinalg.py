@@ -385,8 +385,10 @@ def _matrices(draw):
     else:
         M = np.array(z).reshape(2, 2)
         if kind == "hermitian":
-            # Hermitian up to a skew part far inside herm_eig's 1e-12 tolerance
-            M = (M + M.conj().T) / 2 + 1e-15 * (M - M.conj().T)
+            # Hermitian up to a skew part far inside herm_eig's 1e-12 tolerance,
+            # which is relative to the Hermitian part (zero parts give zero)
+            H = (M + M.conj().T) / 2
+            M = H + 1e-15 * np.abs(H).max() * (M - M.conj().T)
     return kind, M * 2.0 ** draw(st.integers(-20, 20))
 
 

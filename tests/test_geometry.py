@@ -1,11 +1,13 @@
 import cmath
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from polydisc import geometry
-from polydisc.errors import DomainError, PoleError
+from polydisc.errors import ConstructionError, DomainError, PoleError, PolydiscError
 from polydisc.geometry import (
     noncircular_witness,
     nonconvex_witness,
@@ -13,7 +15,7 @@ from polydisc.geometry import (
     starlike_scale,
 )
 from polydisc.membership import in_tilde_gamma
-from polydisc.mobius import CPoint, binom, phi
+from polydisc.mobius import CPoint, binom, circle, phi
 from polydisc.sampling import (
     exterior_point,
     tilde_g_point,
@@ -131,6 +133,69 @@ def test_witness_search_propagates_errors(monkeypatch):
     monkeypatch.setattr(geometry, "phi", broken)
     with pytest.raises(PoleError):
         separating_polynomial(CPoint((3j, 3j, 1j)), samples=10)
+
+
+def test_witness_search_stops_at_the_first_witness_radius(monkeypatch):
+    # one ring of 1024 angles per (j, radius), up to the radius of the
+    # witness and no further
+    radii = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999)
+    points = []
+
+    def counting(j, y, z):
+        points.append(np.size(z))
+        return phi(j, y, z)
+
+    monkeypatch.setattr(geometry, "phi", counting)
+    rng = np.random.default_rng(5)
+    seen = set()
+    while len(seen) < 4:
+        n = int(rng.integers(2, 7))
+        y = exterior_point(n, rng)
+        if any(abs(y.y(j)) > binom(n, j) for j in range(1, n)) or abs(y.q) > 1.0:
+            continue  # coordinate case: no witness search
+        points.clear()
+        _, z, _ = geometry._find_witness(y)
+        ring = radii.index(round(abs(z), 4)) + 1
+        assert points == [1024] * (n // 2 * ring)
+        seen.add(ring)
+
+
+def test_no_witness_reports_the_best_value_over_all_radii():
+    # |Phi_1| over the disc peaks at D_1 = 1 + 1e-9, under the witness
+    # threshold 1 + 1e-6 on every ring
+    y = tilde_gamma_boundary_point(3, np.random.default_rng(2)).scale(1.0 + 1e-9)
+    best = max(np.abs(phi(1, y, r * circle(1024))).max()
+               for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999))
+    with pytest.raises(ConstructionError, match=rf"\(best {best:.6g}\)"):
+        geometry._find_witness(y)
+
+
+def _certificate_digest() -> str:
+    """sha256 over seeded separating certificates: 300 exterior points at
+    n = 2..8, each at samples 1 and 200, hashing the JSON and the value at
+    the target (a PolydiscError as type and message)."""
+    rng = np.random.default_rng(1616)
+    h = hashlib.sha256()
+    for i in range(300):
+        y = exterior_point(2 + i % 7, rng)
+        for samples in (1, 200):
+            try:
+                poly = separating_polynomial(y, samples=samples, rng=np.random.default_rng(i))
+            except PolydiscError as exc:
+                h.update(repr((type(exc).__name__, str(exc))).encode())
+                continue
+            h.update(json.dumps(poly.to_json()).encode())
+            h.update(np.asarray(poly(y), dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of _certificate_digest() at the commit before the witness search went
+# one radius at a time; any change to a certificate, its value or an error moves it
+CERTIFICATE_DIGEST = "0002e5bbfa504ca3ab3050b4e2600a8f0b20cee7e476a8d5594c7d59b8c4e9fa"
+
+
+def test_certificates_match_the_one_shot_search():
+    assert _certificate_digest() == CERTIFICATE_DIGEST
 
 
 def test_separating_rejects_interior():

@@ -411,7 +411,10 @@ def test_build_follows_the_public_recipe_at_any_nu(rng):
 
 def test_build_positive_definite_k_is_infeasible():
     # nu^2 inside the window by 4e-11 of theta_2: ||Z_nu|| = 1 - 1e-11 and
-    # K_{Z_nu}(|lambda0|) comes out positive definite, as in the slice core
+    # K_{Z_nu}(|lambda0|) comes out positive definite in the slice core;
+    # build_interpolant refuses such a nu before it gets there
+    from polydisc.interpolation import _slice_core
+
     y = CPoint((0.49751398682139486 + 0.48066347491025285j,
                 0.05126631750401338 + 0.186397014109094j,
                 -0.13118280273440475 + 0.22970884599779473j))
@@ -420,7 +423,30 @@ def test_build_positive_definite_k_is_infeasible():
     t1, t2 = nu_window(y, lam0)
     assert t1 < nu * nu < t2
     with pytest.raises(InfeasibleError, match="positive definite"):
+        _slice_core(y, lam0, 1e-7, nu)
+    with pytest.raises(MarginalProblemError, match="within a relative 1e-05 of a window edge"):
         build_interpolant(y, lam0, nu=nu)
+
+
+def test_build_near_a_window_edge_builds_or_refuses_as_marginal():
+    # every nu^2 inside the open window is feasible; within a relative
+    # 1e-12..1e-3 of an edge the build either succeeds or refuses the nu as
+    # marginal, and never fails on rounding inside the construction
+    rng = np.random.default_rng(7)
+    built = refused = 0
+    for _ in range(300):
+        y, lam0 = strict_problem(rng)
+        ys = y if abs(y.y(2)) <= abs(y.y(1)) else y.swap()
+        t1, t2 = nu_window(ys, lam0)
+        rel = 10.0 ** rng.uniform(-12.0, -3.0)
+        nu2 = t1 * (1.0 + rel) if rng.random() < 0.5 else t2 * (1.0 - rel)
+        try:
+            build_interpolant(y, lam0, nu=math.sqrt(nu2))
+            built += 1
+        except MarginalProblemError:
+            assert rel < 1.001e-5
+            refused += 1
+    assert built >= 50 and refused >= 100
 
 # --- the worked family -------------------------------------------------------
 
@@ -629,6 +655,36 @@ def test_slice_interpolant_rejects_low_lambda(rng):
             break
     with pytest.raises(InfeasibleError):
         slice_interpolant(y, top / 2.0)
+
+
+def test_slice_refuses_lambda0_below_the_sup_norm():
+    # |lambda0| a gap of 1e-10..1e-7 under max_j D_j: no disc through y
+    # exists there, and the refusal names the bound instead of a target miss
+    from polydisc.sampling import j_point
+
+    rng = np.random.default_rng(3)
+    for i in range(600):
+        n = 2 + i % 6
+        y = j_point(n, rng)
+        top = max(d_norm(j, y) for j in range(1, n))
+        gap = 10.0 ** rng.uniform(-10.0, -7.0)
+        with pytest.raises(InfeasibleError, match="below the sup-norm bound max_j D_j"):
+            slice_interpolant(y, top - gap)
+
+
+def test_lambda0_past_the_modulus_range_is_a_domain_error():
+    # |1.7e308 + 1.7e308 i| overflows a double: refused, not an OverflowError
+    from polydisc.schwarz import gn_schwarz_bound
+
+    y = CPoint((0.3, 0.2, 0.1))
+    lam0 = 1.7e308 + 1.7e308j
+    for call in (lambda: SchwarzProblem(lambda0=lam0, target=y),
+                 lambda: gn_schwarz_bound(y, lam0),
+                 lambda: slice_interpolant(y, lam0),
+                 lambda: build_interpolant(y, lam0),
+                 lambda: nu_window(y, lam0)):
+        with pytest.raises(DomainError, match=r"0 < \|lambda0\| < 1"):
+            call()
 
 
 def test_necessity_along_constructed_discs(rng):

@@ -114,6 +114,7 @@ def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
 @example([0.6, 0.3, 0.02], 1e-320, 0.5, 1, 0.5)  # schur_certificates: Z_1 = inf
 @example([0.6, 0.3, 0.02], 0.3 + 0.2j, 0.1, 1, 0.5)  # a degenerate problem
 @example([1.35, 0.675, 0.45], -0.8, 0.1, 1, 0.5)  # a strict problem
+@example([0.3, 0.2, 0.1], 1.7e308 + 1.7e308j, 0.5, 1, 0.5)  # |lambda0| overflows
 def test_public_names_total_on_finite_doubles(coords, z, w, j, r):
     y = CPoint(tuple(coords))
     j = 1 + (j - 1) % (y.n - 1)
