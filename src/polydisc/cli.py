@@ -197,7 +197,7 @@ def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> tuple[int, in
         m = min(_BATCH, count - start)
         if kind == "open":
             s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=0.95))
-            ok = membership.in_g_batch(s, band)
+            ok = membership.in_g_batch(s)
         elif kind == "closed":
             s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=1.0))
             ok = membership.in_gamma_batch(s, band)
@@ -260,7 +260,7 @@ def _cmd_plot_slice(args) -> int:
         y = np.tile(np.array(point.coords), (len(block) * res, 1))
         y.real[:, 0] = np.repeat(block, res)
         y.imag[:, 0] = np.tile(im_vals, len(block))
-        tg, gg = membership._tilde_g_and_g_batch(y, args.band)
+        tg, gg = membership._tilde_g_and_g_batch(y)
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
         for re, row in zip(map(repr, block), codes):
             lines.extend([re + cell[k] for cell, k in zip(cells, row)])
@@ -268,12 +268,12 @@ def _cmd_plot_slice(args) -> int:
     return 0
 
 
-def _tally(margin_lists, band: float) -> dict:
-    """Equivalence counts: a list of margins with a slack within the band is
-    skipped as boundary; any other disagrees unless all its verdicts agree."""
+def _tally(margin_lists) -> dict:
+    """Equivalence counts: a list of margins with a boundary slack is skipped;
+    any other disagrees unless all its verdicts agree."""
     out = {"checked": 0, "skipped_boundary": 0, "disagreements": 0}
     for margins in margin_lists:
-        if any(abs(m.slack) <= band for m in margins):
+        if any(m.boundary for m in margins):
             out["skipped_boundary"] += 1
             continue
         out["checked"] += 1
@@ -316,8 +316,8 @@ def _cmd_regress(args) -> int:
                 yield [schwarz.check_condition(problem, c, band=band)
                        for c in (3, 4, 6, 7, 8, 9, 10, 11)]
 
-    eq = _tally(membership_margins(), band)
-    sz = _tally(schwarz_margins(), band)
+    eq = _tally(membership_margins())
+    sz = _tally(schwarz_margins())
     payload = {
         "identities": rep,
         "membership_equivalence": eq,
@@ -406,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1)
 
     s = _subcommand(subs, "plot-slice", _cmd_plot_slice, "CSV membership raster over y_1",
-                    "point", "output", "band")
+                    "point", "output")
     s.add_argument("--resolution", type=int, default=101)
     s.add_argument("--re-min", type=float, default=None)
     s.add_argument("--re-max", type=float, default=None)

@@ -104,7 +104,7 @@ def lempert_upper(
         lam0, disc = extremal_disc(y, band=band, rng=rng)
     except InfeasibleError:
         return math.inf, None
-    return math.atanh(lam0) if lam0 < 1.0 else math.inf, disc
+    return math.atanh(lam0), disc
 
 
 def distance_report(

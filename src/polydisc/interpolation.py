@@ -87,48 +87,27 @@ def blaschke(lambda0: complex, lam: complex) -> complex:
     lambda0 = _one_lambda(lambda0)
     if not _cabs(lambda0) < 1.0:
         raise DomainError("lambda0 must lie in the open unit disc")
-    return _blaschke(lambda0, _one_lambda(lam))
+    lam = _one_lambda(lam)
+    return _mobius(lambda0, -lam, lam, "the Blaschke factor")
 
 
-def _blaschke(lambda0: complex, lam: complex) -> complex:
-    # blaschke on a Python complex lambda0 and an already checked lam
-    den = 1.0 - lambda0.conjugate() * lam
-    _check_poles(den, lam, "the Blaschke factor")
-    val = (lambda0 - lam) / den
-    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:  # a huge lam: divide through by it
-        den = 1.0 / lam - lambda0.conjugate()
-        _check_poles(den, lam, "the Blaschke factor")
-        val = (lambda0 / lam - 1.0) / den
+def _mobius(w: complex, s: complex, lam: complex, what: str, field=None) -> complex:
+    # mu_w(s) = (w + s) / (1 + conj(w) s), the disc automorphism sending 0 to
+    # w; a pole raises PoleError at lam, named what.format(field).  The
+    # Blaschke factor at lambda0 is mu_{lambda0}(-l), the zero at a mu_{-a}(l)
+    den = 1.0 + w.conjugate() * s
+    _check_poles(den, lam, what, field)
+    val = (w + s) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and s:  # a huge s: divide through by it
+        den = 1.0 / s + w.conjugate()
+        _check_poles(den, lam, what, field)
+        val = (w / s + 1.0) / den
     return val
 
 
 # ---------------------------------------------------------------------------
 # scalar Schur functions
 # ---------------------------------------------------------------------------
-
-
-def _zero_at(a: complex, lam: complex) -> complex:
-    # e_a(l) = (l - a) / (1 - conj(a) l): the disc automorphism vanishing at a
-    den = 1.0 - a.conjugate() * lam
-    _check_poles(den, lam, "the Blaschke factor at {}", a)
-    val = (lam - a) / den
-    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:  # a huge lam: divide through by it
-        den = 1.0 / lam - a.conjugate()
-        _check_poles(den, lam, "the Blaschke factor at {}", a)
-        val = (1.0 - a / lam) / den
-    return val
-
-
-def _disc_auto(w: complex, s: complex, lam: complex) -> complex:
-    # mu_w(s) = (w + s) / (1 + conj(w) s): disc automorphism sending 0 to w
-    den = 1.0 + w.conjugate() * s
-    _check_poles(den, lam, "a Schur step")
-    val = (w + s) / den
-    if not (cmath.isfinite(den) and cmath.isfinite(val)) and s:  # a huge s: divide through by it
-        den = 1.0 / s + w.conjugate()
-        _check_poles(den, lam, "a Schur step")
-        val = (w / s + 1.0) / den
-    return val
 
 
 @dataclass(frozen=True)
@@ -166,11 +145,13 @@ class ScalarSchur:
         if self.kind == "blaschke":
             acc = self.const
             for z in self.zeros:
-                acc = acc * _zero_at(z, lam)
+                acc = acc * _mobius(-z, lam, lam, "the Blaschke factor at {}", z)
             return acc
         if self.kind == "np2":
-            h = _disc_auto(self.c1, _zero_at(self.b, lam) * self.t, lam)
-            return _disc_auto(self.wa, _zero_at(self.a, lam) * h, lam)
+            e_b = _mobius(-self.b, lam, lam, "the Blaschke factor at {}", self.b)
+            h = _mobius(self.c1, e_b * self.t, lam, "a Schur step")
+            e_a = _mobius(-self.a, lam, lam, "the Blaschke factor at {}", self.a)
+            return _mobius(self.wa, e_a * h, lam, "a Schur step")
         raise DomainError(f"unknown ScalarSchur kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -414,7 +395,7 @@ class DiscFunction:
             if qlin is not None:
                 q = [a + lam * b for a, b in zip(q, qlin)]
             q11, q12, q21, q22 = q
-            b = _blaschke(lam0, lam)
+            b = _mobius(lam0, -lam, lam, "the Blaschke factor")
             x = (b * q11, b * q12, b * q21, b * q22)
             f11, f12, f21, f22 = _mobius_entries(z, left, right, x)
         else:  # takagi, worked_family
@@ -501,7 +482,7 @@ def _verify_range(disc: DiscFunction, samples: int, rng, band: float) -> None:
     r, t = rng.random(2 * samples).reshape(samples, 2).T
     lam = np.sqrt(r) * 0.999 * np.exp(2j * math.pi * t)
     tol = max(band, 1e-9)
-    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), True, tol) >= -tol))
+    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), tol) >= -tol))
     if bad.size:
         raise ConstructionError(f"disc leaves the closure at lambda={complex(lam[bad[0]])}")
 

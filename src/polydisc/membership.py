@@ -171,14 +171,15 @@ def _c7(c, yj: complex, ynj: complex, q: complex, aq: float, unit_q: bool) -> fl
 _ROW_CONDS = ("C3", "C3p", "C4", "C4p", "C5", "C5p", "C6", "C7", "C9")
 
 
-def _tilde_slacks(y: CPoint, closed: bool, band: float) -> dict[str, float]:
-    """Every condition's slack, the minimum over j = 1..floor(n/2) of one
+def _tilde_slacks(y: CPoint, band: float | None = None) -> dict[str, float]:
+    """Every condition's slack (band None: the open set's; a float: the
+    closed set's within band), the minimum over j = 1..floor(n/2) of one
     row per pair (plus the global clauses); C7, `_tilde_slack7`'s, stays on
     doubles where the row turns decimal."""
     coords = y.coords
     n, q = len(coords), coords[-1]
     abs_q = _cabs(q)
-    unit_q = closed and abs(abs_q - 1.0) <= band
+    unit_q = band is not None and abs(abs_q - 1.0) <= band
     rows = []
     for j in range(1, n // 2 + 1):
         c = math.comb(n, j)
@@ -192,7 +193,7 @@ def _tilde_slacks(y: CPoint, closed: bool, band: float) -> dict[str, float]:
         c4p = (c * c - a * a) - (c * x + k)
         if degen:
             c3, c3p = min(c3, c - b), min(c3p, c - a)
-            if closed:
+            if band is not None:
                 c4, c4p = min(c4, c - a), min(c4p, c - b)
         # ||B_j|| off clinalg's Gram kernel; the scaled _svals, at about twice
         # the cost, only where a square overflows
@@ -209,7 +210,7 @@ def _tilde_slacks(y: CPoint, closed: bool, band: float) -> dict[str, float]:
     out = dict(zip(_ROW_CONDS, map(float, map(min, zip(*rows)))))
     out["C6"] = min(out["C6"], 1.0 - abs_q)  # |q| < 1 (<= 1 closed)
     out["C2"], out["C8"] = out["C7"], out["C9"]
-    if closed:
+    if band is not None:
         cs = [math.comb(n, j) for j in range(1, n // 2 + 1)]
         out["C10"] = _closed_beta_slack(coords, band, cs, [1] * len(cs))
     return out
@@ -270,10 +271,11 @@ def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipRepor
         wanted = (cond,)
     else:
         raise DomainError(f"condition {cond!r} not available for this set")
+    set_band = band if closed else None  # the slacks of an open set read no band
     if cond in ("C2", "C7"):  # the verdict's own slack needs no table
-        slacks = dict.fromkeys(("C2", "C7"), _tilde_slack7(y.coords, closed, band))
+        slacks = dict.fromkeys(("C2", "C7"), _tilde_slack7(y.coords, set_band))
     else:
-        slacks = _tilde_slacks(y, closed, band)
+        slacks = _tilde_slacks(y, set_band)
     (auth,) = _margins(slacks, ("C7",), closed, band)
     return MembershipReport(
         point=y,
@@ -301,14 +303,14 @@ def in_tilde_gamma(y: CPoint, cond: str = "ALL", band: float = BOUNDARY_BAND) ->
 # the one C7 slack, behind the C2/C7 reports and the G_n/Gamma_n descents
 
 
-def _tilde_slack7(coords: tuple[complex, ...], closed: bool, band: float) -> float:
+def _tilde_slack7(coords: tuple[complex, ...], band: float | None = None) -> float:
     """The C7 slack: min over j of binom(n, j) (1 - |q|^2) minus
-    |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q|; closed, at |q| = 1
-    within band, also binom(n, j) - |y_j|."""
+    |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q|; closed (a band
+    given), at |q| = 1 within band, also binom(n, j) - |y_j|."""
     n = len(coords)
     q = coords[-1]
     aq = _cabs(q)
-    unit_q = closed and abs(aq - 1.0) <= band
+    unit_q = band is not None and abs(aq - 1.0) <= band
     slack = math.inf
     for j in range(1, n // 2 + 1):
         slack = min(slack, _c7(math.comb(n, j), coords[j - 1], coords[n - 1 - j], q, aq, unit_q))
@@ -375,8 +377,8 @@ def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
     """The recursive beta-descent of in_g (open) or in_gamma (closed); the
     reported margin is level 0's C7 slack."""
     trace: list[CPoint] = []
-    cur = s.coords
-    auth = slack = _tilde_slack7(cur, closed, band) if s.n > 1 else 1.0 - _cabs(cur[0])
+    cur, set_band = s.coords, band if closed else None
+    auth = slack = _tilde_slack7(cur, set_band) if s.n > 1 else 1.0 - _cabs(cur[0])
     verdict: bool | None = None
     while len(cur) > 1:
         ap = _cabs(cur[-1])
@@ -388,7 +390,7 @@ def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
             break
         cur = _beta_coords(cur)
         trace.append(CPoint(cur))
-        slack = _tilde_slack7(cur, closed, band)
+        slack = _tilde_slack7(cur, set_band)
     if verdict is None:
         verdict = _cabs(cur[0]) <= 1.0 + band if closed else _cabs(cur[0]) < 1.0
     return MembershipReport(
@@ -510,24 +512,26 @@ def _level(re: np.ndarray, im: np.ndarray, aq: np.ndarray, unit=None):
 
 
 @np.errstate(all="ignore")
-def _tilde_slack7_batch(y: np.ndarray, closed: bool, band: float) -> np.ndarray:
-    """_tilde_slack7 on every row of y."""
+def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
+    """_tilde_slack7(y, band), the closed C7 slack, on every row of y."""
     re, im = _planes(y)
     aq = np.hypot(re[-1], im[-1])
-    return _level(re, im, aq, (np.abs(aq - 1.0) <= band) if closed else None)[0]
+    return _level(re, im, aq, np.abs(aq - 1.0) <= band)[0]
 
 
-def in_tilde_g_batch(y: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+@np.errstate(all="ignore")
+def in_tilde_g_batch(y: np.ndarray) -> np.ndarray:
     """in_tilde_g(y).verdict for every row of the (m, n) array y."""
     if y.shape[1] < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
-    return _tilde_slack7_batch(y, closed=False, band=band) > 0.0
+    re, im = _planes(y)
+    return _level(re, im, np.hypot(re[-1], im[-1]))[0] > 0.0
 
 
-def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float):
-    """(verdict, level0): the in_g (open) or in_gamma (closed) verdict of
-    every point of the planes, and the level-0 verdict C7 slack > 0, which
-    is in_tilde_g_batch's (None when no level runs)."""
+def _descent(re: np.ndarray, im: np.ndarray, band: float | None = None):
+    """(verdict, level0): the in_g (band None) or in_gamma (closed, within
+    band) verdict of every point of the planes, and the level-0 verdict C7
+    slack > 0, which is in_tilde_g_batch's (None when no level runs)."""
     idx = np.arange(re.shape[1])
     verdict = np.zeros(idx.size, dtype=bool)
     level0 = None
@@ -537,7 +541,7 @@ def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float):
         slack, dr, di, w = _level(re, im, aq)
         if level0 is None:
             level0 = slack > 0.0
-        if closed:
+        if band is not None:
             keep = ~(aq > 1.0 + band)
             unit = keep & (np.abs(aq - 1.0) <= band)
             if unit.any():
@@ -549,7 +553,7 @@ def _descent(re: np.ndarray, im: np.ndarray, closed: bool, band: float):
             idx, dr, di, w = idx[keep], dr[:, keep], di[:, keep], w[keep]
         re, im = dr / w, di / w
     a = np.hypot(re[0], im[0])
-    verdict[idx] = (a <= 1.0 + band) if closed else (a < 1.0)
+    verdict[idx] = (a <= 1.0 + band) if band is not None else (a < 1.0)
     return verdict, level0
 
 
@@ -562,30 +566,30 @@ def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
     ok &= ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
     factor = np.array([[(n - j) / n] for j in range(1, n)])
     verdict = np.zeros(ok.size, dtype=bool)
-    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], True, band)[0]
+    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], band)[0]
     return verdict
 
 
 @np.errstate(all="ignore")
-def in_g_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
+def in_g_batch(s: np.ndarray) -> np.ndarray:
     """in_g(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), False, band)[0]
+    return _descent(*_planes(s))[0]
 
 
 @np.errstate(all="ignore")
-def _tilde_g_and_g_batch(y: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+def _tilde_g_and_g_batch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(in_tilde_g_batch(y), in_g_batch(y)) from one descent, whose first
     level computes the slack in_tilde_g_batch reads."""
     if y.shape[1] < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
-    verdict, level0 = _descent(*_planes(y), False, band)
+    verdict, level0 = _descent(*_planes(y))
     return level0, verdict
 
 
 @np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), True, band)[0]
+    return _descent(*_planes(s), band)[0]
 
 
 @np.errstate(all="ignore")

@@ -408,12 +408,12 @@ def gn_schwarz_bound(
     return ConditionMargin("costara-sup", slack >= -band, slack, abs(slack) < band)
 
 
-def supnorm_comparison(y: CPoint, band: float = BOUNDARY_BAND) -> tuple[float, float]:
+def supnorm_comparison(y: CPoint) -> tuple[float, float]:
     """For (y_1, y_2, q) in tilde-G_3 with |y_2| <= |y_1|, the ordered pair
     (D_2(y), D_1(y)); the first never exceeds the second."""
     if y.n != 3:
         raise DomainError("supnorm_comparison is a statement about n = 3")
-    if not in_tilde_g(y, cond="C7", band=band).verdict:
+    if not in_tilde_g(y, cond="C7").verdict:
         raise DomainError("point is not in tilde-G_3")
     if abs(y.y(2)) > abs(y.y(1)):
         raise DomainError("requires |y_2| <= |y_1|")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -77,7 +78,7 @@ SUBCOMMAND_OPTIONS = {
     "distance": {"point", "output", "grid", "band", "seed"},
     "witness": {"point", "output", "seed", "samples", "kind", "n"},
     "oracle": {"output", "band", "seed", "samples", "assert_", "dims", "jobs"},
-    "plot-slice": {"point", "output", "band", "resolution", "re_min", "re_max",
+    "plot-slice": {"point", "output", "resolution", "re_min", "re_max",
                    "im_min", "im_max"},
     "regress": {"output", "band", "seed", "samples", "assert_"},
 }
@@ -119,7 +120,9 @@ STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
      ("membership", "--set", "b-gamma", "--point", GAP_POINT, "--cond", "ALL"),
      ("witness", "--kind", "separating", "--point", GAP_POINT, "--n", "7"),
      ("witness", "--kind", "nonconvex", "--seed", "3", "--samples", "5"),
-     ("witness", "--kind", "noncircular", "--point", GAP_POINT)],
+     ("witness", "--kind", "noncircular", "--point", GAP_POINT),
+     # an open-set raster reads no band
+     ("plot-slice", "--point", WORKED_POINT, "--band", "1e-5")],
 )
 def test_option_misuse_exit_2(argv):
     code, out, err = run_cli(*argv)
@@ -381,13 +384,15 @@ def test_oracle_band_reaches_predicates(monkeypatch, capsys):
             return fn(s, band)
         return wrapped
 
-    for name in ("in_g_batch", "in_gamma_batch", "in_b_gamma_batch"):
+    # the open stratum's in_g_batch reads no band: only the closed sets take one
+    assert "band" not in inspect.signature(membership.in_g_batch).parameters
+    for name in ("in_gamma_batch", "in_b_gamma_batch"):
         monkeypatch.setattr(membership, name, spy(getattr(membership, name)))
     assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", "--band", "1e-3"]) == 0
-    assert len(bands) >= 6 and set(bands) == {1e-3}  # the descents recurse
+    assert len(bands) >= 4 and set(bands) == {1e-3}  # a call per closed shard
     bands.clear()
     assert cli.main(["oracle", "--dims", "2,3", "--samples", "60"]) == 0
-    assert len(bands) >= 6 and set(bands) == {membership.BOUNDARY_BAND}
+    assert len(bands) >= 4 and set(bands) == {membership.BOUNDARY_BAND}
     capsys.readouterr()
 
 

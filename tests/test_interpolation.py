@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from polydisc.errors import (
     InfeasibleError,
     MarginalProblemError,
     PoleError,
+    PolydiscError,
 )
 from polydisc.interpolation import (
     DiscFunction,
@@ -31,7 +33,7 @@ from polydisc.interpolation import (
     z_nu,
 )
 from polydisc.membership import in_tilde_g, in_tilde_gamma
-from polydisc.mobius import CPoint, d_norm
+from polydisc.mobius import CPoint, _check_poles, d_norm
 from polydisc.sampling import tilde_g_point, unit_disc
 from polydisc.schwarz import SchwarzProblem, feasibility_alpha, k_rho
 
@@ -1058,6 +1060,94 @@ def test_pole_messages_and_sites():
         g(-2.0)
     with pytest.raises(PoleError, match=r"^Phi_1 has a pole at z=\(1\.5\+0j\)$"):
         phi(1, CPoint((1.0, 2.0, 0.5)), 1.5)  # y_2 z - 3 = 0
+
+
+# the Blaschke factor, the zero-at-a factor and the Schur step as three
+# functions wrote them before one kernel took their place: the reference
+# that the kernel must match bit for bit
+
+
+def _ref_blaschke(lambda0, lam):
+    den = 1.0 - lambda0.conjugate() * lam
+    _check_poles(den, lam, "the Blaschke factor")
+    val = (lambda0 - lam) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:
+        den = 1.0 / lam - lambda0.conjugate()
+        _check_poles(den, lam, "the Blaschke factor")
+        val = (lambda0 / lam - 1.0) / den
+    return val
+
+
+def _ref_zero_at(a, lam):
+    den = 1.0 - a.conjugate() * lam
+    _check_poles(den, lam, "the Blaschke factor at {}", a)
+    val = (lam - a) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and lam:
+        den = 1.0 / lam - a.conjugate()
+        _check_poles(den, lam, "the Blaschke factor at {}", a)
+        val = (1.0 - a / lam) / den
+    return val
+
+
+def _ref_schur_step(w, s, lam):
+    den = 1.0 + w.conjugate() * s
+    _check_poles(den, lam, "a Schur step")
+    val = (w + s) / den
+    if not (cmath.isfinite(den) and cmath.isfinite(val)) and s:
+        den = 1.0 / s + w.conjugate()
+        _check_poles(den, lam, "a Schur step")
+        val = (w / s + 1.0) / den
+    return val
+
+
+def _outcome(f):
+    """The value's bits, or the exception's type, message and .at bits."""
+    try:
+        v = f()
+        return struct.pack("<2d", v.real, v.imag)
+    except PolydiscError as exc:
+        return type(exc), str(exc), struct.pack("<2d", exc.at.real, exc.at.imag)
+
+
+def test_mobius_kernel_is_the_three_automorphisms_bit_for_bit():
+    # the Blaschke factor B(l) = mu_{lambda0}(-l), the zero-at-a factor
+    # e_a(l) = mu_{-a}(l) and a Schur step mu_w(s), each against its formula
+    # written out with its own overflow retake: values to the bit (signed
+    # zeros included), pole messages and .at.  B is drawn at lambda0 in the
+    # open disc, where it is defined and evaluated
+    from polydisc.interpolation import _mobius
+
+    rng = np.random.default_rng(20261019)
+
+    def draw():  # zero, in and near the disc, or a modulus from 1e-320 to 1e308
+        u = rng.random()
+        r = 0.0 if u < 0.1 else rng.random() * 1.2 if u < 0.5 else 10.0 ** rng.uniform(-320, 308)
+        z = r * cmath.exp(2j * math.pi * rng.random())
+        re, im = (rng.choice([0.0, -0.0]) if rng.random() < 0.1 else x for x in (z.real, z.imag))
+        return complex(re, im)  # a part may be a signed zero
+
+    kinds = set()
+    for _ in range(20000):
+        a, lam, w, s = draw(), draw(), draw(), draw()
+        l0 = a if abs(a) < 1.0 else a / (2.0 * abs(a))
+        u = rng.random()
+        if u < 0.05:
+            lam = a if u < 0.025 else l0  # equal arguments
+        elif u < 0.1 and a:
+            lam = 1.0 / a.conjugate()  # the exact pole of e_a
+        elif u < 0.15 and l0:
+            lam = 1.0 / l0.conjugate()  # the exact pole of B
+        if rng.random() < 0.05 and w:
+            s = -1.0 / w.conjugate()  # the exact pole of the step
+        for ref, got in (
+            (lambda: _ref_blaschke(l0, lam), lambda: _mobius(l0, -lam, lam, "the Blaschke factor")),
+            (lambda: _ref_zero_at(a, lam), lambda: _mobius(-a, lam, lam, "the Blaschke factor at {}", a)),
+            (lambda: _ref_schur_step(w, s, lam), lambda: _mobius(w, s, lam, "a Schur step")),
+        ):
+            out = _outcome(ref)
+            assert _outcome(got) == out, (a, lam, w, s)
+            kinds.add(type(out) is tuple)
+    assert kinds == {False, True}  # both values and poles were compared
 
 
 # --- golden disc outputs -----------------------------------------------------

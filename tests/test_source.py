@@ -84,13 +84,14 @@ def test_every_parameter_is_read():
 
 def test_pole_messages_are_formatted_only_when_raised():
     # _check_poles builds its message from a template and fields when it
-    # raises; an f-string or .format() argument would be formatted on every
-    # call, and some callers run once per lambda of a disc evaluation
+    # raises, and the disc automorphism _mobius passes its template through;
+    # an f-string or .format() argument would be formatted on every call,
+    # and some callers run once per lambda of a disc evaluation
     calls, eager = 0, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             func = getattr(node, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) != "_check_poles":
+            if getattr(func, "id", getattr(func, "attr", None)) not in ("_check_poles", "_mobius"):
                 continue
             calls += 1
             for arg in [*node.args, *(k.value for k in node.keywords)]:
@@ -99,7 +100,7 @@ def test_pole_messages_are_formatted_only_when_raised():
                         getattr(n, "func", None), "attr", None
                     ) == "format":
                         eager.append(f"{path.name}:{node.lineno}")
-    assert calls >= 5  # the pole sites are still found under this name
+    assert calls >= 5  # the pole sites are still found under these names
     assert eager == []
 
 
