@@ -113,14 +113,13 @@ def _cmd_schwarz(args) -> int:
 def _cmd_interpolate(args) -> int:
     """Strict mode (the default) reads --lambda0 and --nu; --worked-family
     reads --t and builds the family through its own point and lambda0,
-    without --band or --seed; --extremal reads neither --lambda0 nor --nu,
-    its lambda0 being max_j D_j of the point."""
+    without --seed; --extremal reads neither --lambda0 nor --nu, its
+    lambda0 being max_j D_j of the point."""
     point = _parse_point(args.point)
     built = not args.worked_family
     _refuse_unread(args, "this mode of interpolate", lambda0=not args.extremal,
-                   nu=built and not args.extremal, t=args.worked_family, band=built, seed=built)
+                   nu=built and not args.extremal, t=args.worked_family, seed=built)
     lam0 = _parse_complex("0.5" if args.lambda0 is None else args.lambda0)
-    band = _or_default(args, "band")
     rng = np.random.default_rng(_or_default(args, "seed"))
     if args.worked_family:
         if point != interpolation.WORKED_FAMILY_TARGET or (
@@ -129,10 +128,10 @@ def _cmd_interpolate(args) -> int:
         t = _parse_complex("0" if args.t is None else args.t)
         disc = interpolation.worked_family(interpolation.np2(0.0, 0.3, -0.8, 0.625, t=t))
     elif args.extremal:
-        _, disc = interpolation.extremal_disc(point, band=band, rng=rng)
+        _, disc = interpolation.extremal_disc(point, rng=rng)
     else:
         disc = interpolation.build_interpolant(
-            point, lam0, nu=1.0 if args.nu is None else args.nu, band=band, rng=rng
+            point, lam0, nu=1.0 if args.nu is None else args.nu, rng=rng
         )
     lams = [_parse_complex(text) for text in args.eval or []]
     evaluations = [
@@ -146,7 +145,7 @@ def _cmd_interpolate(args) -> int:
 def _cmd_distance(args) -> int:
     point = _parse_point(args.point)
     rep = distances.distance_report(
-        point, grid=args.grid, band=args.band, rng=np.random.default_rng(args.seed)
+        point, grid=args.grid, rng=np.random.default_rng(args.seed)
     )
     _emit(args, rep.to_json())
     return 0
@@ -379,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cond", default="all", help="condition number 2..11 or all")
 
     s = _subcommand(subs, "interpolate", _cmd_interpolate, "construct and evaluate a disc map",
-                    "point", "output", "band", "seed")
-    s.set_defaults(band=None, seed=None)  # not read by --worked-family: see _or_default
+                    "point", "output", "seed")
+    s.set_defaults(seed=None)  # not read by --worked-family: see _or_default
     s.add_argument("--lambda0", help="complex 're,im' (default 0.5)")
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--eval", action="append", help="lambda to evaluate (repeatable)")
@@ -390,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--extremal", action="store_true", help="extremal disc on J_n")
 
     _subcommand(subs, "distance", _cmd_distance, "invariant distance report from 0",
-                "point", "output", "grid", "band", "seed")
+                "point", "output", "grid", "seed")
 
     s = _subcommand(subs, "witness", _cmd_witness, "geometric witnesses",
                     "output", "seed", "samples")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .interpolation import DiscFunction, extremal_disc
-from .membership import BOUNDARY_BAND, in_tilde_g
+from .membership import in_tilde_g
 from .mobius import CPoint, _cabs, circle, d_norm, phi
 from .schwarz import in_J_n
 
@@ -90,7 +90,7 @@ def carath_lower(y: CPoint, grid: int = 4096) -> tuple[float, int, complex]:
 
 
 def lempert_upper(
-    y: CPoint, band: float = BOUNDARY_BAND, rng: np.random.Generator | None = None
+    y: CPoint, rng: np.random.Generator | None = None
 ) -> tuple[float, DiscFunction | None]:
     """Upper bound on the Lempert function from 0: atanh |lambda| over a
     certified analytic disc through (0, 0) and (lambda, y).
@@ -101,7 +101,7 @@ def lempert_upper(
     closed form untouched.  A point off J_n raises extremal_disc's
     DomainError."""
     try:
-        lam0, disc = extremal_disc(y, band=band, rng=rng)
+        lam0, disc = extremal_disc(y, rng=rng)
     except InfeasibleError:
         return math.inf, None
     return math.atanh(lam0), disc
@@ -110,13 +110,12 @@ def lempert_upper(
 def distance_report(
     y: CPoint,
     grid: int = 4096,
-    band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
 ) -> DistanceResult:
     """The closed form with its two-sided certificate."""
     closed = dist_formula(y)
     lower, wj, wom = carath_lower(y, grid=grid)
-    upper, disc = lempert_upper(y, band=band, rng=rng)
+    upper, disc = lempert_upper(y, rng=rng)
     return DistanceResult(
         closed_form=closed,
         carath_lower=lower,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import BOUNDARY_BAND, MembershipReport, in_tilde_g, in_tilde_gamma
-from .mobius import CPoint, binom, circle, phi
+from .mobius import CPoint, _cabs, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -124,6 +124,8 @@ def separating_polynomial(
     """
     n = y.n
     rng = rng if rng is not None else np.random.default_rng(0)
+    if math.inf in map(_cabs, y.coords):
+        raise DomainError("a coordinate's modulus is past the double range")
     if in_tilde_gamma(y, cond="C7").verdict:
         raise DomainError("point is inside the closure; nothing to separate")
     table: dict[tuple[int, ...], complex] | None = None

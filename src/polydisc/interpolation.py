@@ -225,35 +225,37 @@ def _window_from_x2(x2: float) -> tuple[float, float]:
     return (x2 - root) / 2.0, (x2 + root) / 2.0
 
 
-def _check_n3_ordered(y0: CPoint, lambda0: complex, band: float) -> None:
+def _check_n3_ordered(y0: CPoint, lambda0: complex) -> None:
     if y0.n != 3:
         raise DomainError("this operation is stated for n = 3")
     _check_lambda0(lambda0)
+    if math.inf in map(_cabs, y0.coords):
+        raise DomainError("a coordinate's modulus is past the double range")
     if abs(y0.y(2)) > abs(y0.y(1)):
         raise DomainError("requires |y_2| <= |y_1|; swap the point first")
     if degenerate_product(y0, 1):
         raise DegenerateProblemError(
             "y_1 y_2 = 9 q: use the diagonal construction"
         )
-    if d_norm(1, y0) >= abs(lambda0) - band:
+    if d_norm(1, y0) >= abs(lambda0) - BOUNDARY_BAND:
         raise MarginalProblemError(
             "sup-norm is not strictly below |lambda0|"
         )
 
 
-def nu_window(y0: CPoint, lambda0: complex, band: float = BOUNDARY_BAND) -> tuple[float, float]:
+def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
     """(theta_1, theta_2), the window of admissible nu^2: the roots of
     z + 1/z = X_2.  Their product is 1 and theta_1 < 1 < theta_2, so nu = 1
     always qualifies for a strict problem."""
-    _check_n3_ordered(y0, lambda0, band)
+    _check_n3_ordered(y0, lambda0)
     _, x2, _ = _xj_terms(3.0, y0.y(1), y0.y(2), y0.q, abs(complex(lambda0)))
     return _window_from_x2(x2)
 
 
-def z_nu(y0: CPoint, lambda0: complex, nu: float, band: float = BOUNDARY_BAND) -> np.ndarray:
+def z_nu(y0: CPoint, lambda0: complex, nu: float) -> np.ndarray:
     """The scaled symmetric matrix Z_nu with off-diagonals nu*w and w/nu,
     w the principal square root of (y_1 y_2 - 9 q) / (9 lambda0)."""
-    _check_n3_ordered(y0, lambda0, band)
+    _check_n3_ordered(y0, lambda0)
     if not nu > 0:
         raise DomainError("nu must be positive")
     Z = _z_nu_general(3.0, y0.y(1), y0.y(2), y0.q, complex(lambda0), nu)
@@ -374,6 +376,8 @@ class DiscFunction:
         missing = [name for name in reads if getattr(self, name) is None]
         if missing:
             raise DomainError(f"a {self.kind} disc needs {', '.join(missing)}")
+        if self.kind == "matrix_mobius" and not _cabs(self.lambda0) < 1.0:
+            raise DomainError("a matrix_mobius disc needs lambda0 in the open unit disc")
 
     @cached_property
     def _consts(self) -> tuple:
@@ -473,16 +477,16 @@ def _verify_endpoints(
         raise ConstructionError(f"disc misses the target by {err:.3g}")
 
 
-def _verify_range(disc: DiscFunction, samples: int, rng, band: float) -> None:
+def _verify_range(disc: DiscFunction, samples: int, rng) -> None:
     """psi at `samples` random lambda of the disc |lambda| < 0.999 must pass
-    the closed C7 test at band max(band, 1e-9), the test of
+    the closed C7 test at BOUNDARY_BAND, the test of
     in_tilde_gamma(cond="C7").  Sample i is sqrt(r) * 0.999 * exp(2 pi i t)
-    for the uniforms (r, t) at positions (2i, 2i+1) of rng.random(2 * samples);
-    the first failing sample is reported."""
+    for the uniforms (r, t) at positions (2i, 2i+1) of rng.random(2 * samples),
+    rng defaulting to default_rng(0); the first failing sample is reported."""
+    rng = rng if rng is not None else np.random.default_rng(0)
     r, t = rng.random(2 * samples).reshape(samples, 2).T
     lam = np.sqrt(r) * 0.999 * np.exp(2j * math.pi * t)
-    tol = max(band, 1e-9)
-    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), tol) >= -tol))
+    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), BOUNDARY_BAND) >= -BOUNDARY_BAND))
     if bad.size:
         raise ConstructionError(f"disc leaves the closure at lambda={complex(lam[bad[0]])}")
 
@@ -497,7 +501,6 @@ def build_interpolant(
     lambda0: complex,
     nu: float = 1.0,
     Qlin: np.ndarray | None = None,
-    band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
 ) -> DiscFunction:
     """Analytic psi with psi(0) = 0 and psi(lambda0) = y0 in tilde-G_3, for
@@ -520,16 +523,15 @@ def build_interpolant(
     SchwarzProblem(lambda0=lam0, target=y0)  # validates |lambda0| and membership
     if y0.n != 3:
         raise DomainError("build_interpolant is the n = 3 constructor")
-    rng = rng if rng is not None else np.random.default_rng(0)
     ys = y0.swap() if abs(y0.y(2)) > abs(y0.y(1)) else y0
     if degenerate_product(ys, 1):  # the zero target included
         if nu != 1.0 or Qlin is not None:
             raise DomainError("degenerate data has the diagonal disc: it takes no nu and no Qlin")
         top = max(abs(ys.y(1)), abs(ys.y(2))) / 3.0
-        if top > 0.0 and top >= abs(lam0) - band:  # psi = 0 serves the zero target at any lambda0
+        if top > 0.0 and top >= abs(lam0) - BOUNDARY_BAND:  # psi = 0 serves the zero target at any lambda0
             raise MarginalProblemError("degenerate data sits on the Schwarz bound")
     else:
-        theta1, theta2 = nu_window(ys, lam0, band=band)
+        theta1, theta2 = nu_window(ys, lam0)
         if not theta1 < nu * nu < theta2:
             raise DomainError(f"nu^2 = {nu * nu:.6g} outside the window ({theta1:.6g}, {theta2:.6g})")
         if not nu > 0:
@@ -537,7 +539,7 @@ def build_interpolant(
         if not theta1 * (1.0 + _NU_EDGE_MARGIN) < nu * nu < theta2 * (1.0 - _NU_EDGE_MARGIN):
             raise MarginalProblemError(f"nu^2 = {nu * nu:.6g} is within a relative "
                                        f"{_NU_EDGE_MARGIN:g} of a window edge ({theta1:.6g}, {theta2:.6g})")
-    disc = _slice_core(y0, lam0, band, nu)
+    disc = _slice_core(y0, lam0, nu)
     if disc.Q0 is not None:
         qnorm = op_norm(disc.Q0)
         if qnorm > 1.0 + 1e-11:
@@ -548,7 +550,7 @@ def build_interpolant(
                 raise DomainError("Q0 + lambda Qlin can leave the Schur class")
             disc = replace(disc, Qlin=Qlin)
     _verify_endpoints(disc, lam0, y0, 1e-9)
-    _verify_range(disc, 64, rng, band)
+    _verify_range(disc, 64, rng)
     return disc
 
 
@@ -596,7 +598,7 @@ def worked_family(g: ScalarSchur) -> DiscFunction:
     return disc
 
 
-def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscFunction:
+def _slice_core(y: CPoint, lam0: complex, nu: float = 1.0) -> DiscFunction:
     """The single 2x2 core driving a disc through (0, 0) and (lam0, y) for a
     point of the slice J_n: only the pair (y_1, y_{n-1}) is interpolated and
     the proportionality relations land every other coordinate automatically.
@@ -614,16 +616,14 @@ def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscF
     c = float(binom(n, 1))
     row = tuple(map(float, _pair_terms(c, y1, yn1, q)))
     if _degenerate(c, row[5], row[2]):
-        if max(abs(y1), abs(yn1)) / c >= abs(lam0) + band:
-            raise InfeasibleError("degenerate data exceeds the Schwarz bound")
         f = ScalarSchur(kind="blaschke", const=y1 / (c * lam0), zeros=(0j,))
         g = ScalarSchur(kind="blaschke", const=yn1 / (c * lam0), zeros=(0j,))
         return DiscFunction(kind="diagonal", n=n, swap=swap, lambda0=lam0, f=f, g=g)
-    if abs(q) >= abs(lam0) - band:
+    if abs(q) >= abs(lam0) - BOUNDARY_BAND:
         raise InfeasibleError(
             "doubly marginal data: |q| = |lambda0| leaves no Schur slack"
         )
-    route, Z, _, _, alpha, feasible, _, _ = _pair_route(c, y1, yn1, q, lam0, nu, band, row)
+    route, Z, _, _, alpha, feasible, _, _ = _pair_route(c, y1, yn1, q, lam0, nu, BOUNDARY_BAND, row)
     if route == "strict":
         if not feasible:
             raise InfeasibleError("feasibility matrix is positive definite")
@@ -648,7 +648,6 @@ def _slice_core(y: CPoint, lam0: complex, band: float, nu: float = 1.0) -> DiscF
 def slice_interpolant(
     y: CPoint,
     lambda0: complex,
-    band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
 ) -> DiscFunction:
     """Disc through (0, 0) and (lambda0, y) for a point y of the slice J_n,
@@ -660,19 +659,17 @@ def slice_interpolant(
     if not in_J_n(y):
         raise DomainError("the slice construction needs a point of the slice J_n in tilde-G_n")
     lam0 = _check_lambda0(lambda0)
-    rng = rng if rng is not None else np.random.default_rng(0)
     top = max(d_norm(j, y) for j in range(1, y.n))
     if abs(lam0) < top:  # no disc through y: refused here, not by a late miss
         raise InfeasibleError(f"|lambda0| = {abs(lam0):.17g} is below the sup-norm bound max_j D_j = {top:.17g}")
-    disc = _slice_core(y, lam0, band)
+    disc = _slice_core(y, lam0)
     _verify_endpoints(disc, lam0, y, 1e-9)
-    _verify_range(disc, 32, rng, band)
+    _verify_range(disc, 32, rng)
     return disc
 
 
 def extremal_disc(
     y: CPoint,
-    band: float = BOUNDARY_BAND,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, DiscFunction]:
     """The extremal analytic disc through 0 and y for a point of the slice
@@ -685,13 +682,13 @@ def extremal_disc(
     when no certified disc exists at this lambda0 (|q| = lambda0, or a
     degenerate Takagi frame).
     """
-    if max(abs(c) for c in y.coords) == 0.0:
+    if not any(y.coords):
         zero = ScalarSchur(kind="blaschke", const=0j)
         return 0.0, DiscFunction(kind="diagonal", n=y.n, swap=False, f=zero, g=zero)
     lam0 = max(d_norm(j, y) for j in range(1, y.n))
     if not lam0 < 1.0:
         raise DomainError("point is not strictly inside (sup-norm >= 1)")
-    return lam0, slice_interpolant(y, lam0, band, rng)
+    return lam0, slice_interpolant(y, lam0, rng)
 
 
 # ---------------------------------------------------------------------------

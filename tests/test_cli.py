@@ -73,9 +73,9 @@ def test_membership_bad_condition_exit_2():
 SUBCOMMAND_OPTIONS = {
     "membership": {"point", "output", "band", "assert_", "set", "cond"},
     "schwarz": {"point", "output", "band", "assert_", "lambda0", "cond"},
-    "interpolate": {"point", "output", "band", "seed", "lambda0", "nu", "eval",
+    "interpolate": {"point", "output", "seed", "lambda0", "nu", "eval",
                     "worked_family", "t", "extremal"},
-    "distance": {"point", "output", "grid", "band", "seed"},
+    "distance": {"point", "output", "grid", "seed"},
     "witness": {"point", "output", "seed", "samples", "kind", "n"},
     "oracle": {"output", "band", "seed", "samples", "assert_", "dims", "jobs"},
     "plot-slice": {"point", "output", "resolution", "re_min", "re_max",
@@ -94,6 +94,7 @@ def test_subcommand_options_are_the_ones_it_reads(command):
 
 
 STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
+HUGE_POINT = '{"n":3,"coords":[[1.7e308,1.7e308],[1,0],[0.1,0]]}'  # |y_1| past the double range
 
 
 @pytest.mark.parametrize(
@@ -113,7 +114,13 @@ STRICT_POINT = '{"n":3,"coords":[[0.3,0],[0.2,0],[0.1,0]]}'
      ("schwarz", "--point", STRICT_POINT, "--lambda0=1.7e308,1.7e308"),
      ("interpolate", "--point", STRICT_POINT, "--lambda0=1.7e308,1.7e308"),
      ("interpolate", "--worked-family", "--extremal", "--point", WORKED_POINT),
-     ("interpolate", "--worked-family", "--point", WORKED_POINT, "--band", "1e-3", "--seed", "9"),
+     ("interpolate", "--worked-family", "--point", WORKED_POINT, "--seed", "9"),
+     # the builders decide their edges at a fixed band and take none
+     ("interpolate", "--point", STRICT_POINT, "--lambda0=0.5,0", "--band", "1e-3"),
+     ("distance", "--point", WORKED_POINT, "--band", "1e-3"),
+     # a coordinate whose modulus overflows a double is out of range, not a crash
+     ("interpolate", "--extremal", "--point", HUGE_POINT),
+     ("witness", "--kind", "separating", "--point", HUGE_POINT),
      # each membership set and witness kind rejects the options it does not read
      ("membership", "--set", "g", "--point", GAP_POINT, "--cond", "bogus"),
      ("membership", "--set", "gamma", "--point", GAP_POINT, "--cond", "C7"),

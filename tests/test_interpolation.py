@@ -32,7 +32,7 @@ from polydisc.interpolation import (
     u_v_vectors,
     z_nu,
 )
-from polydisc.membership import in_tilde_g, in_tilde_gamma
+from polydisc.membership import BOUNDARY_BAND, in_tilde_g, in_tilde_gamma
 from polydisc.mobius import CPoint, _check_poles, d_norm
 from polydisc.sampling import tilde_g_point, unit_disc
 from polydisc.schwarz import SchwarzProblem, feasibility_alpha, k_rho
@@ -322,6 +322,20 @@ def test_disc_function_json_round_trip(rng):
         assert a.coords == b.coords  # bit-identical re-evaluation
 
 
+def test_matrix_mobius_disc_needs_lambda0_in_the_disc():
+    # B(l) = (lambda0 - l) / (1 - conj(lambda0) l) maps the disc into itself
+    # only for |lambda0| < 1: at lambda0 = 5 psi(0.5) would read
+    # (-2.25, -4.5, 1.125), outside the closure
+    Z, Q0 = np.zeros((2, 2), dtype=complex), 0.5 * np.eye(2, dtype=complex)
+    obj = DiscFunction(kind="matrix_mobius", n=3, lambda0=0.5, Z=Z, Q0=Q0).to_json()
+    for lam0 in (5.0, 1.0, -1j, 1.7e308 + 1.7e308j):
+        with pytest.raises(DomainError, match="lambda0 in the open unit disc"):
+            DiscFunction(kind="matrix_mobius", n=3, lambda0=lam0, Z=Z, Q0=Q0)
+        obj["lambda0"] = [lam0.real, lam0.imag]
+        with pytest.raises(DomainError, match="lambda0 in the open unit disc"):
+            DiscFunction.from_json(obj)
+
+
 def test_build_is_the_slice_construction_on_strict_data(rng):
     # strict and degenerate n = 3 data: build_interpolant and the slice
     # interpolant build the same disc through the same core
@@ -425,7 +439,7 @@ def test_build_positive_definite_k_is_infeasible():
     t1, t2 = nu_window(y, lam0)
     assert t1 < nu * nu < t2
     with pytest.raises(InfeasibleError, match="positive definite"):
-        _slice_core(y, lam0, 1e-7, nu)
+        _slice_core(y, lam0, nu)
     with pytest.raises(MarginalProblemError, match="within a relative 1e-05 of a window edge"):
         build_interpolant(y, lam0, nu=nu)
 
@@ -689,6 +703,56 @@ def test_lambda0_past_the_modulus_range_is_a_domain_error():
             call()
 
 
+def test_builders_near_their_refusal_edges_build_or_refuse_by_name():
+    # ~200 seeded draws near each edge where a builder refuses or switches
+    # route: every outcome is a disc or a named refusal, never a failed build
+    from polydisc.errors import DegenerateProblemError
+    from polydisc.sampling import j_point
+
+    rng = np.random.default_rng(20261019)
+    named = (DomainError, InfeasibleError, MarginalProblemError, DegenerateProblemError)
+
+    def phase():
+        return cmath.exp(2j * math.pi * rng.random())
+
+    def top(y):
+        return max(d_norm(j, y) for j in range(1, y.n))
+
+    def calls():
+        for i in range(200):  # |lambda0| 1e-16..1e-7 above max_j D_j
+            y = j_point(2 + i % 7, rng)
+            yield "lambda0", slice_interpolant, (y, (top(y) + 10.0 ** rng.uniform(-16.0, -7.0)) * phase())
+        for i in range(200):  # |q| just under max_j D_j: near-equal Takagi values at the sup-norm
+            y = j_point(2 + i % 7, rng)
+            t = 10.0 ** rng.uniform(-9.0, -3.0)  # shrinks y_1..y_{n-1}, keeping y in J_n
+            y = CPoint(tuple(t * c for c in y.coords[:-1]) + (y.q,))
+            if i % 2:
+                yield "q", extremal_disc, (y,)
+            else:
+                yield "q", slice_interpolant, (y, (top(y) + 10.0 ** rng.uniform(-16.0, -7.0)) * phase())
+        for _ in range(100):  # y_1 y_2 - 9 q a relative 1e-14..1e-9 off degenerate
+            y1, y2 = 2.7 * rng.random() * phase(), 2.7 * rng.random() * phase()
+            y = CPoint((y1, y2, y1 * y2 / 9.0 * (1.0 + 10.0 ** rng.uniform(-14.0, -9.0) * phase())))
+            lam0 = min(0.97, max(abs(y1), abs(y2)) / 3.0 * rng.uniform(1.05, 1.5)) * phase()
+            yield "degenerate", build_interpolant, (y, lam0)
+            yield "degenerate", extremal_disc, (y,)
+        for i in range(200):  # nu^2 a relative 1e-16..1e-3 inside either window edge
+            y, lam0 = strict_problem(rng)
+            t1, t2 = nu_window(y if abs(y.y(2)) <= abs(y.y(1)) else y.swap(), lam0)
+            rel = 10.0 ** rng.uniform(-16.0, -3.0)
+            nu2 = t1 * (1.0 + rel) if i % 2 else t2 * (1.0 - rel)
+            yield "nu", build_interpolant, (y, lam0, math.sqrt(nu2))  # nu is the third argument
+
+    discs = dict.fromkeys(("lambda0", "q", "degenerate", "nu"), 0)
+    for edge, build, args in calls():
+        try:
+            build(*args)
+            discs[edge] += 1
+        except named:
+            pass
+    assert min(discs.values()) >= 10, discs
+
+
 def test_necessity_along_constructed_discs(rng):
     # any constructed disc makes condition (2) hold for (mu, psi(mu))
     from polydisc.schwarz import check_condition
@@ -815,7 +879,7 @@ def test_verify_range_draws_the_scalar_loop_samples(monkeypatch):
     monkeypatch.setattr(DiscFunction, "values", spy)
     for seed, samples in ((11, 64), (12, 32), (13, 1)):
         rng = np.random.default_rng(seed)
-        _verify_range(disc, samples, rng, 1e-7)
+        _verify_range(disc, samples, rng)
         ref, ref_rng = _old_range_lams(seed, samples)
         assert len(seen) == 1  # one batch call
         assert seen.pop().tobytes() == np.array(ref).tobytes()
@@ -832,13 +896,13 @@ def test_verify_range_names_the_first_failing_lambda():
         kind="matrix_mobius", n=3, lambda0=0.5 + 0j, Z=np.zeros((2, 2), dtype=complex),
         Q0=1.1 * np.eye(2, dtype=complex),
     )
-    seed, samples, band = 2, 64, 1e-7
+    seed, samples = 2, 64
     lams, _ = _old_range_lams(seed, samples)
-    inside = [in_tilde_gamma(disc(lam), cond="C7", band=max(band, 1e-9)).verdict for lam in lams]
+    inside = [in_tilde_gamma(disc(lam), cond="C7", band=BOUNDARY_BAND).verdict for lam in lams]
     first = inside.index(False)
     assert first > 0 and not all(not v for v in inside[first:])
     with pytest.raises(ConstructionError) as info:
-        _verify_range(disc, samples, np.random.default_rng(seed), band)
+        _verify_range(disc, samples, np.random.default_rng(seed))
     assert str(info.value) == f"disc leaves the closure at lambda={lams[first]}"
 
 
@@ -969,6 +1033,8 @@ def _is_finite(out) -> bool:
 @example([1, 1, 1], 1e200, 1.0, _SMALL_Z, [1.7e308 + 1.7e308j, 1.7e308])  # scale_point, u_v
 @example([1, 1, 1], 1e-200, 1.0, _SMALL_Z, [1, 0])  # scale_point: lam ** 3 = 0
 @example([1.35, 0.675, 0.45], 5e-324, 1.0, _SMALL_Z, [1, 0])  # default_q at a tiny lambda0
+@example([1.7e308 + 1.7e308j, 1, 0.1], 0.5, 1.0, _SMALL_Z, [1, 0])  # |y_1| overflows
+@example([0.1, 1.7e308 + 1.7e308j, 0.1], 0.5, 1.0, _SMALL_Z, [1, 0])  # |y_2| overflows
 def test_two_point_entry_points_total_on_finite_doubles(coords, lam, nu, z, alpha):
     # each call gives finite output or a PolydiscError, on any finite doubles
     from polydisc.errors import PolydiscError

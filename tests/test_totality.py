@@ -24,16 +24,19 @@ from polydisc import (
     check_condition,
     costara_f,
     dist_formula,
+    distance_report,
     gn_schwarz_bound,
     in_b_gamma,
     in_g,
     in_gamma,
     in_J_n,
+    lempert_upper,
     lift,
     mobius_dist,
     np2,
     phi,
     schur_certificates,
+    separating_polynomial,
     starlike_scale,
     supnorm_comparison,
     symmetrize,
@@ -88,6 +91,9 @@ def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
     yield "starlike_scale", lambda: starlike_scale(y, r)
     yield "carath_lower", lambda: carath_lower(y, grid=16)
     yield "dist_formula", lambda: dist_formula(y)
+    yield "lempert_upper", lambda: lempert_upper(y)
+    yield "distance_report", lambda: distance_report(y, grid=16)
+    yield "separating_polynomial", lambda: separating_polynomial(y, samples=4)
     yield "gn_schwarz_bound", lambda: gn_schwarz_bound(y, z, grid=16)
     try:
         p = SchwarzProblem(lambda0=z, target=y)
@@ -115,6 +121,8 @@ def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
 @example([0.6, 0.3, 0.02], 0.3 + 0.2j, 0.1, 1, 0.5)  # a degenerate problem
 @example([1.35, 0.675, 0.45], -0.8, 0.1, 1, 0.5)  # a strict problem
 @example([0.3, 0.2, 0.1], 1.7e308 + 1.7e308j, 0.5, 1, 0.5)  # |lambda0| overflows
+@example([1.7e308 + 1.7e308j, 1, 0.1], 0.5, 0.5, 1, 0.5)  # |y_1| overflows
+@example([0.1, 1, 1.7e308 + 1.7e308j], 0.5, 0.5, 1, 0.5)  # |q| overflows
 def test_public_names_total_on_finite_doubles(coords, z, w, j, r):
     y = CPoint(tuple(coords))
     j = 1 + (j - 1) % (y.n - 1)
