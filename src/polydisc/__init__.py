@@ -72,7 +72,6 @@ from .membership import (
 )
 from .mobius import CPoint, DiskImage, binom, d_norm, image_disk, phi, sup_on_torus
 from .schwarz import (
-    LiftedPoint,
     SchurCertificate,
     SchwarzProblem,
     assemble_pi,

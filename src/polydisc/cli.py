@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         if samples is not None and samples < 1:
             raise ValueError("samples must be at least 1")
         return args.fn(args)
-    except (PolydiscError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (PolydiscError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -370,7 +370,7 @@ class DiscFunction:
               "worked_family": ("U", "g"), "diagonal": ("f", "g")}
 
     def __post_init__(self):
-        reads = self._READS.get(self.kind)
+        reads = self._READS.get(self.kind) if isinstance(self.kind, str) else None
         if reads is None or not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise DomainError(f"no disc of kind {self.kind!r} with n = {self.n!r}")
         missing = [name for name in reads if getattr(self, name) is None]
@@ -451,8 +451,8 @@ class DiscFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "DiscFunction":
-        try:
-            return DiscFunction(
+        try:  # parse errors only: the constructor's own refusals pass through
+            fields = dict(
                 kind=obj["kind"],
                 n=obj["n"],
                 swap=obj["swap"],
@@ -464,6 +464,7 @@ class DiscFunction:
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed disc JSON: {exc!r}") from None
+        return DiscFunction(**fields)
 
 
 def _verify_endpoints(

@@ -107,7 +107,7 @@ class MembershipReport:
         for c in self.per_condition:
             if c.cond_id == cond_id:
                 return c
-        raise KeyError(cond_id)
+        raise DomainError(f"the report has no condition {cond_id!r}")
 
     def to_json(self) -> dict:
         return {

@@ -82,6 +82,8 @@ class CPoint:
 
     def swap(self, j: int | None = None) -> "CPoint":
         """Exchange y_j and y_{n-j} (all j at once when j is None)."""
+        if j is not None:
+            self.y(j)  # refuses j outside 1..n-1
         c = list(self.coords)
         n = self.n
         js = range(1, n // 2 + 1) if j is None else [j]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .membership import BetaVector, _conj_mul
 from .mobius import CPoint, binom
+from .schwarz import _slice_point
 
 __all__ = [
     "unit_disc",
@@ -154,13 +155,4 @@ def j_point(n: int, rng: np.random.Generator) -> CPoint:
     b1 = split * fill * nn * np.exp(2j * math.pi * rng.random())
     b2 = (1.0 - split) * fill * nn * np.exp(2j * math.pi * rng.random())
     q = unit_disc(rng, rmax=0.85)
-    y1 = b1 + b2.conjugate() * q
-    yn1 = b2 + b1.conjugate() * q
-    coords = [0j] * n
-    coords[0], coords[n - 2], coords[n - 1] = y1, yn1, q
-    for j in range(2, n // 2 + 1):
-        coords[j - 1] = binom(n, j) / nn * y1
-        coords[n - 1 - j] = binom(n, j) / nn * yn1
-    if n % 2 == 0:
-        coords[n // 2 - 1] = binom(n, n // 2) / nn * (y1 + yn1) / 2.0
-    return CPoint(tuple(coords))
+    return CPoint(_slice_point(n, b1 + b2.conjugate() * q, b2 + b1.conjugate() * q, q))

@@ -43,7 +43,6 @@ from .mobius import CPoint, _cabs, _degenerate, _pair_terms, _sup_formula, binom
 
 __all__ = [
     "SchwarzProblem",
-    "LiftedPoint",
     "SchurCertificate",
     "check_condition",
     "lift",
@@ -97,13 +96,6 @@ class SchwarzProblem:
 
 
 @dataclass(frozen=True)
-class LiftedPoint:
-    parent: SchwarzProblem
-    point: CPoint
-    branch_choices: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SchurCertificate:
     j: int
     branch: str
@@ -116,7 +108,7 @@ class SchurCertificate:
     slack: float
 
 
-def lift(p: SchwarzProblem) -> LiftedPoint:
+def lift(p: SchwarzProblem) -> CPoint:
     """The branch-selected lifted point: divide the larger coordinate of each
     pair and q by lambda0.  Odd n stays in C^n; even n lands in C^{n+1} with
     binomial reweighting and the middle coordinate duplicated."""
@@ -132,7 +124,7 @@ def lift(p: SchwarzProblem) -> LiftedPoint:
             else:
                 coords[n - 1 - j] = y.y(n - j) / lam
         coords[n - 1] = y.q / lam
-        return LiftedPoint(p, CPoint(tuple(coords)), choices)
+        return CPoint(tuple(coords))
     m = n + 1
     coords = [0j] * m
     for j in range(1, n // 2):
@@ -147,7 +139,7 @@ def lift(p: SchwarzProblem) -> LiftedPoint:
     coords[n // 2 - 1] = f * (y.y(n // 2) / lam)
     coords[n // 2] = f * y.y(n // 2)
     coords[m - 1] = y.q / lam
-    return LiftedPoint(p, CPoint(tuple(coords)), choices)
+    return CPoint(tuple(coords))
 
 
 def _branch_rows(p: SchwarzProblem):
@@ -167,7 +159,7 @@ def _beta_slack_11(p: SchwarzProblem, band: float) -> float:
     """Condition (11): the closed beta test on the lifted point, with the
     binomial reweighting (m - j)/m of the even-n lift (m = n + 1)."""
     n = p.n
-    lifted = lift(p).point
+    lifted = lift(p)
     m = lifted.n
     cs = [binom(n, j) for j in range(1, n // 2 + 1)]
     ws = [(m - j) / m if n % 2 == 0 else 1.0 for j in range(1, n // 2 + 1)]
@@ -190,7 +182,7 @@ def check_condition(
     if cond == 2:
         slack = min(al - d_norm(j, y) for j in range(1, n))
     elif cond == 4:
-        lifted = lift(p).point
+        lifted = lift(p)
         slack = in_tilde_gamma(lifted, cond="C7", band=band).condition("C7").slack
     elif cond == 5:
         slack = min(c.slack for c in schur_certificates(p, band=band))
@@ -329,31 +321,31 @@ def schur_certificates(
     return out
 
 
+def _slice_point(n: int, y1: complex, yn1: complex, q: complex) -> tuple[complex, ...]:
+    """Coordinates of the point of the proportionality slice J_n through
+    (y_1, y_{n-1}, q): y_j = binom(n,j)/n * y_1 and y_{n-j} = binom(n,j)/n *
+    y_{n-1} for 2 <= j <= n/2, the middle coordinate of even n averaged (for
+    n <= 3 the point (y_1, y_{n-1}, q) itself)."""
+    nn = binom(n, 1)
+    coords = [0j] * n
+    coords[0], coords[n - 2], coords[n - 1] = y1, yn1, q
+    for j in range(2, n // 2 + 1):
+        coords[j - 1] = binom(n, j) / nn * y1
+        coords[n - 1 - j] = binom(n, j) / nn * yn1
+    if n % 2 == 0:
+        coords[n // 2 - 1] = binom(n, n // 2) / nn * (y1 + yn1) / 2.0
+    return tuple(coords)
+
+
 def in_J_n(y: CPoint) -> bool:
     """Membership in the proportionality slice J_n (all of the domain for
-    n <= 3): y_j = binom(n,j)/n * y_1 and y_{n-j} = binom(n,j)/n * y_{n-1}
-    for 2 <= j <= n/2, with the middle coordinate averaged for even n, each
-    to within 1e-9 (1 + max |y_j|)."""
-    n = y.n
+    n <= 3): each coordinate within 1e-9 (1 + max |y_j|) of the slice point
+    through (y_1, y_{n-1}, q)."""
     if not in_tilde_g(y, cond="C7").verdict:
         return False
-    if n <= 3:
-        return True
-    nn = float(binom(n, 1))
-    y1, yn1 = y.y(1), y.y(n - 1)
     tol = 1e-9 * (1.0 + max(abs(c) for c in y.coords))
-    top = n // 2 if n % 2 == 1 else n // 2 - 1
-    for j in range(2, top + 1):
-        f = binom(n, j) / nn
-        if abs(y.y(j) - f * y1) > tol:
-            return False
-        if abs(y.y(n - j) - f * yn1) > tol:
-            return False
-    if n % 2 == 0:
-        f = binom(n, n // 2) / nn
-        if abs(y.y(n // 2) - f * (y1 + yn1) / 2.0) > tol:
-            return False
-    return True
+    s = _slice_point(y.n, y.y(1), y.y(y.n - 1), y.q)
+    return all(abs(a - b) <= tol for a, b in zip(y.coords, s))
 
 
 def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:

@@ -336,6 +336,28 @@ def test_matrix_mobius_disc_needs_lambda0_in_the_disc():
             DiscFunction.from_json(obj)
 
 
+def test_disc_json_refusals_keep_the_constructors_message():
+    # well-formed JSON of a disc outside its domain is refused as the
+    # constructor refuses it; only a parse error reads "malformed"
+    Z, Q0 = np.zeros((2, 2), dtype=complex), 0.5 * np.eye(2, dtype=complex)
+    mobius = DiscFunction(kind="matrix_mobius", n=3, lambda0=0.5, Z=Z, Q0=Q0).to_json()
+    takagi = {**mobius, "kind": "takagi", "Z": None, "Q0": None}
+    for obj, make in (
+        ({**mobius, "lambda0": [5.0, 0.0]},
+         lambda: DiscFunction(kind="matrix_mobius", n=3, lambda0=5.0, Z=Z, Q0=Q0)),
+        (takagi, lambda: DiscFunction(kind="takagi", n=3, lambda0=0.5)),
+        ({**mobius, "kind": ["takagi"]}, lambda: DiscFunction(kind=["takagi"], n=3)),
+    ):
+        with pytest.raises(DomainError) as direct:
+            make()
+        with pytest.raises(DomainError) as parsed:
+            DiscFunction.from_json(obj)
+        assert str(parsed.value) == str(direct.value)
+    del mobius["d1"]
+    with pytest.raises(DomainError, match=r"^malformed disc JSON: KeyError\('d1'\)$"):
+        DiscFunction.from_json(mobius)
+
+
 def test_build_is_the_slice_construction_on_strict_data(rng):
     # strict and degenerate n = 3 data: build_interpolant and the slice
     # interpolant build the same disc through the same core

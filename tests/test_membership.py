@@ -105,6 +105,8 @@ def test_requesting_unknown_condition():
     with pytest.raises(DomainError):
         in_tilde_g(WORKED_POINT, cond="C10")  # C10 exists only for the closure
     assert in_tilde_gamma(WORKED_POINT, cond="C10").condition("C10").holds
+    with pytest.raises(DomainError, match="no condition 'C3'"):
+        in_tilde_g(WORKED_POINT, cond="C7").condition("C3")  # a report of C7 alone
 
 
 # --- beta recovery and B matrices ------------------------------------------

@@ -219,6 +219,9 @@ def test_cpoint_validation():
         CPoint((math.inf, 0.0))
     with pytest.raises(DomainError):
         CPoint((1.0, 2.0, 3.0)).y(3)
+    for j in (0, 3, 5, -1):  # 0 and 3 would swap q with itself
+        with pytest.raises(DomainError):
+            CPoint((1.0, 2.0, 3.0)).swap(j)
 
 
 def test_cpoint_json_round_trip():

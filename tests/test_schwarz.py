@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 
 import numpy as np
@@ -69,18 +70,18 @@ def test_condition2_fails_small_lambda():
 
 def test_lift_zero_target():
     p = SchwarzProblem(lambda0=0.3, target=CPoint((0, 0, 0)))
-    assert all(abs(c) == 0 for c in lift(p).point.coords)
+    assert all(abs(c) == 0 for c in lift(p).coords)
 
 
 def test_lift_worked_branch_and_values():
     p = SchwarzProblem(lambda0=WORKED_LAMBDA0, target=WORKED_POINT)
     lp = lift(p)
-    assert lp.branch_choices == ("DivideJ",)
-    assert lp.point.coords[0] == pytest.approx(1.5 / WORKED_LAMBDA0, abs=1e-14)  # -15/8
-    assert lp.point.coords[1] == pytest.approx(0.75, abs=1e-15)
-    assert lp.point.coords[2] == pytest.approx(0.5 / WORKED_LAMBDA0, abs=1e-14)  # -5/8
+    assert p.branch(1) == "DivideJ"
+    assert lp.coords[0] == pytest.approx(1.5 / WORKED_LAMBDA0, abs=1e-14)  # -15/8
+    assert lp.coords[1] == pytest.approx(0.75, abs=1e-15)
+    assert lp.coords[2] == pytest.approx(0.5 / WORKED_LAMBDA0, abs=1e-14)  # -5/8
     # the marginal problem keeps the lifted point just inside the closure
-    assert in_tilde_gamma(lp.point, cond="C7").verdict
+    assert in_tilde_gamma(lp, cond="C7").verdict
 
 
 def test_lift_even_dimension_agrees_with_condition3(rng):
@@ -88,7 +89,7 @@ def test_lift_even_dimension_agrees_with_condition3(rng):
         p = make_problem(rng, 4)
         if p is None:
             continue
-        lifted = lift(p).point
+        lifted = lift(p)
         assert lifted.n == 5
         m3 = check_condition(p, 3)
         m4 = check_condition(p, 4)
@@ -290,6 +291,22 @@ def test_in_J_n_structured_and_generic(rng):
         y = tilde_g_point(5, rng)
         misses += 0 if in_J_n(y) else 1
     assert misses > 50  # generic points are off the slice
+
+
+def test_slice_points_match_parent():
+    # seeded j_point draws (n = 2..9; perfbench draws its J_n inputs through
+    # j_point) and in_J_n of each with one coordinate nudged by 1e-12..1e-6,
+    # pinned bit for bit: the slice map must not move a draw or a verdict
+    rng = np.random.default_rng(19)
+    h = hashlib.sha256()
+    for i in range(2000):
+        n = 2 + i % 8
+        y = j_point(n, rng)
+        coords = list(y.coords)
+        coords[int(rng.integers(n))] += 10.0 ** rng.uniform(-12, -6)
+        verdict = in_J_n(CPoint(tuple(coords)))
+        h.update(repr([(z.real.hex(), z.imag.hex()) for z in y.coords] + [verdict]).encode())
+    assert h.hexdigest() == "0c79cbe1b14a25be5f6650c4dbe5316aac45e26de1d2b62afd4aeb42056549d8"
 
 
 def test_assemble_pi_zero():

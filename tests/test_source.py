@@ -150,3 +150,26 @@ def test_no_blas_products_on_construction_paths():
             if matmul or linalg:
                 found.add(f"{path.name}:{node.lineno}")
     assert sorted(found) == []
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is a dead dependency; the
+    # package __init__ imports to re-export, and __future__ imports are
+    # compiler directives
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{name}" for name in names if name not in read]
+    assert unused == []
