@@ -420,8 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "grid", 8) < 8:
-            raise ValueError("grid must be at least 8")
         # None: an option the subcommand does not take, or one a mode reads and was not given
         band, samples = getattr(args, "band", None), getattr(args, "samples", None)
         if band is not None and not 0.0 < band <= 1e-3:

@@ -170,17 +170,20 @@ class ScalarSchur:
         def c(v):
             return complex(v[0], v[1])
 
-        a, wa, b, c1, t = (c(v) for v in obj["np2"])
-        return ScalarSchur(
-            kind=obj["kind"],
-            const=c(obj["const"]),
-            zeros=tuple(c(z) for z in obj["zeros"]),
-            a=a,
-            wa=wa,
-            b=b,
-            c1=c1,
-            t=t,
-        )
+        try:  # the constructor checks nothing: every error here is a parse error
+            a, wa, b, c1, t = (c(v) for v in obj["np2"])
+            return ScalarSchur(
+                kind=obj["kind"],
+                const=c(obj["const"]),
+                zeros=tuple(c(z) for z in obj["zeros"]),
+                a=a,
+                wa=wa,
+                b=b,
+                c1=c1,
+                t=t,
+            )
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed Schur function JSON: {exc!r}") from None
 
 
 def np2(a: complex, wa: complex, b: complex, wb: complex, t: complex = 0j) -> ScalarSchur:
@@ -373,6 +376,8 @@ class DiscFunction:
         reads = self._READS.get(self.kind) if isinstance(self.kind, str) else None
         if reads is None or not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise DomainError(f"no disc of kind {self.kind!r} with n = {self.n!r}")
+        if not isinstance(self.swap, bool):  # a truthy string would swap, and JSON needs a bool
+            raise DomainError(f"a disc's swap is a bool, not {self.swap!r}")
         missing = [name for name in reads if getattr(self, name) is None]
         if missing:
             raise DomainError(f"a {self.kind} disc needs {', '.join(missing)}")
@@ -462,7 +467,7 @@ class DiscFunction:
                 g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
                 f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed disc JSON: {exc!r}") from None
         return DiscFunction(**fields)
 

@@ -11,8 +11,8 @@ Five sets are decided here, each with explainable per-condition margins:
 Each of these sets admits several equivalent characterizations, most with
 their own formula, all read off one row of moduli per pair (`_tilde_slacks`).
 Some condition ids are declared aliases that read one stored value, so a
-sweep comparing them checks nothing: C2 is C7, C8 is C9, and the closed
-condition C10 shares `_closed_beta_slack` with Schwarz condition (11).
+sweep comparing them checks nothing: C2 is C7, C8 is C9, and Schwarz
+conditions (4) and (11) are the closed C7 and C10 of the lifted point.
 The authoritative verdict is always the beta-representation inequality
 ("C7"):
 
@@ -211,25 +211,21 @@ def _tilde_slacks(y: CPoint, band: float | None = None) -> dict[str, float]:
     out["C6"] = min(out["C6"], 1.0 - abs_q)  # |q| < 1 (<= 1 closed)
     out["C2"], out["C8"] = out["C7"], out["C9"]
     if band is not None:
-        cs = [math.comb(n, j) for j in range(1, n // 2 + 1)]
-        out["C10"] = _closed_beta_slack(coords, band, cs, [1] * len(cs))
+        out["C10"] = _closed_beta_slack(coords, band)
     return out
 
 
-def _closed_beta_slack(
-    coords: tuple[complex, ...], band: float, cs, ws
-) -> float:
-    """Closed beta-representation test: the minimum over j = 1..floor(n/2)
-    of cs[j-1] - ws[j-1] (|beta_j| + |beta_{n-j}|) for |q| < 1, with the
-    weights ws (1.0 for condition (10); Schwarz condition (11) reweights
-    its lifted point).
+def _closed_beta_slack(coords: tuple[complex, ...], band: float) -> float:
+    """Closed beta-representation test (condition C10): the minimum over
+    j = 1..floor(n/2) of binom(n, j) - (|beta_j| + |beta_{n-j}|) for
+    |q| < 1.  Schwarz condition (11) reads it on the lifted point, so for
+    even n its slack is in that point's units binom(n+1, j).
 
     At |q| = 1 (within band) the representation y_j = conj(y_{n-j}) q is
     forced, and the free split beta_j = r y_j, beta_{n-j} = (1-r) y_{n-j}
-    (r = 1/2 here; any r in [0,1] works) leaves only
-    cs[j-1] - ws[j-1] |y_j| to check; a residual of the forced relation
-    above band decides at once with slack -residual.  Beyond the circle
-    the slack is 1 - |q|.
+    (r = 1/2 here; any r in [0,1] works) leaves only binom(n, j) - |y_j|
+    to check; a residual of the forced relation above band decides at once
+    with slack -residual.  Beyond the circle the slack is 1 - |q|.
     """
     n = len(coords)
     q = coords[-1]
@@ -243,11 +239,11 @@ def _closed_beta_slack(
             resid = _cabs(coords[j - 1] - coords[n - 1 - j].conjugate() * q)
             if resid > band * scale:
                 return -resid
-            slack = min(slack, cs[j - 1] - ws[j - 1] * _cabs(coords[j - 1]))
+            slack = min(slack, math.comb(n, j) - _cabs(coords[j - 1]))
         return slack
     betas = _beta_coords(coords)
     for j in range(1, n // 2 + 1):
-        s = cs[j - 1] - ws[j - 1] * (_cabs(betas[j - 1]) + _cabs(betas[n - 1 - j]))
+        s = math.comb(n, j) - (_cabs(betas[j - 1]) + _cabs(betas[n - 1 - j]))
         slack = min(slack, s)
     return slack
 

@@ -73,20 +73,16 @@ class CPoint:
 
     def y(self, j: int) -> complex:
         """1-based middle coordinate y_j, j = 1..n-1."""
-        if not 1 <= j <= self.n - 1:
-            raise DomainError(f"index j={j} outside 1..{self.n - 1}")
-        return self.coords[j - 1]
+        return self.coords[_index(j, self.n) - 1]
 
     def scale(self, r: complex) -> "CPoint":
         return CPoint(tuple(r * c for c in self.coords))
 
     def swap(self, j: int | None = None) -> "CPoint":
         """Exchange y_j and y_{n-j} (all j at once when j is None)."""
-        if j is not None:
-            self.y(j)  # refuses j outside 1..n-1
         c = list(self.coords)
         n = self.n
-        js = range(1, n // 2 + 1) if j is None else [j]
+        js = range(1, n // 2 + 1) if j is None else [_index(j, n)]
         for k in js:
             c[k - 1], c[n - 1 - k] = c[n - 1 - k], c[k - 1]
         return CPoint(tuple(c))
@@ -123,11 +119,17 @@ class DiskImage:
     radius: float
 
 
+def _index(j, n: int) -> int:
+    """The index j, refused with DomainError unless it is an integer (a
+    numpy one included) in 1..n-1."""
+    if not ((isinstance(j, int) or isinstance(j, np.integer)) and 0 < j < n):
+        raise DomainError(f"index j={j!r} is not an integer in 1..{n - 1}")
+    return j
+
+
 def binom(n: int, j: int) -> int:
     """binom(n, j) for 1 <= j <= n-1 (the weight of the j-th coordinate)."""
-    if not 1 <= j <= n - 1:
-        raise DomainError(f"index j={j} outside 1..{n - 1}")
-    return math.comb(n, j)
+    return math.comb(n, _index(j, n))
 
 
 def _parts(y: CPoint, j: int) -> tuple[int, complex, complex, complex]:

@@ -7,8 +7,9 @@ existence statement itself) are reported with signed margins; conditions
 the constructive Schur-pair certificate that the interpolation module
 consumes.  Some are declared aliases that share one implementation, so a
 sweep comparing them checks nothing: S3 is S6 (the closed-form sup-norm),
-S7 is S10 (the closed inequality), and S11 runs the closed beta test of
-membership condition C10 (`_closed_beta_slack`) on the lifted point.
+S7 is S10 (the closed inequality), and S4 and S11 are membership's closed
+C7 and C10 slacks of the lifted point (`lift`; for even n in its units
+binom(n+1, j)), S11 capped by |lambda0| - |q|.
 S3/S6 and S7..S10 read one row of moduli per pair (`_branch_rows`); S8,
 S9 and S10 are membership's C5, C6 and C7 expressions at alpha = |lambda0|.
 
@@ -35,9 +36,9 @@ from .membership import (
     _s8,
     _s9,
     _s10,
+    _tilde_slack7,
     costara_sup,
     in_tilde_g,
-    in_tilde_gamma,
 )
 from .mobius import CPoint, _cabs, _degenerate, _pair_terms, _sup_formula, binom, d_norm
 
@@ -85,7 +86,7 @@ class SchwarzProblem:
 
     def branch(self, j: int) -> str:
         y = self.target
-        return "DivideJ" if abs(y.y(y.n - j)) <= abs(y.y(j)) else "DivideNJ"
+        return "DivideJ" if abs(y.y(j)) >= abs(y.y(y.n - j)) else "DivideNJ"
 
     def to_json(self) -> dict:
         return {
@@ -155,20 +156,6 @@ def _branch_rows(p: SchwarzProblem):
         yield j, c, yj, ynj, tuple(map(float, _pair_terms(c, yj, ynj, y.q, al)))
 
 
-def _beta_slack_11(p: SchwarzProblem, band: float) -> float:
-    """Condition (11): the closed beta test on the lifted point, with the
-    binomial reweighting (m - j)/m of the even-n lift (m = n + 1)."""
-    n = p.n
-    lifted = lift(p)
-    m = lifted.n
-    cs = [binom(n, j) for j in range(1, n // 2 + 1)]
-    ws = [(m - j) / m if n % 2 == 0 else 1.0 for j in range(1, n // 2 + 1)]
-    return min(
-        abs(p.lambda0) - abs(p.target.q),
-        _closed_beta_slack(lifted.coords, band, cs, ws),
-    )
-
-
 def check_condition(
     p: SchwarzProblem, cond: int, band: float = BOUNDARY_BAND
 ) -> ConditionMargin:
@@ -182,12 +169,11 @@ def check_condition(
     if cond == 2:
         slack = min(al - d_norm(j, y) for j in range(1, n))
     elif cond == 4:
-        lifted = lift(p)
-        slack = in_tilde_gamma(lifted, cond="C7", band=band).condition("C7").slack
+        slack = _tilde_slack7(lift(p).coords, band)
     elif cond == 5:
         slack = min(c.slack for c in schur_certificates(p, band=band))
     elif cond == 11:
-        slack = _beta_slack_11(p, band)
+        slack = min(al - abs(q), _closed_beta_slack(lift(p).coords, band))
     else:
         # (6) is (3) with the sup-norm written out, both the closed form D of
         # the branch; (7) is the bilinear nonvanishing statement, decided

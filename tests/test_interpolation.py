@@ -358,6 +358,33 @@ def test_disc_json_refusals_keep_the_constructors_message():
         DiscFunction.from_json(mobius)
 
 
+def test_schur_json_refusals_name_the_fault():
+    # a bad Schur function JSON raises DomainError naming the parse error,
+    # never the IndexError, KeyError or ValueError itself
+    good = np2(0.0, 0.3, -0.8, 0.625, t=0.3 - 0.2j).to_json()
+    no_const = {k: v for k, v in good.items() if k != "const"}
+    for obj, fault in (({**good, "zeros": "ab"}, "IndexError"),
+                       ({**good, "const": ["0.5", 0.0]}, "TypeError"),
+                       (no_const, r"KeyError\('const'\)"),
+                       ({**good, "np2": good["np2"][:4]}, "ValueError")):
+        with pytest.raises(DomainError, match=f"^malformed Schur function JSON: {fault}"):
+            ScalarSchur.from_json(obj)
+
+
+def test_disc_swap_must_be_a_bool():
+    # a truthy string would silently exchange y_j and y_{n-j} of every value
+    import dataclasses
+
+    disc = build_interpolant(WORKED_POINT.scale(0.9), WORKED_LAMBDA0)
+    for swap in ("no", "", 0, 1, None, np.bool_(True)):
+        with pytest.raises(DomainError, match="swap is a bool"):
+            dataclasses.replace(disc, swap=swap)
+        with pytest.raises(DomainError, match="swap is a bool"):
+            DiscFunction.from_json({**disc.to_json(), "swap": swap})
+    swapped = DiscFunction.from_json({**disc.to_json(), "swap": True})
+    assert swapped(0.3) == disc(0.3).swap()
+
+
 def test_build_is_the_slice_construction_on_strict_data(rng):
     # strict and degenerate n = 3 data: build_interpolant and the slice
     # interpolant build the same disc through the same core

@@ -224,6 +224,36 @@ def test_cpoint_validation():
             CPoint((1.0, 2.0, 3.0)).swap(j)
 
 
+def test_non_integer_index_is_a_domain_error():
+    # every entry point that reads an index refuses a float or a string one,
+    # integral or inside 1..n-1 or not, inside the contract; numpy integers
+    # stay valid and read as the same index
+    from polydisc.membership import nonvanishing_falsifier
+    from polydisc.mobius import degenerate_product
+    from polydisc.schwarz import SchwarzProblem, xj_quantities
+
+    y = CPoint((0.3 + 0.1j, 0.2, 0.1))
+    p = SchwarzProblem(lambda0=0.5, target=y)
+    calls = (
+        lambda j: y.y(j),
+        lambda j: y.swap(j),
+        lambda j: binom(3, j),
+        lambda j: d_norm(j, y),
+        lambda j: phi(j, y, 0.1),
+        lambda j: image_disk(j, y),
+        lambda j: sup_on_torus(j, y, 64),
+        lambda j: degenerate_product(y, j),
+        lambda j: nonvanishing_falsifier(y, j, grid=8),
+        lambda j: xj_quantities(p, j),
+        lambda j: p.branch(j),
+    )
+    for call in calls:
+        for j in (1.5, 1.0, 2.0, "1"):
+            with pytest.raises(DomainError, match="not an integer in 1..2"):
+                call(j)
+        assert call(np.int64(2)) == call(2)
+
+
 def test_cpoint_json_round_trip():
     y = CPoint((1.5 + 0.5j, -0.75, 0.5j))
     assert CPoint.from_json(y.to_json()) == y

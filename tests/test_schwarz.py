@@ -7,9 +7,15 @@ import pytest
 
 from polydisc.clinalg import op_norm
 from polydisc.errors import DegenerateProblemError, DomainError
-from polydisc.membership import costara_sup, in_tilde_g, in_tilde_gamma, symmetrize
+from polydisc.membership import BOUNDARY_BAND, costara_sup, in_tilde_g, in_tilde_gamma, symmetrize
 from polydisc.mobius import CPoint, d_norm
-from polydisc.sampling import g_point_disc, j_point, tilde_g_point, unit_disc
+from polydisc.sampling import (
+    g_point_disc,
+    j_point,
+    tilde_g_point,
+    tilde_gamma_boundary_point,
+    unit_disc,
+)
 from polydisc.schwarz import (
     SchwarzProblem,
     assemble_pi,
@@ -96,6 +102,49 @@ def test_lift_even_dimension_agrees_with_condition3(rng):
         if min(abs(m3.slack), abs(m4.slack)) <= 1e-7:
             continue
         assert m3.holds == m4.holds
+
+
+def _seeded_problems(seed, count):
+    """count seeded problems, n = 2..8 in turn; every third target lies
+    within 1e-3 of the boundary of tilde-G_n, the others fill at most 0.85
+    or 0.97 of it; |lambda0| is the target's S3 threshold (its branch
+    sup-norm) times a uniform factor in [0.7, 1.3), capped at 0.999, so
+    about half the problems are feasible."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 2 + i % 7
+        if i % 3 == 2:
+            shrink = 1.0 - 1e-3 * (0.01 + 0.99 * rng.random())
+            y = tilde_gamma_boundary_point(n, rng).scale(shrink)
+        else:
+            y = tilde_g_point(n, rng, margin=(0.85, 0.97)[i % 3])
+        top = 0.5 - check_condition(SchwarzProblem(lambda0=0.5, target=y), 3).slack
+        al = min(0.999, max(1e-3, top) * (0.7 + 0.6 * rng.random()))
+        yield SchwarzProblem(lambda0=al * np.exp(2j * np.pi * rng.random()), target=y)
+
+
+def test_s4_and_s11_are_the_lifted_points_closed_c7_and_c10():
+    # one call each on the lifted point, bit for bit; for even n the lifted
+    # point lives in C^{n+1}, so both slacks are in its units binom(n+1, j)
+    band = BOUNDARY_BAND
+    for p in _seeded_problems(20, 700):
+        lifted = lift(p)
+        c7 = in_tilde_gamma(lifted, cond="C7", band=band).condition("C7").slack
+        c10 = in_tilde_gamma(lifted, cond="C10", band=band).condition("C10").slack
+        cap = abs(p.lambda0) - abs(p.target.q)
+        assert check_condition(p, 4, band=band).slack == c7, p.to_json()
+        assert check_condition(p, 11, band=band).slack == min(cap, c10), p.to_json()
+
+
+def test_schwarz_verdict_bits_pinned():
+    # (holds, boundary) of S2..S11 on 2100 seeded problems, hashed before
+    # S4 and S11 read the lifted point's own C7 and C10: changing S11's
+    # units for even n must not move a verdict bit
+    h = hashlib.sha256()
+    for p in _seeded_problems(21, 2100):
+        bits = [(m.holds, m.boundary) for m in (check_condition(p, c) for c in range(2, 12))]
+        h.update(repr(bits).encode())
+    assert h.hexdigest() == "1208ae6b863820568949d4ea74b109b26ee123bdbfdf2e08addf9807bafa8a69"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -2,9 +2,12 @@
 other property covers: each call gives finite output or a PolydiscError,
 under warnings as errors."""
 
+import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -14,17 +17,21 @@ from hypothesis import strategies as st
 
 from polydisc import (
     CPoint,
+    DiscFunction,
     DomainError,
     PolydiscError,
+    ScalarSchur,
     SchwarzProblem,
     b_matrices,
     beta_recover,
     blaschke,
+    build_interpolant,
     carath_lower,
     check_condition,
     costara_f,
     dist_formula,
     distance_report,
+    extremal_disc,
     gn_schwarz_bound,
     in_b_gamma,
     in_g,
@@ -40,6 +47,7 @@ from polydisc import (
     starlike_scale,
     supnorm_comparison,
     symmetrize,
+    worked_family,
     xj_quantities,
 )
 
@@ -134,6 +142,81 @@ def test_public_names_total_on_finite_doubles(coords, z, w, j, r):
             except PolydiscError:
                 continue
             assert _finite(out), (name, out)
+
+
+# any JSON value: unbounded integers and non-finite floats included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=12,
+)
+_DECODERS = (CPoint.from_json, ScalarSchur.from_json, DiscFunction.from_json)
+_DROP = object()  # the mutation that removes the key or list entry
+
+
+@functools.cache
+def _valid_json() -> tuple:
+    """(decoder, valid JSON) for a point, both Schur kinds and a disc of
+    every kind."""
+    strict = build_interpolant(CPoint((1.35, 0.675, 0.45)), -0.8)
+    discs = (strict, extremal_disc(CPoint((1.5, 0.75, 0.5)))[1],
+             worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.4 - 0.1j)),
+             extremal_disc(CPoint((1.0, 0.5, 1.0 / 18.0)))[1])
+    schurs = (ScalarSchur("blaschke", const=0.5j, zeros=(0.2, -0.1j)), discs[2].g)
+    return (
+        (CPoint.from_json, CPoint((1.5 + 0.5j, 0.75, 0.5j)).to_json()),
+        *((ScalarSchur.from_json, g.to_json()) for g in schurs),
+        *((DiscFunction.from_json, d.to_json()) for d in discs),
+    )
+
+
+def _paths(obj, path=()):
+    """The path of obj and of every value inside it."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(obj, path, value):
+    """A copy of obj with the value at path replaced, or removed (_DROP)."""
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def _one_fault(case):
+    decode, base = case
+    paths = [p for p in _paths(base) if p]
+    return st.tuples(st.just(decode), st.sampled_from(paths).flatmap(
+        lambda path: st.one_of(st.just(_DROP), _JSON).map(lambda v: _mutated(base, path, v))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(_DECODERS), _JSON),
+    st.deferred(lambda: st.sampled_from(_valid_json()).flatmap(_one_fault)),
+))
+@example((ScalarSchur.from_json,
+          {"kind": "blaschke", "const": [1.0, 0.0], "zeros": "ab", "np2": [[0.0, 0.0]] * 5}))
+@example((DiscFunction.from_json, {"kind": "diagonal", "n": 3, "swap": False,
+                                   "lambda0": [10**400, 0]}))
+def test_json_decoders_total(case):
+    # arbitrary JSON, and valid point, Schur and disc JSON with one key or
+    # entry removed or one value replaced: each decoder returns or raises a
+    # PolydiscError, under warnings as errors
+    decode, obj = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            decode(obj)
+        except PolydiscError:
+            pass
 
 
 def test_blaschke_needs_lambda0_in_the_disc():
