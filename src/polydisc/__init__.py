@@ -28,7 +28,6 @@ from .geometry import (
     noncircular_witness,
     nonconvex_witness,
     separating_polynomial,
-    starlike_scale,
 )
 from .interpolation import (
     WORKED_FAMILY_LAMBDA0,
@@ -44,16 +43,11 @@ from .interpolation import (
     np2,
     nu_window,
     slice_interpolant,
-    u_v_vectors,
-    z_nu,
 )
 from .membership import (
     BOUNDARY_BAND,
-    BetaVector,
     ConditionMargin,
     MembershipReport,
-    b_matrices,
-    beta_recover,
     costara_f,
     costara_sup,
     in_b_gamma,
@@ -66,24 +60,19 @@ from .membership import (
     in_tilde_g_batch,
     in_tilde_gamma,
     nonvanishing_falsifier,
-    scale_point,
     symmetrize,
     symmetrize_batch,
 )
-from .mobius import CPoint, DiskImage, binom, d_norm, image_disk, phi, sup_on_torus
+from .mobius import CPoint, binom, d_norm, phi, sup_on_torus
 from .schwarz import (
     SchurCertificate,
     SchwarzProblem,
-    assemble_pi,
     check_condition,
-    supnorm_comparison,
-    feasibility_alpha,
     gn_schwarz_bound,
     in_J_n,
     k_rho,
     lift,
     schur_certificates,
-    xj_quantities,
 )
 
 __version__ = "0.1.0"

@@ -138,14 +138,6 @@ class HermEig2:
     v_min: np.ndarray
     v_max: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        (p, q), (r, s) = self.v_min.tolist(), self.v_max.tolist()
-        lo, hi = self.lam_min, self.lam_max
-        off = lo * p * q.conjugate() + hi * r * s.conjugate()
-        return mat2(
-            lo * _sq(p) + hi * _sq(r), off, off.conjugate(), lo * _sq(q) + hi * _sq(s)
-        )
-
 
 def _herm(H):
     """(e, a, b, d, lo, hi, disc) for a Hermitian 2x2 matrix H: its Hermitian

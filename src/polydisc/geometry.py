@@ -1,7 +1,6 @@
 """Constructive geometry of the closed extended symmetrized polydisc:
-separating polynomials for exterior points (polynomial convexity), the
-starlike scaling property, and explicit non-convexity / non-circularity
-witnesses.
+separating polynomials for exterior points (polynomial convexity) and
+explicit non-convexity / non-circularity witnesses.
 """
 
 from __future__ import annotations
@@ -12,14 +11,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .membership import BOUNDARY_BAND, MembershipReport, in_tilde_g, in_tilde_gamma
+from .membership import in_tilde_gamma
 from .mobius import CPoint, _cabs, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
     "SeparatingPoly",
     "separating_polynomial",
-    "starlike_scale",
     "nonconvex_witness",
     "noncircular_witness",
 ]
@@ -187,17 +185,6 @@ def separating_polynomial(
     return replace(poly, sup_bound=sup, value_at_target=target_val)
 
 
-def starlike_scale(y: CPoint, r: float, band: float = BOUNDARY_BAND) -> MembershipReport:
-    """Membership report of r*y (uniform coordinate scaling, 0 <= r < 1).
-
-    For y in the closure, r*y lands in the open set: both domains are
-    starlike about the origin.
-    """
-    if not 0.0 <= r < 1.0:
-        raise DomainError("r must lie in [0, 1)")
-    return in_tilde_g(y.scale(r), cond="C7", band=band)
-
-
 def nonconvex_witness(n: int) -> tuple[CPoint, CPoint, CPoint]:
     """Points a, b in tilde-Gamma_n whose midpoint c is outside.
 
@@ -233,7 +220,7 @@ def noncircular_witness(n: int) -> tuple[CPoint, CPoint]:
     closure while its rotation by i is not, so the set is not circled."""
     if n < 2:
         raise DomainError("needs n >= 2")
-    y = CPoint(tuple(complex(binom(n, j)) for j in range(1, n)) + (1.0 + 0j,))
+    y = CPoint(tuple(binom(n, j) for j in range(1, n)) + (1.0 + 0j,))
     iy = y.scale(1j)
     if not in_tilde_gamma(y, cond="C7").verdict:
         raise ConstructionError("binomial point not in the closure")

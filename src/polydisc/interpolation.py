@@ -39,7 +39,7 @@ from .errors import (
     MarginalProblemError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
-from .mobius import CPoint, _cabs, _check_poles, _degenerate, _pair_terms, binom, d_norm, degenerate_product
+from .mobius import CPoint, _cabs, _check_poles, _complex_json, _degenerate, _dimension, _pair_terms, binom, d_norm, degenerate_product
 from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "DiscFunction",
     "blaschke",
     "nu_window",
-    "z_nu",
-    "u_v_vectors",
     "default_q",
     "np2",
     "build_interpolant",
@@ -167,15 +165,12 @@ class ScalarSchur:
 
     @staticmethod
     def from_json(obj: dict) -> "ScalarSchur":
-        def c(v):
-            return complex(v[0], v[1])
-
         try:  # the constructor checks nothing: every error here is a parse error
-            a, wa, b, c1, t = (c(v) for v in obj["np2"])
+            a, wa, b, c1, t = map(_complex_json, obj["np2"])
             return ScalarSchur(
                 kind=obj["kind"],
-                const=c(obj["const"]),
-                zeros=tuple(c(z) for z in obj["zeros"]),
+                const=_complex_json(obj["const"]),
+                zeros=tuple(map(_complex_json, obj["zeros"])),
                 a=a,
                 wa=wa,
                 b=b,
@@ -228,7 +223,10 @@ def _window_from_x2(x2: float) -> tuple[float, float]:
     return (x2 - root) / 2.0, (x2 + root) / 2.0
 
 
-def _check_n3_ordered(y0: CPoint, lambda0: complex) -> None:
+def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
+    """(theta_1, theta_2), the window of admissible nu^2: the roots of
+    z + 1/z = X_2.  Their product is 1 and theta_1 < 1 < theta_2, so nu = 1
+    always qualifies for a strict problem."""
     if y0.n != 3:
         raise DomainError("this operation is stated for n = 3")
     _check_lambda0(lambda0)
@@ -244,31 +242,13 @@ def _check_n3_ordered(y0: CPoint, lambda0: complex) -> None:
         raise MarginalProblemError(
             "sup-norm is not strictly below |lambda0|"
         )
-
-
-def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
-    """(theta_1, theta_2), the window of admissible nu^2: the roots of
-    z + 1/z = X_2.  Their product is 1 and theta_1 < 1 < theta_2, so nu = 1
-    always qualifies for a strict problem."""
-    _check_n3_ordered(y0, lambda0)
     _, x2, _ = _xj_terms(3.0, y0.y(1), y0.y(2), y0.q, abs(complex(lambda0)))
     return _window_from_x2(x2)
 
 
-def z_nu(y0: CPoint, lambda0: complex, nu: float) -> np.ndarray:
-    """The scaled symmetric matrix Z_nu with off-diagonals nu*w and w/nu,
-    w the principal square root of (y_1 y_2 - 9 q) / (9 lambda0)."""
-    _check_n3_ordered(y0, lambda0)
-    if not nu > 0:
-        raise DomainError("nu must be positive")
-    Z = _z_nu_general(3.0, y0.y(1), y0.y(2), y0.q, complex(lambda0), nu)
-    if not np.isfinite(Z).all():
-        raise DomainError(f"Z_nu is not finite at nu = {nu:.6g}")
-    return Z
-
-
 def _u_v(Z: np.ndarray, alpha):
-    """u(alpha) and v(alpha) of u_v_vectors as entry pairs."""
+    """u(alpha) = (1-ZZ*)^{-1/2}(alpha_1 Z e_1 + alpha_2 e_2) and
+    v(alpha) = -(1-Z*Z)^{-1/2}(alpha_1 e_1 + alpha_2 Z* e_2), as entry pairs."""
     a, _, c, d = z = _entries(Z)
     a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
     if a1 == 0 and a2 == 0:
@@ -282,13 +262,6 @@ def _u_v(Z: np.ndarray, alpha):
     if not all(map(cmath.isfinite, u + v)):
         raise DomainError("u(alpha) or v(alpha) is not finite")
     return u, v
-
-
-def u_v_vectors(Z: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """u(alpha) = (1-ZZ*)^{-1/2}(alpha_1 Z e_1 + alpha_2 e_2),
-    v(alpha) = -(1-Z*Z)^{-1/2}(alpha_1 e_1 + alpha_2 Z* e_2)."""
-    u, v = _u_v(Z, alpha)
-    return np.array(u), np.array(v)
 
 
 def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
@@ -330,7 +303,7 @@ def _mat_json(M: np.ndarray | None):
 def _mat_from_json(obj) -> np.ndarray | None:
     if obj is None:
         return None
-    return np.array([[complex(*v) for v in row] for row in obj], dtype=complex)
+    return np.array([[_complex_json(v) for v in row] for row in obj], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -376,6 +349,7 @@ class DiscFunction:
         reads = self._READS.get(self.kind) if isinstance(self.kind, str) else None
         if reads is None or not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise DomainError(f"no disc of kind {self.kind!r} with n = {self.n!r}")
+        _dimension(self.n)
         if not isinstance(self.swap, bool):  # a truthy string would swap, and JSON needs a bool
             raise DomainError(f"a disc's swap is a bool, not {self.swap!r}")
         missing = [name for name in reads if getattr(self, name) is None]
@@ -461,9 +435,9 @@ class DiscFunction:
                 kind=obj["kind"],
                 n=obj["n"],
                 swap=obj["swap"],
-                lambda0=complex(*obj["lambda0"]),
+                lambda0=_complex_json(obj["lambda0"]),
                 **{k: _mat_from_json(obj[k]) for k in DiscFunction._MATRICES},
-                d1=complex(*obj["d1"]),
+                d1=_complex_json(obj["d1"]),
                 g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
                 f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),
             )

@@ -32,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinalg import _scaled, _svals, _svals_sq, _unscale, mat2
+from .clinalg import _scaled, _svals, _svals_sq, _unscale
 from .errors import DomainError
 from .mobius import (
     CPoint,
     _cabs,
     _check_poles,
     _degenerate,
+    _dimension,
     _pair_terms,
     _sup_formula,
     binom,
@@ -50,11 +51,8 @@ __all__ = [
     "ALL_CONDITIONS",
     "ConditionMargin",
     "MembershipReport",
-    "BetaVector",
     "in_tilde_g",
     "in_tilde_gamma",
-    "beta_recover",
-    "b_matrices",
     "in_g",
     "in_gamma",
     "in_b_gamma",
@@ -66,7 +64,6 @@ __all__ = [
     "symmetrize_batch",
     "costara_f",
     "costara_sup",
-    "scale_point",
     "nonvanishing_falsifier",
 ]
 
@@ -117,21 +114,6 @@ class MembershipReport:
             "conditions": [c.to_json() for c in self.per_condition],
             "recursion_trace": [p.to_json() for p in self.recursion_trace],
         }
-
-
-@dataclass(frozen=True)
-class BetaVector:
-    """The unique beta-representation of a point with |q| < 1."""
-
-    n: int
-    betas: tuple[complex, ...]
-
-    def reconstruct(self, q: complex) -> tuple[complex, ...]:
-        n = self.n
-        return tuple(
-            self.betas[j - 1] + self.betas[n - 1 - j].conjugate() * q
-            for j in range(1, n)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -313,31 +295,11 @@ def _tilde_slack7(coords: tuple[complex, ...], band: float | None = None) -> flo
     return slack
 
 
-def beta_recover(y: CPoint) -> BetaVector:
-    """The forced beta-representation beta_j = (y_j - conj(y_{n-j}) q) / (1 - |q|^2);
-    a beta past the double range raises DomainError."""
-    if _cabs(y.q) >= 1.0:
-        raise DomainError("beta recovery needs |q| < 1")
-    betas = _beta_coords(y.coords)
-    if not all(map(cmath.isfinite, betas)):
-        raise DomainError("a beta coordinate leaves the double range")
-    return BetaVector(y.n, betas)
-
-
-def b_matrices(y: CPoint) -> list[np.ndarray]:
-    """The symmetric matrices of condition (9): diag (y_j/C, y_{n-j}/C),
-    off-diagonal any square root of y_j y_{n-j}/C^2 - q (principal branch);
-    all have determinant q, and membership is equivalent to every norm < 1.
-    """
-    if y.n < 2:
-        raise DomainError("needs n >= 2")
-    return [mat2(*_b_entries(y.coords, j)) for j in range(1, y.n // 2 + 1)]
-
-
 def _b_entries(coords: tuple[complex, ...], j: int) -> tuple[complex, complex, complex, complex]:
-    """The entry tuple of b_matrices' B_j.  Where a d - q overflows, the root
-    is taken of the pair scaled exactly by (2^-e, 2^-e, 4^-e); an entry past
-    the double range raises DomainError."""
+    """The entries (y_j / C, k, k, y_{n-j} / C), C = binom(n, j), of B_j in
+    condition (9), k the principal root of a d - q, so det B_j = q.  Where
+    a d - q overflows, the root is taken of the pair scaled exactly by
+    (2^-e, 2^-e, 4^-e); an entry past the double range raises DomainError."""
     n, q = len(coords), coords[-1]
     c = float(math.comb(n, j))
     a, d = coords[j - 1] / c, coords[n - 1 - j] / c
@@ -445,8 +407,7 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
     by the stable one-point-at-a-time recurrence (exact on integer input)."""
     z = [complex(w) for w in z]
     n = len(z)
-    if n < 1:
-        raise DomainError("need at least one coordinate")
+    _dimension(n)  # before the O(n^2) recurrence
     e = [complex(1.0)] + [complex(0.0)] * n
     for m, zm in enumerate(z, start=1):
         for k in range(m, 0, -1):
@@ -475,6 +436,7 @@ def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _planes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The contiguous real and imaginary planes of the (m, n) batch y."""
+    _dimension(y.shape[1])
     return np.ascontiguousarray(y.real.T), np.ascontiguousarray(y.imag.T)
 
 
@@ -597,8 +559,6 @@ def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
 @np.errstate(all="ignore")
 def symmetrize_batch(z: np.ndarray) -> np.ndarray:
     """symmetrize(z).coords for every row of the (m, n) array z."""
-    if z.shape[1] < 1:
-        raise DomainError("need at least one coordinate")
     er, ei = np.zeros((2, z.shape[1] + 1, len(z)))
     er[0] = 1.0
     for k, (ar, ai) in enumerate(zip(*_planes(z)), start=1):
@@ -678,21 +638,6 @@ def costara_sup(s: CPoint, grid: int = 4096) -> float:
     if not math.isfinite(sup):
         raise DomainError("sup is not finite: f_s overflows on the grid")
     return sup
-
-
-def scale_point(s: CPoint, lam: complex) -> CPoint:
-    """(s_1, ..., s_{n-1}, p) -> (s_1/lam, s_2/lam^2, ..., p/lam^n).
-
-    Undoes the coordinatewise homogeneity of the symmetrization map:
-    symmetrize(lam * z) rescaled by lam is symmetrize(z).
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise DomainError("lam must be nonzero")
-    try:
-        return CPoint(tuple(c / lam ** (k + 1) for k, c in enumerate(s.coords)))
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError("the powers of lam leave the double range") from None
 
 
 @np.errstate(all="ignore")

@@ -23,12 +23,10 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "CPoint",
-    "DiskImage",
     "binom",
     "circle",
     "phi",
     "d_norm",
-    "image_disk",
     "sup_on_torus",
     "degenerate_product",
 ]
@@ -47,9 +45,8 @@ class CPoint:
     coords: tuple[complex, ...]
 
     def __post_init__(self):
+        _dimension(len(self.coords))  # before complex(), which overflows on the binomials of a large n
         coords = tuple(complex(c) for c in self.coords)
-        if len(coords) < 1:
-            raise DomainError("a point needs at least one coordinate")
         for c in coords:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise DomainError("non-finite coordinate")
@@ -92,15 +89,10 @@ class CPoint:
 
     @staticmethod
     def from_json(obj: dict) -> "CPoint":
-        pairs = obj.get("coords") if isinstance(obj, dict) else None
-        if not isinstance(pairs, (list, tuple)) or not all(
-            isinstance(c, (list, tuple)) and len(c) == 2
-            and all(isinstance(v, (int, float)) for v in c)
-            for c in pairs
-        ):
-            raise DomainError('a point is {"n": int, "coords": [[re, im], ...]}')
         try:
-            coords = [complex(float(re), float(im)) for re, im in pairs]
+            coords = [_complex_json(c) for c in obj["coords"]]
+        except (KeyError, TypeError):
+            raise DomainError('a point is {"n": int, "coords": [[re, im], ...]}') from None
         except OverflowError:
             raise DomainError("coordinate too large for a double") from None
         if "n" in obj and obj["n"] != len(coords):
@@ -108,15 +100,15 @@ class CPoint:
         return CPoint(tuple(coords))
 
 
-@dataclass(frozen=True)
-class DiskImage:
-    """Image of the unit disc under Phi_j(., y): an open disc.
-
-    A constant (degenerate) map is encoded as radius 0.
-    """
-
-    center: complex
-    radius: float
+def _complex_json(v) -> complex:
+    """The complex number of a JSON pair [re, im] of exactly two real numbers,
+    a bool not among them: the one reader of every decoder.  Anything else
+    raises TypeError, a number past the double range OverflowError; each
+    decoder turns both into its DomainError."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
+        raise TypeError(f"a complex number is a pair [re, im] of two numbers, not {v!r}")
+    return complex(float(v[0]), float(v[1]))
 
 
 def _index(j, n: int) -> int:
@@ -125,6 +117,14 @@ def _index(j, n: int) -> int:
     if not ((isinstance(j, int) or isinstance(j, np.integer)) and 0 < j < n):
         raise DomainError(f"index j={j!r} is not an integer in 1..{n - 1}")
     return j
+
+
+def _dimension(n: int) -> None:
+    """Refuse with DomainError a dimension n outside 1..515: binom(n, n//2)^2
+    leaves the double range from n = 517, and the Schwarz lift of an even n
+    lands in C^{n+1}, so n = 516 would reach 517."""
+    if not 0 < n <= 515:
+        raise DomainError(f"dimension n={n} is not in 1..515 (binom(n, n//2)^2 leaves the double range from 517)")
 
 
 def binom(n: int, j: int) -> int:
@@ -278,26 +278,6 @@ def _sup_formula(c, a, b, cross, k, degen: bool):
     if b >= c:
         return math.inf
     return (c * cross + k) / (c * c - b * b)
-
-
-def image_disk(j: int, y: CPoint) -> DiskImage:
-    """Center and radius of Phi_j(D, y); requires |y_{n-j}| < binom.
-
-    Satisfies |center| + radius = d_norm(j, y).
-    """
-    c, yj, ynj, q = _parts(y, j)
-    _, b, aq, _, _, k = _pair_terms(c, yj, ynj, q)
-    if _degenerate(c, k, aq):
-        return DiskImage(center=yj / c, radius=0.0)
-    if b >= c:
-        raise DomainError("image is unbounded: |y_{n-j}| >= binom(n, j)")
-    den = c * c - b * b
-    center = c * (yj - ynj.conjugate() * q) / float(den)
-    if not cmath.isfinite(center):  # a product overflowed: read it in Decimals
-        with localcontext(_EXACT):
-            e = (_exact(yj) - _exact(ynj).conjugate() * _exact(q)) * (c / Decimal(den))
-        center = complex(float(e.re), float(e.im))
-    return DiskImage(center=center, radius=float(k / den))
 
 
 @np.errstate(all="ignore")

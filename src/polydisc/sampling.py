@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .membership import BetaVector, _conj_mul
+from .membership import _conj_mul
 from .mobius import CPoint, binom
 from .schwarz import _slice_point
 
@@ -64,14 +64,18 @@ def _beta_pairs(n: int, draw, fill) -> list:
     return betas
 
 
+def _from_betas(betas: list, q: complex) -> CPoint:
+    """The point of the beta-representation y_j = beta_j + conj(beta_{n-j}) q."""
+    return CPoint(tuple(b + c.conjugate() * q for b, c in zip(betas, reversed(betas))) + (q,))
+
+
 def tilde_g_point(
     n: int, rng: np.random.Generator, margin: float = 0.95
 ) -> CPoint:
     """Interior point of tilde-G_n with beta-slack at least (1-margin)."""
     fill = margin * rng.random()
     q = unit_disc(rng, rmax=margin)
-    betas = BetaVector(n, _beta_pairs(n, rng.random, fill))
-    return CPoint(betas.reconstruct(q) + (q,))
+    return _from_betas(_beta_pairs(n, rng.random, fill), q)
 
 
 def tilde_g_points(
@@ -104,8 +108,7 @@ def tilde_gamma_boundary_point(n: int, rng: np.random.Generator) -> CPoint:
     the closure but not the interior.
     """
     q = unit_disc(rng, rmax=0.9)
-    betas = BetaVector(n, _beta_pairs(n, rng.random, 1.0))
-    return CPoint(betas.reconstruct(q) + (q,))
+    return _from_betas(_beta_pairs(n, rng.random, 1.0), q)
 
 
 def exterior_point(n: int, rng: np.random.Generator) -> CPoint:

@@ -47,14 +47,10 @@ __all__ = [
     "SchurCertificate",
     "check_condition",
     "lift",
-    "xj_quantities",
     "k_rho",
-    "feasibility_alpha",
     "schur_certificates",
     "in_J_n",
-    "assemble_pi",
     "gn_schwarz_bound",
-    "supnorm_comparison",
 ]
 
 SCHWARZ_CONDITIONS = tuple(range(2, 12))
@@ -192,25 +188,13 @@ def check_condition(
     return ConditionMargin(f"S{cond}", slack >= -band, slack, abs(slack) < band)
 
 
-def xj_quantities(p: SchwarzProblem, j: int) -> tuple[float, float, float]:
-    """(X_j, X_{n-j}, J) for a non-degenerate pair; X's are >= 2 exactly when
-    the branch-selected sup-norm bound holds, J is the first norm constraint
-    on the off-diagonal scaling nu^2.  Values past the double range, as at
-    a |lambda0| whose square underflows, raise DomainError."""
-    y, al = p.target, abs(p.lambda0)
-    if al * al == 0.0:
-        raise DomainError("|lambda0|^2 underflows: X/J quantities leave the double range")
-    out = _xj_terms(binom(p.n, j), y.y(j), y.y(p.n - j), y.q, al)
-    if not all(map(math.isfinite, out)):
-        raise DomainError("X/J quantities leave the double range at this |lambda0|")
-    return out
-
-
 def _xj_terms(
     c: float, yj: complex, ynj: complex, q: complex, al: float
 ) -> tuple[float, float, float]:
     """(X_j, X_{n-j}, J) from binom c, the pair (y_j, y_{n-j}), q and
-    |lambda0|, read off the pair's row, which must not be degenerate."""
+    |lambda0|, read off the pair's row, which must not be degenerate.  The
+    X's are >= 2 exactly when the branch-selected sup-norm bound holds; J
+    is the first norm constraint on the off-diagonal scaling nu^2."""
     t = _pair_terms(c, yj, ynj, q)
     if _degenerate(c, t[5], t[2]):
         raise DegenerateProblemError("X/J quantities are undefined when y_j y_{n-j} = binom^2 q")
@@ -238,8 +222,7 @@ def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
 
     Hermitian by construction.  The quadratic form it induces measures
     ||v(alpha)||^2 - rho^2 ||u(alpha)||^2 with a conjugated argument, so the
-    alpha to feed u/v is the conjugate of an eigenvector (see
-    feasibility_alpha).
+    alpha to feed u/v is the conjugate of an eigenvector (see _pair_route).
     """
     if not 0.0 <= rho < 1.0:
         raise DomainError("rho must lie in [0, 1)")
@@ -257,13 +240,6 @@ def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
     k21 = (1.0 - r2) * (a.conjugate() * r12 + c.conjugate() * r22)
     k22 = ga.conjugate() * r12 + (sc + sd - r2) * r22
     return np.array([[k11, k12], [k21, k22]])
-
-
-def feasibility_alpha(K: np.ndarray) -> tuple[float, np.ndarray]:
-    """(lambda_min, alpha) with alpha the conjugated minimizing eigenvector:
-    ||v(alpha)||^2 - rho^2 ||u(alpha)||^2 = lambda_min <= 0 iff feasible."""
-    eig = herm_eig(np.asarray(K))
-    return eig.lam_min, eig.v_min.conj()
 
 
 def _pair_route(c, yj, ynj, q: complex, lam: complex, nu: float, band: float, row) -> tuple:
@@ -285,9 +261,10 @@ def _pair_route(c, yj, ynj, q: complex, lam: complex, nu: float, band: float, ro
     w = complex(Z[1, 0])
     zn, D = op_norm(Z), _sup_formula(c, a, b, z, k, False)
     if zn < 1.0 - band or D < al - band:
+        # alpha = conj(v_min) gives ||v(alpha)||^2 - |lambda0|^2 ||u(alpha)||^2 = lambda_min
         K = k_rho(Z, al)
-        lam_min, alpha = feasibility_alpha(K)
-        return ("strict", Z, w, K, alpha, lam_min <= band, False, -lam_min)
+        eig = herm_eig(K)
+        return ("strict", Z, w, K, eig.v_min.conj(), eig.lam_min <= band, False, -eig.lam_min)
     marginal = zn <= 1.0 + band
     return ("marginal" if marginal else "infeasible", Z, w, None, None, marginal, marginal, al - D)
 
@@ -334,24 +311,6 @@ def in_J_n(y: CPoint) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(y.coords, s))
 
 
-def assemble_pi(matrices: list[np.ndarray], parity: str) -> CPoint:
-    """The assembly maps pi_{2k+1} / pi_{2k} from k contractive matrices with
-    a common determinant to a point of tilde-G_n (n = 2k+1 or 2k)."""
-    if parity not in ("odd", "even"):
-        raise DomainError("parity must be 'odd' or 'even'")
-    k = len(matrices)
-    if k < 1:
-        raise DomainError("need at least one matrix")
-    ents = [_entries(M) for M in matrices]
-    dets = [a * d - b * c for a, b, c, d in ents]
-    if max(abs(d - dets[0]) for d in dets) > 1e-11:
-        raise DomainError("determinants of the assembly matrices disagree")
-    if any(_svals(*e)[0] > 1.0 + 1e-11 for e in ents):
-        raise DomainError("assembly matrices must be contractions")
-    n = 2 * k + 1 if parity == "odd" else 2 * k
-    return CPoint(tuple(_pi_coords(n, ents)))
-
-
 @functools.cache
 def _binom_row(n: int) -> tuple[int, ...]:
     """(binom(n, 0), ..., binom(n, n)), built once per n."""
@@ -384,15 +343,3 @@ def gn_schwarz_bound(
     lam = _check_lambda0(lambda0)
     slack = abs(lam) - costara_sup(s0, grid)
     return ConditionMargin("costara-sup", slack >= -band, slack, abs(slack) < band)
-
-
-def supnorm_comparison(y: CPoint) -> tuple[float, float]:
-    """For (y_1, y_2, q) in tilde-G_3 with |y_2| <= |y_1|, the ordered pair
-    (D_2(y), D_1(y)); the first never exceeds the second."""
-    if y.n != 3:
-        raise DomainError("supnorm_comparison is a statement about n = 3")
-    if not in_tilde_g(y, cond="C7").verdict:
-        raise DomainError("point is not in tilde-G_3")
-    if abs(y.y(2)) > abs(y.y(1)):
-        raise DomainError("requires |y_2| <= |y_1|")
-    return d_norm(2, y), d_norm(1, y)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polydisc.mobius import CPoint
+
+# every property draws the same examples on every run and replays none from
+# an example database, so a tier-1 verdict depends only on the tree
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 # the worked data point used throughout: target (3/2, 3/4, 1/2), lambda0 = -4/5
 WORKED_POINT = CPoint((1.5, 0.75, 0.5))

@@ -14,7 +14,7 @@ from polydisc.sampling import tilde_gamma_boundary_point
 
 # the builders and the distances read from them decide their edges from the
 # data at the fixed membership.BOUNDARY_BAND: none takes a band
-_UNBANDED_BUILDERS = ("nu_window", "z_nu", "build_interpolant", "slice_interpolant",
+_UNBANDED_BUILDERS = ("nu_window", "build_interpolant", "slice_interpolant",
                       "extremal_disc", "lempert_upper", "distance_report")
 
 
@@ -56,7 +56,6 @@ def _probes() -> dict:
         "in_b_gamma_batch": ((np.array([torus_out.coords]),), {}, *flags),
         "in_tilde_g": ((inside,), {"cond": "C7"}, *flags),
         "in_tilde_gamma": ((outside,), {"cond": "C7"}, *flags),
-        "starlike_scale": ((inside.scale(2.0), 0.5), {}, *flags),
         "gn_schwarz_bound": ((g_in, costara_sup(g_in, 512) + 1e-9), {"grid": 512}, *flags),
         "check_condition": ((sliver, 3), {}, *route),
         # the sliver's certificate route
@@ -81,8 +80,7 @@ def _result(call):
 
 def test_every_public_band_is_read():
     probes = _probes()
-    # the open verdicts (in_g_batch, in_tilde_g_batch, supnorm_comparison)
-    # take no band: an open condition holds iff its slack is positive
+    # the open verdicts (in_g_batch, in_tilde_g_batch) take no band: an open condition holds iff its slack is positive
     assert set(probes) == _banded_names()
     for name in _UNBANDED_BUILDERS:
         assert "band" not in inspect.signature(getattr(polydisc, name)).parameters, name

@@ -41,6 +41,16 @@ def test_membership_malformed_json_exit_2():
     assert "coords" in err
 
 
+def test_membership_dimension_past_515_exit_2():
+    # a point past the dimension bound is bad input, not a traceback with
+    # exit 1 that reads as a false verdict
+    for n, code in ((515, 0), (516, 2)):
+        point = json.dumps({"n": n, "coords": [[0.1, 0]] + [[0, 0]] * (n - 2) + [[0.05, 0]]})
+        got, _, err = run_cli("membership", "--set", "tilde-g", "--cond", "C7", "--point", point)
+        assert got == code, err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_membership_point_from_file_and_stdin(tmp_path):
     pf = tmp_path / "point.json"
     pf.write_text(GAP_POINT)
@@ -554,7 +564,7 @@ def test_cli_exit_contract_fuzz():
     codes, plain_witness = [], []
 
     @seed(20261018)
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)).flatmap(argv))
     @example(["membership", f"--point={GAP_POINT}", "--set=g", "--assert"])
     def check(args):

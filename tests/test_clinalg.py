@@ -129,7 +129,9 @@ def test_herm_eig_reconstruction(rng):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         H = A + A.conj().T
         eig = herm_eig(H)
-        assert op_norm(eig.reconstruct() - H) <= 1e-11 * max(op_norm(H), 1.0)
+        V = np.column_stack([eig.v_min, eig.v_max])
+        rebuilt = V @ np.diag([eig.lam_min, eig.lam_max]) @ V.conj().T
+        assert op_norm(rebuilt - H) <= 1e-11 * max(op_norm(H), 1.0)
         for lam, v in ((eig.lam_min, eig.v_min), (eig.lam_max, eig.v_max)):
             assert np.linalg.norm(H @ v - lam * v) <= 1e-12 * max(op_norm(H), 1.0)
 
@@ -397,7 +399,7 @@ def _lapack_sqrt(H):
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(_matrices(), st.floats(0.0, 0.95))
 def test_kernels_match_lapack(km, r):
     """svals, herm_eig, herm_sqrt, takagi and matricial_mobius against

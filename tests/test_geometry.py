@@ -12,9 +12,8 @@ from polydisc.geometry import (
     noncircular_witness,
     nonconvex_witness,
     separating_polynomial,
-    starlike_scale,
 )
-from polydisc.membership import in_tilde_gamma
+from polydisc.membership import in_tilde_g, in_tilde_gamma
 from polydisc.mobius import CPoint, binom, circle, phi
 from polydisc.sampling import (
     exterior_point,
@@ -211,13 +210,14 @@ def test_separating_poly_json():
 
 
 def test_starlike_scale_origin():
-    rep = starlike_scale(CPoint((3.0, 3.0, 1.0)), 0.0)
-    assert rep.verdict
+    # both domains are starlike about the origin: r y is in the open set
+    # for y in the closure and 0 <= r < 1
+    assert in_tilde_g(CPoint((3.0, 3.0, 1.0)).scale(0.0), cond="C7").verdict
 
 
 def test_starlike_binomial_point_half():
     y = CPoint(tuple(float(binom(4, j)) for j in range(1, 4)) + (1.0,))
-    assert starlike_scale(y, 0.5).verdict
+    assert in_tilde_g(y.scale(0.5), cond="C7").verdict
 
 
 def test_starlike_sweep(rng):
@@ -229,12 +229,7 @@ def test_starlike_sweep(rng):
             else tilde_g_point(n, rng)
         )
         for r in (0.1, 0.5, 0.9, 0.999):
-            assert starlike_scale(y, r).verdict, (n, r, y.coords)
-
-
-def test_starlike_rejects_bad_r():
-    with pytest.raises(DomainError):
-        starlike_scale(CPoint((0, 0, 0)), 1.0)
+            assert in_tilde_g(y.scale(r), cond="C7").verdict, (n, r, y.coords)
 
 
 def test_nonconvex_witness_small_dims():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydisc.errors import DomainError, PoleError
-from polydisc.mobius import CPoint, binom, d_norm, image_disk, phi, sup_on_torus
+from polydisc.mobius import CPoint, binom, d_norm, phi, sup_on_torus
 from polydisc.sampling import tilde_g_point, unit_disc
 
 from conftest import WORKED_POINT
@@ -74,35 +74,6 @@ def test_d_norm_worked_point_values():
 
 def test_d_norm_unbounded_branch():
     assert math.isinf(d_norm(1, CPoint((0.5, 4.0, 0.3))))
-
-
-def test_image_disk_zero():
-    disk = image_disk(1, CPoint((0, 0, 0)))
-    assert disk.center == 0 and disk.radius == 0.0
-
-
-def test_image_disk_worked_values():
-    disk = image_disk(1, WORKED_POINT)
-    assert disk.center == pytest.approx(0.4, abs=1e-15)
-    assert disk.radius == pytest.approx(0.4, abs=1e-15)
-    assert abs(disk.center) + disk.radius == pytest.approx(d_norm(1, WORKED_POINT), abs=1e-12)
-
-
-def test_image_disk_degenerate_constant():
-    y = CPoint((1.0, 0.25))
-    disk = image_disk(1, y)
-    assert disk.radius == 0.0 and disk.center == pytest.approx(0.5)
-
-
-def test_image_disk_consistency_random(rng):
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
-        y = tilde_g_point(n, rng)
-        for j in range(1, n):
-            disk = image_disk(j, y)
-            assert abs(disk.center) + disk.radius == pytest.approx(
-                d_norm(j, y), abs=1e-12
-            )
 
 
 def test_sup_on_torus_zero():
@@ -230,7 +201,7 @@ def test_non_integer_index_is_a_domain_error():
     # stay valid and read as the same index
     from polydisc.membership import nonvanishing_falsifier
     from polydisc.mobius import degenerate_product
-    from polydisc.schwarz import SchwarzProblem, xj_quantities
+    from polydisc.schwarz import SchwarzProblem
 
     y = CPoint((0.3 + 0.1j, 0.2, 0.1))
     p = SchwarzProblem(lambda0=0.5, target=y)
@@ -240,11 +211,9 @@ def test_non_integer_index_is_a_domain_error():
         lambda j: binom(3, j),
         lambda j: d_norm(j, y),
         lambda j: phi(j, y, 0.1),
-        lambda j: image_disk(j, y),
         lambda j: sup_on_torus(j, y, 64),
         lambda j: degenerate_product(y, j),
         lambda j: nonvanishing_falsifier(y, j, grid=8),
-        lambda j: xj_quantities(p, j),
         lambda j: p.branch(j),
     )
     for call in calls:
@@ -252,6 +221,57 @@ def test_non_integer_index_is_a_domain_error():
             with pytest.raises(DomainError, match="not an integer in 1..2"):
                 call(j)
         assert call(np.int64(2)) == call(2)
+
+
+def test_dimension_is_bounded_to_1_through_515():
+    # binom(n, n//2)^2 leaves the double range from n = 517, and an even n
+    # lifts into C^{n+1}: every entry point answers at n = 515 and refuses
+    # n = 516 as a domain error (from 517 on, OverflowError escaped)
+    from polydisc.geometry import noncircular_witness
+    from polydisc.interpolation import DiscFunction, np2, worked_family
+    from polydisc.membership import (
+        in_b_gamma_batch,
+        in_g,
+        in_g_batch,
+        in_gamma_batch,
+        in_tilde_g,
+        in_tilde_g_batch,
+        in_tilde_gamma,
+        symmetrize,
+        symmetrize_batch,
+    )
+    from polydisc.schwarz import SchwarzProblem, check_condition
+
+    disc = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.4 - 0.1j)).to_json()
+
+    def calls(n):
+        coords = (0.1,) + (0j,) * (n - 2) + (0.05,)
+        yield lambda: in_tilde_g(CPoint(coords))
+        yield lambda: in_tilde_gamma(CPoint(coords))
+        yield lambda: in_tilde_g(CPoint(coords), cond="C7")
+        yield lambda: d_norm(n // 2, CPoint(coords))
+        for cond in range(2, 12):
+            yield lambda cond=cond: check_condition(SchwarzProblem(0.5, CPoint(coords)), cond)
+        yield lambda: in_g(CPoint(coords))
+        yield lambda: in_tilde_g_batch(np.array([coords]))
+        yield lambda: noncircular_witness(n)
+        yield lambda: DiscFunction.from_json({**disc, "n": n})(0.3)
+
+    for call in calls(515):
+        call()
+    for call in calls(516):
+        with pytest.raises(DomainError, match="dimension n=516"):
+            call()
+    for n in (1030, 10**20):
+        with pytest.raises(DomainError, match="dimension"):
+            DiscFunction.from_json({**disc, "n": n})
+    # no coordinate at all: the batch descents indexed an empty plane
+    empty = np.zeros((1, 0), dtype=complex)
+    for call in (lambda: CPoint(()), lambda: symmetrize([]), lambda: in_g_batch(empty),
+                 lambda: in_gamma_batch(empty), lambda: in_b_gamma_batch(empty),
+                 lambda: symmetrize_batch(empty)):
+        with pytest.raises(DomainError, match="dimension n=0"):
+            call()
 
 
 def test_cpoint_json_round_trip():
@@ -323,12 +343,11 @@ def _extreme_refs(a: complex, b: complex):
 
 
 def test_extreme_magnitudes_give_right_values_or_polydisc_errors():
-    """degenerate_product, d_norm, image_disk, sup_on_torus and costara_sup
-    on the 7 x 7 grid of n = 2 points with coordinates in EXTREMES: each
-    returns what exact-exponent arithmetic gives, or raises a PolydiscError;
-    never a bare OverflowError, and image_disk keeps |center| + radius =
-    D_1 with a finite centre."""
-    mp = pytest.importorskip("mpmath")
+    """degenerate_product, d_norm, sup_on_torus and costara_sup on the 7 x 7
+    grid of n = 2 points with coordinates in EXTREMES: each returns what
+    exact-exponent arithmetic gives, or raises a PolydiscError; never a bare
+    OverflowError."""
+    pytest.importorskip("mpmath")
     from polydisc.errors import PolydiscError
     from polydisc.membership import costara_sup
     from polydisc.mobius import degenerate_product
@@ -340,13 +359,6 @@ def test_extreme_magnitudes_give_right_values_or_polydisc_errors():
             degen, margin, dn, sup, cos = _extreme_refs(a, b)
             assert degenerate_product(y, 1) == degen, (a, b, margin)
             assert _agrees(d_norm(1, y), dn), (a, b)
-            try:
-                img = image_disk(1, y)
-            except PolydiscError:
-                assert dn == mp.inf, (a, b)  # unbounded image
-            else:
-                assert cmath.isfinite(img.center), (a, b, img)
-                assert _agrees(abs(mp.mpc(img.center)) + img.radius, dn), (a, b, img)
             for call, ref in ((lambda: sup_on_torus(1, y, 64), sup),
                               (lambda: costara_sup(y, 64), cos)):
                 try:

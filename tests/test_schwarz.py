@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from polydisc.clinalg import op_norm
+from polydisc.clinalg import _entries, herm_eig, op_norm
 from polydisc.errors import DegenerateProblemError, DomainError
 from polydisc.membership import BOUNDARY_BAND, costara_sup, in_tilde_g, in_tilde_gamma, symmetrize
-from polydisc.mobius import CPoint, d_norm
+from polydisc.mobius import CPoint, binom, d_norm
 from polydisc.sampling import (
     g_point_disc,
     j_point,
@@ -18,16 +18,14 @@ from polydisc.sampling import (
 )
 from polydisc.schwarz import (
     SchwarzProblem,
-    assemble_pi,
+    _pi_coords,
+    _xj_terms,
     check_condition,
-    supnorm_comparison,
-    feasibility_alpha,
     gn_schwarz_bound,
     in_J_n,
     k_rho,
     lift,
     schur_certificates,
-    xj_quantities,
 )
 
 from conftest import WORKED_LAMBDA0, WORKED_POINT, rand_contraction
@@ -169,9 +167,14 @@ def test_equivalence_suite(n, rng):
     assert checked > 150
 
 
+def _xj(p: SchwarzProblem, j: int) -> tuple[float, float, float]:
+    y = p.target
+    return _xj_terms(binom(p.n, j), y.y(j), y.y(p.n - j), y.q, abs(p.lambda0))
+
+
 def test_xj_worked_values():
     p = SchwarzProblem(lambda0=WORKED_LAMBDA0, target=WORKED_POINT)
-    xj, xnj, J = xj_quantities(p, 1)
+    xj, xnj, J = _xj(p, 1)
     assert J == pytest.approx(2.0, abs=1e-13)
     assert xnj == pytest.approx(2.0, abs=1e-13)  # exactly marginal data
     assert J + 1.0 / J > xnj
@@ -180,7 +183,7 @@ def test_xj_worked_values():
 def test_xj_symmetric_target(rng):
     y = CPoint((0.8, 0.8, 0.1))
     p = SchwarzProblem(lambda0=0.9, target=y)
-    xj, xnj, _ = xj_quantities(p, 1)
+    xj, xnj, _ = _xj(p, 1)
     assert xj == pytest.approx(xnj, abs=1e-12)
 
 
@@ -194,7 +197,7 @@ def test_xj_strict_exceeds_two(rng):
         if not m3.holds or m3.boundary:
             continue
         try:
-            xj, xnj, J = xj_quantities(p, 1)
+            xj, xnj, J = _xj(p, 1)
         except DegenerateProblemError:
             continue
         found += 1
@@ -207,7 +210,7 @@ def test_xj_rejects_degenerate():
     y = CPoint((1.0, 0.5, 1.0 * 0.5 / 9.0))
     p = SchwarzProblem(lambda0=0.9, target=y)
     with pytest.raises(DegenerateProblemError):
-        xj_quantities(p, 1)
+        _xj(p, 1)
 
 
 def test_k_rho_zero_matrix():
@@ -237,16 +240,15 @@ def test_k_rho_hermitian(rng):
 
 def test_feasibility_alpha_form(rng):
     # the conjugated eigenvector realizes ||v||^2 - rho^2 ||u||^2 = lam_min
-    from polydisc.interpolation import u_v_vectors
+    from polydisc.interpolation import _u_v
 
     for _ in range(50):
         Z = rand_contraction(rng)
         rho = 0.3 + 0.6 * rng.random()
-        K = k_rho(Z, rho)
-        lam_min, alpha = feasibility_alpha(K)
-        u, v = u_v_vectors(Z, alpha)
+        eig = herm_eig(k_rho(Z, rho))
+        u, v = map(np.array, _u_v(Z, eig.v_min.conj()))
         form = np.linalg.norm(v) ** 2 - rho**2 * np.linalg.norm(u) ** 2
-        assert form == pytest.approx(lam_min, abs=1e-10)
+        assert form == pytest.approx(eig.lam_min, abs=1e-10)
 
 
 def test_certificates_zero_target():
@@ -360,21 +362,21 @@ def test_slice_points_match_parent():
 
 def test_assemble_pi_zero():
     z = np.zeros((2, 2))
-    assert assemble_pi([z], "odd").coords == (0j, 0j, 0j)
+    assert _pi_coords(3, [_entries(z)]) == [0j, 0j, 0j]
 
 
 def test_assemble_pi_single_odd():
     B = np.array([[0.3, 0.1], [0.2, 0.4]])
-    pt = assemble_pi([B], "odd")
-    assert pt.coords[0] == pytest.approx(3 * 0.3)
-    assert pt.coords[1] == pytest.approx(3 * 0.4)
-    assert pt.coords[2] == pytest.approx(0.3 * 0.4 - 0.1 * 0.2)
+    coords = _pi_coords(3, [_entries(B)])
+    assert coords[0] == pytest.approx(3 * 0.3)
+    assert coords[1] == pytest.approx(3 * 0.4)
+    assert coords[2] == pytest.approx(0.3 * 0.4 - 0.1 * 0.2)
 
 
 def test_assemble_pi_lands_inside(rng):
     for _ in range(100):
         k = int(rng.integers(1, 4))
-        parity = "odd" if rng.random() < 0.5 else "even"
+        n = 2 * k + 1 if rng.random() < 0.5 else 2 * k
         base = rand_contraction(rng, nmax=0.9)
         det = base[0, 0] * base[1, 1] - base[0, 1] * base[1, 0]
         mats = [base]
@@ -388,13 +390,8 @@ def test_assemble_pi_lands_inside(rng):
             if op_norm(M) >= 1:
                 M = base
             mats.append(M)
-        pt = assemble_pi(mats, parity)
+        pt = CPoint(tuple(_pi_coords(n, [_entries(M) for M in mats])))
         assert in_tilde_g(pt, cond="C7").verdict or in_tilde_gamma(pt, cond="C7").verdict
-
-
-def test_assemble_pi_det_mismatch():
-    with pytest.raises(DomainError):
-        assemble_pi([np.diag([0.1, 0.2]), np.diag([0.3, 0.4])], "odd")
 
 
 def test_gn_schwarz_bound_zero():
@@ -421,24 +418,15 @@ def test_gn_schwarz_bound_violated(rng):
 
 
 def test_supnorm_comparison_values():
-    assert supnorm_comparison(CPoint((0.0, 0.0, 0.0))) == (0.0, 0.0)
-    lhs, rhs = supnorm_comparison(WORKED_POINT)
-    assert lhs == pytest.approx(0.5, abs=1e-15)
-    assert rhs == pytest.approx(0.8, abs=1e-15)
+    assert (d_norm(2, CPoint((0.0, 0.0, 0.0))), d_norm(1, CPoint((0.0, 0.0, 0.0)))) == (0.0, 0.0)
+    assert d_norm(2, WORKED_POINT) == pytest.approx(0.5, abs=1e-15)
+    assert d_norm(1, WORKED_POINT) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_supnorm_comparison_sweep(rng):
-    done = 0
+    # for y in tilde-G_3 with |y_2| <= |y_1|, D_2(y) <= D_1(y)
     for _ in range(300):
         y = tilde_g_point(3, rng)
         if abs(y.y(2)) > abs(y.y(1)):
             y = y.swap()
-        lhs, rhs = supnorm_comparison(y)
-        assert lhs <= rhs + 1e-12
-        done += 1
-    assert done == 300
-
-
-def test_supnorm_comparison_rejects_wrong_order():
-    with pytest.raises(DomainError):
-        supnorm_comparison(CPoint((0.1, 0.5, 0.0)))
+        assert d_norm(2, y) <= d_norm(1, y) + 1e-12
