@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import in_tilde_g
-from .mobius import CPoint, _cabs, circle, d_norm, phi
+from .mobius import CPoint, _cabs, _number, circle, d_norm, phi
 from .schwarz import in_J_n
 
 __all__ = [
@@ -56,7 +56,7 @@ class DistanceResult:
 
 def mobius_dist(z: complex, w: complex) -> float:
     """Pseudo-hyperbolic distance |z - w| / |1 - conj(w) z| on the disc."""
-    z, w = complex(z), complex(w)
+    z, w = _number(z), _number(w)
     if _cabs(z) >= 1.0 or _cabs(w) >= 1.0:
         raise DomainError("both points must lie in the open unit disc")
     return abs(z - w) / abs(1.0 - w.conjugate() * z)
@@ -73,13 +73,11 @@ def dist_formula(y: CPoint) -> float:
 
 def carath_lower(y: CPoint, grid: int = 4096) -> tuple[float, int, complex]:
     """Lower bound on the Caratheodory distance from 0: the best of the
-    candidate functionals Phi_j(omega, .), omega swept over `grid` points of
-    the circle.  Returns (bound, best j, best omega)."""
-    if grid < 8:
-        raise DomainError("grid must be at least 8")
+    candidate functionals Phi_j(omega, .), omega swept over the points
+    circle(grid).  Returns (bound, best j, best omega)."""
+    omegas = circle(grid)
     if not in_tilde_g(y, cond="C7").verdict:
         raise DomainError("point must lie in the open domain")
-    omegas = circle(grid)
     best = (0.0, 1, 1.0 + 0j)
     for j in range(1, y.n):
         vals = np.abs(phi(j, y, omegas))

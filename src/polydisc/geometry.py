@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import in_tilde_gamma
-from .mobius import CPoint, _cabs, binom, circle, phi
+from .mobius import CPoint, _cabs, _count, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -120,6 +120,7 @@ def separating_polynomial(
     The empirical part of the certificate evaluates |f| at `samples`
     forward-generated interior points.
     """
+    _count(samples, "samples")
     n = y.n
     rng = rng if rng is not None else np.random.default_rng(0)
     if math.inf in map(_cabs, y.coords):

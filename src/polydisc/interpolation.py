@@ -39,7 +39,9 @@ from .errors import (
     MarginalProblemError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
-from .mobius import CPoint, _cabs, _check_poles, _complex_json, _degenerate, _dimension, _pair_terms, binom, d_norm, degenerate_product
+from .mobius import (CPoint, _cabs, _check_poles, _complex_json, _count, _degenerate, _dimension, _number,
+                     _pair_terms, binom, d_norm, degenerate_product)
+from .sampling import tilde_g_point
 from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
 __all__ = [
@@ -68,24 +70,13 @@ _WF_G_AT_0 = 0.3 + 0j
 _WF_G_AT_L0 = 0.625 + 0j
 
 
-def _one_lambda(lam) -> complex:
-    """One finite lambda as a Python complex; anything else raises DomainError."""
-    try:
-        lam = complex(lam)
-        if cmath.isfinite(lam):
-            return lam
-    except (TypeError, ValueError):
-        pass
-    raise DomainError("lambda must be one finite complex number")
-
-
 def blaschke(lambda0: complex, lam: complex) -> complex:
     """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l, for |lambda0| < 1;
     vanishes at lambda0, sends 0 to lambda0, unimodular on the circle."""
-    lambda0 = _one_lambda(lambda0)
+    lambda0 = _number(lambda0)
     if not _cabs(lambda0) < 1.0:
         raise DomainError("lambda0 must lie in the open unit disc")
-    lam = _one_lambda(lam)
+    lam = _number(lam)
     return _mobius(lambda0, -lam, lam, "the Blaschke factor")
 
 
@@ -134,7 +125,7 @@ class ScalarSchur:
     t: complex = 0j
 
     def __call__(self, lam: complex) -> complex:
-        val = self._at(_one_lambda(lam))
+        val = self._at(_number(lam))
         if not cmath.isfinite(val):
             raise DomainError(f"the Schur function is not finite at lambda={lam}")
         return val
@@ -177,7 +168,7 @@ class ScalarSchur:
                 c1=c1,
                 t=t,
             )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed Schur function JSON: {exc!r}") from None
 
 
@@ -185,7 +176,7 @@ def np2(a: complex, wa: complex, b: complex, wb: complex, t: complex = 0j) -> Sc
     """Scalar Schur g with g(a) = wa and g(b) = wb, closed with the free
     parameter |t| <= 1 (distinct t give distinct g when the data is strictly
     solvable, i.e. pseudo-hyperbolic d(wa, wb) < d(a, b))."""
-    a, wa, b, wb, t = (complex(v) for v in (a, wa, b, wb, t))
+    a, wa, b, wb, t = map(_number, (a, wa, b, wb, t))
     if _cabs(a) >= 1 or _cabs(b) >= 1 or a == b:
         raise DomainError("nodes must be distinct points of the open disc")
     if _cabs(wa) >= 1 or _cabs(wb) >= 1:
@@ -229,7 +220,7 @@ def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
     always qualifies for a strict problem."""
     if y0.n != 3:
         raise DomainError("this operation is stated for n = 3")
-    _check_lambda0(lambda0)
+    lam = _check_lambda0(lambda0)
     if math.inf in map(_cabs, y0.coords):
         raise DomainError("a coordinate's modulus is past the double range")
     if abs(y0.y(2)) > abs(y0.y(1)):
@@ -238,11 +229,11 @@ def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
         raise DegenerateProblemError(
             "y_1 y_2 = 9 q: use the diagonal construction"
         )
-    if d_norm(1, y0) >= abs(lambda0) - BOUNDARY_BAND:
+    if d_norm(1, y0) >= abs(lam) - BOUNDARY_BAND:
         raise MarginalProblemError(
             "sup-norm is not strictly below |lambda0|"
         )
-    _, x2, _ = _xj_terms(3.0, y0.y(1), y0.y(2), y0.q, abs(complex(lambda0)))
+    _, x2, _ = _xj_terms(3.0, y0.y(1), y0.y(2), y0.q, abs(lam))
     return _window_from_x2(x2)
 
 
@@ -272,7 +263,7 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
     composed function at the constant Z.  Q_0 is blind to the scale of
     alpha, which is first scaled exactly by 2^-e, e the exponent of its
     largest |re| or |im|."""
-    lam0 = complex(lambda0)
+    lam0 = _number(lambda0)
     a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
     e = math.frexp(max(abs(a1.real), abs(a1.imag), abs(a2.real), abs(a2.imag)))[1]
     alpha = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in (a1, a2)]
@@ -406,7 +397,7 @@ class DiscFunction:
         return np.array(rows, dtype=complex).reshape(lam.size, self.n)
 
     def core(self, lam: complex) -> np.ndarray:
-        F = self._core(_one_lambda(lam))
+        F = self._core(_number(lam))
         if not all(map(cmath.isfinite, F)):
             raise DomainError("disc core is not finite")
         return mat2(*F)
@@ -414,7 +405,7 @@ class DiscFunction:
     def __call__(self, lam: complex) -> CPoint:
         # _psi checked finiteness; complex() still converts, as CPoint
         # would, a coordinate that a hand-built real ScalarSchur left real
-        return CPoint._unchecked(tuple(map(complex, self._psi(_one_lambda(lam)))))
+        return CPoint._unchecked(tuple(map(complex, self._psi(_number(lam)))))
 
     def to_json(self) -> dict:
         return {
@@ -441,7 +432,7 @@ class DiscFunction:
                 g=None if obj["g"] is None else ScalarSchur.from_json(obj["g"]),
                 f=None if obj["f"] is None else ScalarSchur.from_json(obj["f"]),
             )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed disc JSON: {exc!r}") from None
         return DiscFunction(**fields)
 
@@ -449,7 +440,7 @@ class DiscFunction:
 def _verify_endpoints(
     disc: DiscFunction, lambda0: complex, target: CPoint, tol: float
 ) -> None:
-    at0, atl = disc._psi(0j), disc._psi(complex(lambda0))
+    at0, atl = disc._psi(0j), disc._psi(lambda0)
     if max(_cabs(c) for c in at0) > tol:
         raise ConstructionError("disc does not vanish at 0")
     err = max(_cabs(a - b) for a, b in zip(atl, target.coords))
@@ -499,8 +490,7 @@ def build_interpolant(
     extremal_disc for the boundary construction, and worked_family for the
     worked marginal family.
     """
-    lam0 = complex(lambda0)
-    SchwarzProblem(lambda0=lam0, target=y0)  # validates |lambda0| and membership
+    lam0 = SchwarzProblem(lambda0=lambda0, target=y0).lambda0  # validates |lambda0| and membership
     if y0.n != 3:
         raise DomainError("build_interpolant is the n = 3 constructor")
     ys = y0.swap() if abs(y0.y(2)) > abs(y0.y(1)) else y0
@@ -608,9 +598,7 @@ def _slice_core(y: CPoint, lam0: complex, nu: float = 1.0) -> DiscFunction:
         if not feasible:
             raise InfeasibleError("feasibility matrix is positive definite")
         Q0 = default_q(Z, alpha, lam0)
-        return DiscFunction(
-            kind="matrix_mobius", n=n, swap=swap, lambda0=complex(lam0), Z=Z, Q0=Q0
-        )
+        return DiscFunction(kind="matrix_mobius", n=n, swap=swap, lambda0=lam0, Z=Z, Q0=Q0)
     if route == "infeasible":
         raise InfeasibleError("pair norm exceeds 1: no disc exists at this lambda0")
     U, s = takagi(Z)
@@ -619,10 +607,8 @@ def _slice_core(y: CPoint, lam0: complex, nu: float = 1.0) -> DiscFunction:
         raise ConstructionError("Takagi factorization failed")
     d1 = complex(min(s[0], 1.0))
     t0 = _takagi_g0(U, d1)
-    g = np2(0j, t0, complex(lam0), complex(s[1]))
-    return DiscFunction(
-        kind="takagi", n=n, swap=swap, lambda0=complex(lam0), U=U, d1=d1, g=g
-    )
+    g = np2(0j, t0, lam0, complex(s[1]))
+    return DiscFunction(kind="takagi", n=n, swap=swap, lambda0=lam0, U=U, d1=d1, g=g)
 
 
 def slice_interpolant(
@@ -687,10 +673,7 @@ def identity_regressions(
     the feasibility analysis, on random strict problems (plus the worked
     data point shrunk to strictness).  Returns per-identity max relative
     deviations; inputs drawn degenerate are skipped and counted."""
-    from .sampling import tilde_g_point
-
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    _count(trials, "trials")
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = {k: 0.0 for k in ("det_pair", "det_scaled", "window_gap", "k_entry_11", "k_entry_22", "k_det_factorization")}
     skipped = 0

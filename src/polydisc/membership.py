@@ -40,6 +40,7 @@ from .mobius import (
     _check_poles,
     _degenerate,
     _dimension,
+    _number,
     _pair_terms,
     _sup_formula,
     binom,
@@ -405,7 +406,7 @@ def in_b_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> bool:
 def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
     """Elementary symmetric coordinates (s_1, ..., s_{n-1}, p) of z in C^n,
     by the stable one-point-at-a-time recurrence (exact on integer input)."""
-    z = [complex(w) for w in z]
+    z = [_number(w) for w in z]
     n = len(z)
     _dimension(n)  # before the O(n^2) recurrence
     e = [complex(1.0)] + [complex(0.0)] * n
@@ -598,6 +599,7 @@ def _polyval(coeffs: list[complex], z: complex) -> complex:
 def costara_f(s: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Costara's rational function f_s at z, or elementwise over an array
     of points.  A value at one point that is not finite raises DomainError."""
+    z = z if isinstance(z, (np.ndarray, np.generic)) else _number(z)  # numpy input keeps numpy arithmetic
     num, den = _costara_coeffs(s)
     d = _polyval(den, z)
     _check_poles(d, z, "f_s")
@@ -614,10 +616,9 @@ def costara_sup(s: CPoint, grid: int = 4096) -> float:
     If the denominator has a root in the closed disc (companion-matrix test,
     |root| <= 1 + 1e-10) where the numerator does not vanish, the sup is
     +inf.  Otherwise the poles are outside and the maximum principle reduces
-    the sup to the boundary, sampled on `grid` points.
+    the sup to the boundary, sampled on the points circle(grid).
     """
-    if grid < 8:
-        raise DomainError("grid must be at least 8")
+    e = circle(grid)
     num, den = _costara_coeffs(s)
     scale = max(_cabs(c) for c in den)
     nscale = max(1.0, max(_cabs(c) for c in num))
@@ -634,7 +635,7 @@ def costara_sup(s: CPoint, grid: int = 4096) -> float:
                     raise DomainError("the numerator of f_s overflows at a pole")
                 if at > 1e-10 * nscale:
                     return math.inf
-    sup = float(np.abs(costara_f(s, circle(grid))).max())
+    sup = float(np.abs(costara_f(s, e)).max())
     if not math.isfinite(sup):
         raise DomainError("sup is not finite: f_s overflows on the grid")
     return sup
@@ -648,16 +649,16 @@ def nonvanishing_falsifier(
     g(z, w) = binom - y_j z - y_{n-j} w + binom q z w on the closed bidisc.
 
     Returns (min |g|, argmin z, argmin w).  The zero curve z(w) is traced
-    over a `grid`-point circle sweep of w (both variable roles), with z
+    over the sweep of w through circle(grid) (both variable roles), with z
     projected into the closed disc when it falls outside; a grid over the
     torus x torus is also sampled (grid**2 points, held in memory at once).
     A near-zero minimum falsifies condition (2); a large minimum certifies
     nothing (the verdict stays with C7).
     """
+    e = circle(grid)
     n = y.n
     c = float(binom(n, j))
     yj, ynj, q = y.y(j), y.y(n - j), y.q
-    e = circle(grid)
     # candidates in search order, so argmin keeps the first of equal minima:
     # (1, 1), the torus grid, then per radius and angle the zero curve in
     # both variable roles, dropping points where its denominator vanishes

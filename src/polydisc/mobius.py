@@ -45,12 +45,8 @@ class CPoint:
     coords: tuple[complex, ...]
 
     def __post_init__(self):
-        _dimension(len(self.coords))  # before complex(), which overflows on the binomials of a large n
-        coords = tuple(complex(c) for c in self.coords)
-        for c in coords:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise DomainError("non-finite coordinate")
-        object.__setattr__(self, "coords", coords)
+        _dimension(len(self.coords))  # first: a large n is refused as a dimension, not by its binomials
+        object.__setattr__(self, "coords", tuple(map(_number, self.coords)))
 
     @classmethod
     def _unchecked(cls, coords: tuple[complex, ...]) -> "CPoint":
@@ -73,6 +69,7 @@ class CPoint:
         return self.coords[_index(j, self.n) - 1]
 
     def scale(self, r: complex) -> "CPoint":
+        r = r if isinstance(r, (np.ndarray, np.generic)) else _number(r)  # as phi reads z
         return CPoint(tuple(r * c for c in self.coords))
 
     def swap(self, j: int | None = None) -> "CPoint":
@@ -93,22 +90,32 @@ class CPoint:
             coords = [_complex_json(c) for c in obj["coords"]]
         except (KeyError, TypeError):
             raise DomainError('a point is {"n": int, "coords": [[re, im], ...]}') from None
-        except OverflowError:
-            raise DomainError("coordinate too large for a double") from None
         if "n" in obj and obj["n"] != len(coords):
             raise DomainError("point 'n' disagrees with coords length")
         return CPoint(tuple(coords))
 
 
+def _number(x) -> complex:
+    """complex(x), the one reader of a caller's number: what complex() refuses,
+    a number past the double range or not finite raises DomainError."""
+    try:
+        z = complex(x)
+    except (TypeError, ValueError, OverflowError):
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise DomainError(f"not a finite complex number (type {type(x).__name__})")
+    return z
+
+
 def _complex_json(v) -> complex:
     """The complex number of a JSON pair [re, im] of exactly two real numbers,
-    a bool not among them: the one reader of every decoder.  Anything else
-    raises TypeError, a number past the double range OverflowError; each
-    decoder turns both into its DomainError."""
+    a bool not among them, each read by `_number`: the one reader of every
+    decoder.  Another shape raises TypeError, which each decoder turns into
+    its DomainError."""
     if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
         raise TypeError(f"a complex number is a pair [re, im] of two numbers, not {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_number(v[0]).real, _number(v[1]).real)
 
 
 def _index(j, n: int) -> int:
@@ -117,6 +124,14 @@ def _index(j, n: int) -> int:
     if not ((isinstance(j, int) or isinstance(j, np.integer)) and 0 < j < n):
         raise DomainError(f"index j={j!r} is not an integer in 1..{n - 1}")
     return j
+
+
+def _count(k, what: str, least: int = 1) -> int:
+    """The count k, refused with DomainError unless it is an integer (a
+    numpy one included, a bool not) of at least `least`."""
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and k >= least):
+        raise DomainError(f"{what} must be an integer of at least {least} (type {type(k).__name__})")
+    return k
 
 
 def _dimension(n: int) -> None:
@@ -133,9 +148,7 @@ def binom(n: int, j: int) -> int:
 
 
 def _parts(y: CPoint, j: int) -> tuple[int, complex, complex, complex]:
-    n = y.n
-    if n < 2:
-        raise DomainError("Phi_j needs dimension n >= 2")
+    n = y.n  # binom's _index refuses every j when n = 1
     return binom(n, j), y.y(j), y.y(n - j), y.q
 
 
@@ -210,10 +223,15 @@ def degenerate_product(y: CPoint, j: int) -> bool:
     return _degenerate(c, t[5], t[2])
 
 
-@lru_cache(maxsize=8)
 def circle(grid: int) -> np.ndarray:
     """The `grid` points exp(2 pi i k / grid), k = 0..grid-1, read-only and
-    built once per grid size."""
+    built once per grid size.  The one grid check: a grid that is not a
+    count of at least 8 raises DomainError, before the cache hashes it."""
+    return _roots(_count(grid, "grid", 8))
+
+
+@lru_cache(maxsize=8)
+def _roots(grid: int) -> np.ndarray:
     z = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))
     z.setflags(write=False)
     return z
@@ -246,6 +264,7 @@ def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     constant branch y_j / binom when the product degenerates.  A value at
     one point that is not finite raises DomainError."""
     c, yj, ynj, q = _parts(y, j)
+    z = z if isinstance(z, (np.ndarray, np.generic)) else _number(z)  # numpy input keeps numpy arithmetic
     if degenerate_product(y, j):
         return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
     den = ynj * z - c
@@ -282,13 +301,12 @@ def _sup_formula(c, a, b, cross, k, degen: bool):
 
 @np.errstate(all="ignore")
 def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
-    """Brute-force oracle for D_j: max of |Phi_j| over `grid` points of the circle."""
-    if grid < 8:
-        raise DomainError("grid must be at least 8")
+    """Brute-force oracle for D_j: max of |Phi_j| over the points circle(grid)."""
+    e = circle(grid)
     c, _, ynj, _ = _parts(y, j)
     if not degenerate_product(y, j) and _cabs(ynj) >= c:
         raise DomainError("sup is infinite: |y_{n-j}| >= binom(n, j)")
-    sup = float(np.abs(phi(j, y, circle(grid))).max())
+    sup = float(np.abs(phi(j, y, e)).max())
     if not math.isfinite(sup):
         raise DomainError("sup is not finite: Phi_j overflows on the grid")
     return sup

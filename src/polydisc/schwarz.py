@@ -40,7 +40,7 @@ from .membership import (
     costara_sup,
     in_tilde_g,
 )
-from .mobius import CPoint, _cabs, _degenerate, _pair_terms, _sup_formula, binom, d_norm
+from .mobius import CPoint, _cabs, _degenerate, _number, _pair_terms, _sup_formula, binom, d_norm
 
 __all__ = [
     "SchwarzProblem",
@@ -57,8 +57,8 @@ SCHWARZ_CONDITIONS = tuple(range(2, 12))
 
 
 def _check_lambda0(lambda0: complex) -> complex:
-    """complex(lambda0), refused unless 0 < |lambda0| < 1 (an overflowing modulus included)."""
-    lam = complex(lambda0)
+    """_number(lambda0), refused unless 0 < |lambda0| < 1 (an overflowing modulus included)."""
+    lam = _number(lambda0)
     if not 0.0 < _cabs(lam) < 1.0:
         raise DomainError("lambda0 must satisfy 0 < |lambda0| < 1")
     return lam
@@ -71,8 +71,6 @@ class SchwarzProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", _check_lambda0(self.lambda0))
-        if self.target.n < 2:
-            raise DomainError("target must have dimension n >= 2")
         if not in_tilde_g(self.target, cond="C7").verdict:
             raise DomainError("target is not in the open extended symmetrized polydisc")
 

@@ -173,3 +173,26 @@ def test_no_unused_imports():
                 continue
             unused += [f"{path.name}:{name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_only_circle_checks_a_grid():
+    # mobius.circle is the one grid check and every grid oracle calls it
+    # first; a comparison on a name `grid` anywhere else is a second check
+    # that can disagree with it (`grid < 8` let a grid of 8.5 through, and
+    # the oracle sampled an arc of the circle)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) == ("mobius.py", "circle")
+            for n in ast.walk(f)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in exempt
+            and any(isinstance(n, ast.Name) and n.id == "grid" for n in ast.walk(node))
+        ]
+    assert found == []

@@ -27,10 +27,13 @@ from polydisc import (
     carath_lower,
     check_condition,
     costara_f,
+    costara_sup,
+    default_q,
     dist_formula,
     distance_report,
     extremal_disc,
     gn_schwarz_bound,
+    identity_regressions,
     in_b_gamma,
     in_g,
     in_gamma,
@@ -38,10 +41,14 @@ from polydisc import (
     lempert_upper,
     lift,
     mobius_dist,
+    nonvanishing_falsifier,
     np2,
+    nu_window,
     phi,
     schur_certificates,
     separating_polynomial,
+    slice_interpolant,
+    sup_on_torus,
     symmetrize,
     worked_family,
 )
@@ -256,3 +263,69 @@ def test_b_matrices_off_diagonal_past_the_product_range():
     assert b == c
     assert abs(b - 1e200 / 3.0) <= 1e-15 * 1e200
     assert np.isfinite([a, b, c, d]).all()
+
+
+# One gate per kind of argument: every number a caller passes goes through
+# mobius._number, every grid through mobius.circle, every count through the
+# one count check.  Each row names an entry point and a value it must refuse
+# with DomainError; the values once escaped as OverflowError, TypeError,
+# ValueError or ZeroDivisionError, came back as NaN, or were used as given
+# (a grid of 8.5 sampled an arc of the circle, samples=0 measured a sup on
+# no point).  Plain parametrization, so no draw moves the cases.
+_STRICT = CPoint((1.35, 0.675, 0.45))  # in tilde-G_3, strict at lambda0 = -0.8
+_SLICE = CPoint((1.5, 0.75, 0.5))  # the worked point, on the slice J_3
+_DISC = worked_family(np2(0.0, 0.3, -0.8, 0.625))
+_NUMBER_CALLS = {
+    "CPoint": lambda v: CPoint((v, 0.0)),
+    "scale": lambda v: CPoint((0.5, 0.25)).scale(v),
+    "symmetrize": lambda v: symmetrize([v, 0.5]),
+    "SchwarzProblem": lambda v: SchwarzProblem(lambda0=v, target=_STRICT),
+    "nu_window": lambda v: nu_window(_STRICT, v),
+    "build_interpolant": lambda v: build_interpolant(_STRICT, v),
+    "slice_interpolant": lambda v: slice_interpolant(_SLICE, v),
+    "gn_schwarz_bound": lambda v: gn_schwarz_bound(symmetrize([0.1, 0.2]), v, grid=16),
+    "default_q": lambda v: default_q(np.diag([0.2, 0.1]).astype(complex), [1.0, 1.0], v),
+    "np2": lambda v: np2(v, 0.3, -0.8, 0.625),
+    "blaschke": lambda v: blaschke(0.5, v),
+    "mobius_dist": lambda v: mobius_dist(v, 0),
+    "phi": lambda v: phi(1, _STRICT, v),
+    "costara_f": lambda v: costara_f(_STRICT, v),
+    "schur_call": lambda v: ScalarSchur("blaschke", const=0.5, zeros=(0.2,))(v),
+    "disc_call": lambda v: _DISC(v),
+    "disc_core": lambda v: _DISC.core(v),
+    # each part of a JSON pair, where a list is not a number
+    "point_json": lambda v: CPoint.from_json({"coords": [[v, 0.0]]}),
+    "schur_json_const": lambda v: ScalarSchur.from_json({**_SCHUR, "const": [v, 0.0]}),
+    "disc_json_lambda0": lambda v: DiscFunction.from_json({**_WORKED_DISC, "lambda0": [0.0, v]}),
+    "disc_json_d1": lambda v: DiscFunction.from_json({**_WORKED_DISC, "d1": [v, 0.0]}),
+}
+_NUMBERS = {"1e400": 10**400, "nan": math.nan, "inf": math.inf, "str": "x", "array": np.array([0.5])}
+_GRID_CALLS = {
+    "sup_on_torus": lambda g: sup_on_torus(1, _STRICT, g),
+    "costara_sup": lambda g: costara_sup(symmetrize([0.1, 0.2]), g),
+    "carath_lower": lambda g: carath_lower(_SLICE, g),
+    "nonvanishing_falsifier": lambda g: nonvanishing_falsifier(_STRICT, 1, g),
+    "distance_report": lambda g: distance_report(_SLICE, g),
+}
+_GRIDS = {"0": 0, "-3": -3, "7": 7, "8.5": 8.5, "True": True, "None": None, "str": "8", "list": [8]}
+_COUNT_CALLS = {
+    "separating_polynomial": lambda k: separating_polynomial(CPoint((4.0, 0.0, 0.0)), samples=k),
+    "identity_regressions": lambda k: identity_regressions(k),
+}
+_COUNTS = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "None": None, "str": "3"}
+_REFUSALS = [
+    pytest.param(call, v, id=f"{name}-{label}")
+    for calls, values in ((_NUMBER_CALLS, _NUMBERS), (_GRID_CALLS, _GRIDS), (_COUNT_CALLS, _COUNTS))
+    for name, call in calls.items()
+    for label, v in values.items()
+    # phi and costara_f map over an array z by design
+    if not (label == "array" and name in ("phi", "costara_f"))
+]
+
+
+@pytest.mark.parametrize("call, value", _REFUSALS)
+def test_numbers_grids_and_counts_pass_one_gate(call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(value)
