@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import distances, geometry, interpolation, membership, sampling, schwarz
 from .errors import DomainError, PolydiscError
-from .mobius import CPoint, binom
+from .mobius import CPoint, _band, _count, _dimension, binom
 
 _SETS = ("tilde-g", "tilde-gamma", "g", "gamma", "b-gamma")
 _BATCH = 8192  # points per array batch in oracle and plot-slice; bounds memory
@@ -209,8 +208,9 @@ def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> tuple[int, in
 
 def _cmd_oracle(args) -> int:
     dims = [int(d) for d in args.dims.split(",")]
-    if min(dims) < 1:
-        raise DomainError("need at least one coordinate")
+    for n in dims:
+        _dimension(n)
+    jobs = _count(args.jobs, "jobs", 1, 64)  # the pool forks every worker at its start
     shards = []
     per = max(1, args.samples // (3 * len(dims)))
     seed = args.seed
@@ -219,8 +219,8 @@ def _cmd_oracle(args) -> int:
             shards.append((kind, n, per, seed))
             seed += 1
     shard = functools.partial(_oracle_shard, band=args.band)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(shard, shards))
     else:
         results = [shard(t) for t in shards]
@@ -236,9 +236,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_plot_slice(args) -> int:
-    res = args.resolution
-    if res < 2:
-        raise ValueError("resolution must be at least 2")
+    res = _count(args.resolution, "resolution", 2, 2**11)  # the CSV of res**2 rows is held in memory
     point = _parse_point(args.point)
     n = point.n
     span = binom(n, 1) + 0.5
@@ -248,8 +246,6 @@ def _cmd_plot_slice(args) -> int:
     im_hi = args.im_max if args.im_max is not None else span
     re_vals = [re_lo + (re_hi - re_lo) * a / (res - 1) for a in range(res)]
     im_vals = [im_lo + (im_hi - im_lo) * b / (res - 1) for b in range(res)]
-    if not all(math.isfinite(v) for v in re_vals + im_vals):
-        raise DomainError("non-finite coordinate")
     # the cells after re, per im and indexed by 2 * in_tilde_g + in_g
     cells = [[f",{v!r},{t}" for t in ("0,0", "0,1", "1,0", "1,1")] for v in im_vals]
     lines = ["re,im,in_tilde_g,in_g"]
@@ -422,10 +418,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # None: an option the subcommand does not take, or one a mode reads and was not given
         band, samples = getattr(args, "band", None), getattr(args, "samples", None)
-        if band is not None and not 0.0 < band <= 1e-3:
-            raise ValueError("band must lie in (0, 1e-3]")
-        if samples is not None and samples < 1:
-            raise ValueError("samples must be at least 1")
+        if band is not None:
+            _band(band)
+        if samples is not None:
+            _count(samples, "samples", 1, 2**24)  # oracle and regress run this many points: a bound on the run
         return args.fn(args)
     except (PolydiscError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

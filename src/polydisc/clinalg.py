@@ -46,8 +46,12 @@ def mat2(a11, a12, a21, a22) -> np.ndarray:
 
 
 def _entries(M) -> tuple[complex, complex, complex, complex]:
-    """The four entries of a finite 2x2 matrix, row by row, as Python complex."""
-    M = np.asarray(M, dtype=complex)
+    """The four entries of a finite 2x2 matrix, row by row, as Python complex;
+    what numpy cannot read as one raises DomainError."""
+    try:
+        M = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("a matrix must be a 2x2 array of numbers") from None
     if M.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {M.shape}")
     (a, b), (c, d) = M.tolist()

@@ -120,7 +120,7 @@ def separating_polynomial(
     The empirical part of the certificate evaluates |f| at `samples`
     forward-generated interior points.
     """
-    _count(samples, "samples")
+    _count(samples, "samples", 1, 2**14)  # draws samples x (3 + ~3n/2) doubles at once: ~100 MB at n = 515
     n = y.n
     rng = rng if rng is not None else np.random.default_rng(0)
     if math.inf in map(_cabs, y.coords):

@@ -39,8 +39,8 @@ from .errors import (
     MarginalProblemError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
-from .mobius import (CPoint, _cabs, _check_poles, _complex_json, _count, _degenerate, _dimension, _number,
-                     _pair_terms, binom, d_norm, degenerate_product)
+from .mobius import (CPoint, _array, _cabs, _check_poles, _complex_json, _count, _degenerate, _dimension,
+                     _number, _pair_terms, binom, d_norm, degenerate_product)
 from .sampling import tilde_g_point
 from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
@@ -110,9 +110,11 @@ class ScalarSchur:
     mu_{wa}(e_a(l) * mu_{c1}(e_b(l) * t)) with e_x the zero-at-x Blaschke
     factor; parameters are stored, not the closed rational form.
 
-    Called on one lambda it returns a complex, and a value that is not
-    finite raises DomainError; `_at` is that call, unchecked, on a lambda
-    already checked to be a finite Python complex.
+    Another kind, a parameter `_number` refuses or zeros not a tuple of
+    such numbers raise DomainError at construction; the numbers are stored
+    as Python complex.  Called on one lambda it returns a complex, and a
+    value that is not finite raises DomainError; `_at` is that call,
+    unchecked, on a lambda already checked to be a finite Python complex.
     """
 
     kind: str
@@ -123,6 +125,15 @@ class ScalarSchur:
     b: complex = 0j
     c1: complex = 0j
     t: complex = 0j
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in ("blaschke", "np2")):
+            raise DomainError(f"unknown ScalarSchur kind {self.kind!r}")
+        if not isinstance(self.zeros, tuple):
+            raise DomainError(f"a Schur function's zeros are a tuple of numbers, not {type(self.zeros).__name__}")
+        object.__setattr__(self, "zeros", tuple(map(_number, self.zeros)))
+        for name in ("const", "a", "wa", "b", "c1", "t"):
+            object.__setattr__(self, name, _number(getattr(self, name)))
 
     def __call__(self, lam: complex) -> complex:
         val = self._at(_number(lam))
@@ -136,16 +147,14 @@ class ScalarSchur:
             for z in self.zeros:
                 acc = acc * _mobius(-z, lam, lam, "the Blaschke factor at {}", z)
             return acc
-        if self.kind == "np2":
-            e_b = _mobius(-self.b, lam, lam, "the Blaschke factor at {}", self.b)
-            h = _mobius(self.c1, e_b * self.t, lam, "a Schur step")
-            e_a = _mobius(-self.a, lam, lam, "the Blaschke factor at {}", self.a)
-            return _mobius(self.wa, e_a * h, lam, "a Schur step")
-        raise DomainError(f"unknown ScalarSchur kind {self.kind!r}")
+        e_b = _mobius(-self.b, lam, lam, "the Blaschke factor at {}", self.b)
+        h = _mobius(self.c1, e_b * self.t, lam, "a Schur step")
+        e_a = _mobius(-self.a, lam, lam, "the Blaschke factor at {}", self.a)
+        return _mobius(self.wa, e_a * h, lam, "a Schur step")
 
     def to_json(self) -> dict:
         def c(z):
-            return [complex(z).real, complex(z).imag]
+            return [z.real, z.imag]
 
         return {
             "kind": self.kind,
@@ -156,20 +165,13 @@ class ScalarSchur:
 
     @staticmethod
     def from_json(obj: dict) -> "ScalarSchur":
-        try:  # the constructor checks nothing: every error here is a parse error
+        try:  # parse errors only: the constructor's own refusals pass through
             a, wa, b, c1, t = map(_complex_json, obj["np2"])
-            return ScalarSchur(
-                kind=obj["kind"],
-                const=_complex_json(obj["const"]),
-                zeros=tuple(map(_complex_json, obj["zeros"])),
-                a=a,
-                wa=wa,
-                b=b,
-                c1=c1,
-                t=t,
-            )
+            fields = dict(kind=obj["kind"], const=_complex_json(obj["const"]),
+                          zeros=tuple(map(_complex_json, obj["zeros"])), a=a, wa=wa, b=b, c1=c1, t=t)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed Schur function JSON: {exc!r}") from None
+        return ScalarSchur(**fields)
 
 
 def np2(a: complex, wa: complex, b: complex, wb: complex, t: complex = 0j) -> ScalarSchur:
@@ -286,15 +288,11 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
 
 
 def _mat_json(M: np.ndarray | None):
-    if M is None:
-        return None
-    return [[[v.real, v.imag] for v in row] for row in M.tolist()]
+    return None if M is None else [[[v.real, v.imag] for v in row] for row in M.tolist()]
 
 
-def _mat_from_json(obj) -> np.ndarray | None:
-    if obj is None:
-        return None
-    return np.array([[_complex_json(v) for v in row] for row in obj], dtype=complex)
+def _mat_from_json(obj) -> list | None:
+    return None if obj is None else [[_complex_json(v) for v in row] for row in obj]
 
 
 @dataclass(frozen=True)
@@ -311,13 +309,16 @@ class DiscFunction:
     `swap` exchanges coordinates j and n-j of the output (used when the
     input data arrived with |y_{n-1}| > |y_1| and was solved swapped).
 
+    At construction lambda0 and d1 are read by `_number`, each matrix by
+    `clinalg._entries` (kept as a (2, 2) complex array), and f and g must
+    be a ScalarSchur or None; anything else raises DomainError.
+
     A disc is evaluated one lambda at a time on Python complex entries of F
     (`_psi`, which checks that every coordinate is finite); `values` maps
     that evaluation over an array, so its rows equal single calls bit for
     bit, and a single call wraps its coordinates in a CPoint without
     checking them again.  The entries of -Z, Q0, Qlin, U and the frame of
-    M_{-Z}, and lambda0 as a Python complex, are read at the first
-    evaluation and kept for the disc's life.
+    M_{-Z} are read at the first evaluation and kept for the disc's life.
     """
 
     kind: str
@@ -343,6 +344,15 @@ class DiscFunction:
         _dimension(self.n)
         if not isinstance(self.swap, bool):  # a truthy string would swap, and JSON needs a bool
             raise DomainError(f"a disc's swap is a bool, not {self.swap!r}")
+        for name in ("lambda0", "d1"):
+            object.__setattr__(self, name, _number(getattr(self, name)))
+        for name in self._MATRICES:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, mat2(*_entries(getattr(self, name))))
+        for name in ("f", "g"):
+            v = getattr(self, name)
+            if not (v is None or isinstance(v, ScalarSchur)):
+                raise DomainError(f"a disc's {name} is a ScalarSchur or None, not {type(v).__name__}")
         missing = [name for name in reads if getattr(self, name) is None]
         if missing:
             raise DomainError(f"a {self.kind} disc needs {', '.join(missing)}")
@@ -357,7 +367,7 @@ class DiscFunction:
         if self.kind == "matrix_mobius":
             z = _entries(-self.Z)
             qlin = None if self.Qlin is None else _entries(self.Qlin)
-            return (z, *_frame(*z), _entries(self.Q0), qlin, complex(self.lambda0))
+            return (z, *_frame(*z), _entries(self.Q0), qlin, self.lambda0)
         return _entries(self.U), _entries(self.U.T)
 
     def _core(self, lam: complex) -> tuple:
@@ -387,12 +397,7 @@ class DiscFunction:
 
     def values(self, lams) -> np.ndarray:
         """psi at every lambda of a 1-D array, as an (m, n) complex array."""
-        try:
-            lam = np.asarray(lams, dtype=complex)
-        except (TypeError, ValueError):
-            lam = None
-        if lam is None or lam.ndim != 1 or not np.isfinite(lam).all():
-            raise DomainError("lambdas must form a 1-D array of finite numbers")
+        lam = _array(lams, 1, "lambdas")
         rows = [self._psi(v) for v in lam.tolist()]
         return np.array(rows, dtype=complex).reshape(lam.size, self.n)
 
@@ -403,9 +408,7 @@ class DiscFunction:
         return mat2(*F)
 
     def __call__(self, lam: complex) -> CPoint:
-        # _psi checked finiteness; complex() still converts, as CPoint
-        # would, a coordinate that a hand-built real ScalarSchur left real
-        return CPoint._unchecked(tuple(map(complex, self._psi(_number(lam)))))
+        return CPoint._unchecked(tuple(self._psi(_number(lam))))
 
     def to_json(self) -> dict:
         return {
@@ -515,7 +518,6 @@ def build_interpolant(
         if qnorm > 1.0 + 1e-11:
             raise DomainError(f"Q0 is not a contraction (norm {qnorm:.6g})")
         if Qlin is not None:
-            Qlin = np.asarray(Qlin, dtype=complex)
             if qnorm + op_norm(Qlin) > 1.0 + 1e-11:
                 raise DomainError("Q0 + lambda Qlin can leave the Schur class")
             disc = replace(disc, Qlin=Qlin)
@@ -673,7 +675,7 @@ def identity_regressions(
     the feasibility analysis, on random strict problems (plus the worked
     data point shrunk to strictness).  Returns per-identity max relative
     deviations; inputs drawn degenerate are skipped and counted."""
-    _count(trials, "trials")
+    _count(trials, "trials", 1, 2**24)  # one case at a time: the ceiling bounds the run's length
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = {k: 0.0 for k in ("det_pair", "det_scaled", "window_gap", "k_entry_11", "k_entry_22", "k_det_factorization")}
     skipped = 0

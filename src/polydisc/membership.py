@@ -36,8 +36,11 @@ from .clinalg import _scaled, _svals, _svals_sq, _unscale
 from .errors import DomainError
 from .mobius import (
     CPoint,
+    _array,
+    _band,
     _cabs,
     _check_poles,
+    _count,
     _degenerate,
     _dimension,
     _number,
@@ -138,20 +141,8 @@ def _s9(c, al, a, b, aq, k):
     return c * c * al * al - (a * a + al * al * b * b - c * c * aq * aq + 2 * al * k)
 
 
-def _c7(c, yj: complex, ynj: complex, q: complex, aq: float, unit_q: bool) -> float:
-    """The C7 slack of one pair, on doubles as the batch twin reads it (the
-    row's x and z, bit for bit); closed, at |q| = 1 within band, also
-    binom(n, j) - |y_j|."""
-    x, z = ynj - yj.conjugate() * q, yj - ynj.conjugate() * q
-    try:
-        s = _s10(c, 1, aq, abs(x), abs(z))
-    except OverflowError:
-        s = _s10(c, 1, aq, _cabs(x), _cabs(z))
-    return min(s, c - _cabs(yj)) if unit_q else s
-
-
-# the columns of _tilde_slacks; C2 reads C7 and C8 reads C9
-_ROW_CONDS = ("C3", "C3p", "C4", "C4p", "C5", "C5p", "C6", "C7", "C9")
+# the columns of _tilde_slacks; C2 and C7 read _tilde_slack7 and C8 reads C9
+_ROW_CONDS = ("C3", "C3p", "C4", "C4p", "C5", "C5p", "C6", "C9")
 
 
 def _tilde_slacks(y: CPoint, band: float | None = None) -> dict[str, float]:
@@ -161,13 +152,10 @@ def _tilde_slacks(y: CPoint, band: float | None = None) -> dict[str, float]:
     doubles where the row turns decimal."""
     coords = y.coords
     n, q = len(coords), coords[-1]
-    abs_q = _cabs(q)
-    unit_q = band is not None and abs(abs_q - 1.0) <= band
     rows = []
     for j in range(1, n // 2 + 1):
         c = math.comb(n, j)
         yj, ynj = coords[j - 1], coords[n - 1 - j]
-        c7 = _c7(c, yj, ynj, q, abs_q, unit_q)
         a, b, aq, x, z, k = _pair_terms(c, yj, ynj, q)
         degen = _degenerate(c, k, aq)
         c3 = 1 - _sup_formula(c, a, b, z, k, degen)
@@ -187,12 +175,12 @@ def _tilde_slacks(y: CPoint, band: float | None = None) -> dict[str, float]:
             min(_s8(c, 1, a, b, aq, x), c - b),
             min(_s8(c, 1, b, a, aq, z), c - a),
             _s9(c, 1, a, b, aq, k),
-            c7,
             1 - (math.sqrt(s2) if s2 < math.inf else _svals(*bj)[0]),
         ))
     out = dict(zip(_ROW_CONDS, map(float, map(min, zip(*rows)))))
-    out["C6"] = min(out["C6"], 1.0 - abs_q)  # |q| < 1 (<= 1 closed)
-    out["C2"], out["C8"] = out["C7"], out["C9"]
+    out["C6"] = min(out["C6"], 1.0 - _cabs(q))  # |q| < 1 (<= 1 closed)
+    out["C2"] = out["C7"] = _tilde_slack7(coords, band)
+    out["C8"] = out["C9"]
     if band is not None:
         out["C10"] = _closed_beta_slack(coords, band)
     return out
@@ -271,20 +259,20 @@ def in_tilde_g(y: CPoint, cond: str = "ALL", band: float = BOUNDARY_BAND) -> Mem
     ("C2".."C9" or "ALL"); the verdict itself always comes from the
     beta-representation inequality C7.
     """
-    return _tilde_report(y, cond, closed=False, band=band)
+    return _tilde_report(y, cond, closed=False, band=_band(band))
 
 
 def in_tilde_gamma(y: CPoint, cond: str = "ALL", band: float = BOUNDARY_BAND) -> MembershipReport:
     """Membership in the closed extended symmetrized polydisc."""
-    return _tilde_report(y, cond, closed=True, band=band)
+    return _tilde_report(y, cond, closed=True, band=_band(band))
 
 
 # the one C7 slack, behind the C2/C7 reports and the G_n/Gamma_n descents
 
 
 def _tilde_slack7(coords: tuple[complex, ...], band: float | None = None) -> float:
-    """The C7 slack: min over j of binom(n, j) (1 - |q|^2) minus
-    |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q|; closed (a band
+    """The C7 slack, bit for bit `_level`'s: min over j of binom(n, j) (1 - |q|^2)
+    minus |y_{n-j} - conj(y_j) q| + |y_j - conj(y_{n-j}) q|; closed (a band
     given), at |q| = 1 within band, also binom(n, j) - |y_j|."""
     n = len(coords)
     q = coords[-1]
@@ -292,7 +280,13 @@ def _tilde_slack7(coords: tuple[complex, ...], band: float | None = None) -> flo
     unit_q = band is not None and abs(aq - 1.0) <= band
     slack = math.inf
     for j in range(1, n // 2 + 1):
-        slack = min(slack, _c7(math.comb(n, j), coords[j - 1], coords[n - 1 - j], q, aq, unit_q))
+        c, yj, ynj = math.comb(n, j), coords[j - 1], coords[n - 1 - j]
+        x, z = ynj - yj.conjugate() * q, yj - ynj.conjugate() * q
+        try:
+            s = _s10(c, 1, aq, abs(x), abs(z))
+        except OverflowError:
+            s = _s10(c, 1, aq, _cabs(x), _cabs(z))
+        slack = min(slack, min(s, c - _cabs(yj)) if unit_q else s)
     return slack
 
 
@@ -368,7 +362,7 @@ def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     beta-point lies in G_{n-1}; the base case G_1 is the unit disc.  The
     beta-points visited are recorded in recursion_trace.
     """
-    return _descent_report(s, closed=False, band=band)
+    return _descent_report(s, closed=False, band=_band(band))
 
 
 def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
@@ -379,7 +373,7 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     is in Gamma_n iff it lies on the distinguished boundary, which has its
     own characterization; beyond, it is out.
     """
-    return _descent_report(s, closed=True, band=band)
+    return _descent_report(s, closed=True, band=_band(band))
 
 
 def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
@@ -394,13 +388,13 @@ def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
         if _cabs(coords[j - 1] - coords[n - 1 - j].conjugate() * p) > band * scale:
             return False
     scaled = tuple((n - j) / n * coords[j - 1] for j in range(1, n))
-    return in_gamma(CPoint(scaled), band=band).verdict
+    return _descent_report(CPoint(scaled), True, band).verdict
 
 
 def in_b_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> bool:
     """Distinguished boundary of Gamma_n: |p| = 1, y_j = conj(y_{n-j}) p,
     and the (n-1)/n-scaled truncation lies in Gamma_{n-1}."""
-    return _b_gamma_coords(s.coords, band)
+    return _b_gamma_coords(s.coords, _band(band))
 
 
 def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
@@ -435,8 +429,10 @@ def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _planes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The contiguous real and imaginary planes of the (m, n) batch y."""
+def _planes(y) -> tuple[np.ndarray, np.ndarray]:
+    """The contiguous real and imaginary planes of the batch y, read by
+    `_array` as an (m, n) array of finite numbers, n a dimension."""
+    y = _array(y, 2, "a batch")
     _dimension(y.shape[1])
     return np.ascontiguousarray(y.real.T), np.ascontiguousarray(y.imag.T)
 
@@ -456,8 +452,9 @@ def _level(re: np.ndarray, im: np.ndarray, aq: np.ndarray, unit=None):
     """One level of the beta-descent on planes with n >= 2 rows and |q| = aq:
     the C7 slack of every point, the planes of the beta numerators
     D_j = y_j - conj(y_{n-j}) q (j = 1..n-1) and w = 1 - |q|^2, the next
-    level being D / w.  The C7 cross terms are |D_{n-j}| + |D_j|, in `_c7`'s
-    order; where the mask `unit` holds, binom(n, j) - |y_j| joins them."""
+    level being D / w.  The C7 cross terms are |D_{n-j}| + |D_j|, in
+    `_tilde_slack7`'s order; where the mask `unit` holds, binom(n, j) -
+    |y_j| joins them."""
     br, bi = _conj_mul(re[-2::-1], im[-2::-1], re[-1], im[-1])
     dr, di = re[:-1] - br, im[:-1] - bi
     a = np.hypot(dr, di)
@@ -481,9 +478,9 @@ def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
 @np.errstate(all="ignore")
 def in_tilde_g_batch(y: np.ndarray) -> np.ndarray:
     """in_tilde_g(y).verdict for every row of the (m, n) array y."""
-    if y.shape[1] < 2:
-        raise DomainError("extended symmetrized polydisc needs n >= 2")
     re, im = _planes(y)
+    if len(re) < 2:
+        raise DomainError("extended symmetrized polydisc needs n >= 2")
     return _level(re, im, np.hypot(re[-1], im[-1]))[0] > 0.0
 
 
@@ -539,30 +536,32 @@ def in_g_batch(s: np.ndarray) -> np.ndarray:
 def _tilde_g_and_g_batch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(in_tilde_g_batch(y), in_g_batch(y)) from one descent, whose first
     level computes the slack in_tilde_g_batch reads."""
-    if y.shape[1] < 2:
+    re, im = _planes(y)
+    if len(re) < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
-    verdict, level0 = _descent(*_planes(y))
+    verdict, level0 = _descent(re, im)
     return level0, verdict
 
 
 @np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), band)[0]
+    return _descent(*_planes(s), _band(band))[0]
 
 
 @np.errstate(all="ignore")
 def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_b_gamma(s) for every row of the (m, n) array s."""
-    return _b_gamma_planes(*_planes(s), band)
+    return _b_gamma_planes(*_planes(s), _band(band))
 
 
 @np.errstate(all="ignore")
 def symmetrize_batch(z: np.ndarray) -> np.ndarray:
     """symmetrize(z).coords for every row of the (m, n) array z."""
-    er, ei = np.zeros((2, z.shape[1] + 1, len(z)))
+    zr, zi = _planes(z)
+    er, ei = np.zeros((2, len(zr) + 1, zr.shape[1]))
     er[0] = 1.0
-    for k, (ar, ai) in enumerate(zip(*_planes(z)), start=1):
+    for k, (ar, ai) in enumerate(zip(zr, zi), start=1):
         # e[1..k] += z_k e[0..k-1], both products read before the adds
         pr, pi = ar * er[:k] - ai * ei[:k], ar * ei[:k] + ai * er[:k]
         er[1:k + 1] += pr
@@ -655,7 +654,7 @@ def nonvanishing_falsifier(
     A near-zero minimum falsifies condition (2); a large minimum certifies
     nothing (the verdict stays with C7).
     """
-    e = circle(grid)
+    e = circle(_count(grid, "grid", 8, 2**10))  # grid**2 torus points are held at once
     n = y.n
     c = float(binom(n, j))
     yj, ynj, q = y.y(j), y.y(n - j), y.q

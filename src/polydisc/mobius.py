@@ -126,12 +126,36 @@ def _index(j, n: int) -> int:
     return j
 
 
-def _count(k, what: str, least: int = 1) -> int:
-    """The count k, refused with DomainError unless it is an integer (a
-    numpy one included, a bool not) of at least `least`."""
-    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and k >= least):
-        raise DomainError(f"{what} must be an integer of at least {least} (type {type(k).__name__})")
+def _count(k, what: str, least: int, most: int) -> int:
+    """The count k, refused with DomainError unless it is an integer (a numpy
+    one included, a bool not) in least..most, the caller's ceiling on what k sizes."""
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and least <= k <= most):
+        raise DomainError(f"{what} must be an integer in {least}..{most} (type {type(k).__name__})")
     return k
+
+
+def _band(band) -> float:
+    """The band of every public name that takes one, read by `_number`:
+    anything but a real number in (0, 1e-3] raises DomainError."""
+    try:
+        b = _number(band)
+    except DomainError:
+        b = None
+    if b is None or b.imag or not 0.0 < b.real <= 1e-3:
+        raise DomainError("band must lie in (0, 1e-3]")
+    return b.real
+
+
+def _array(x, ndim: int, what: str) -> np.ndarray:
+    """x as a complex array (nested lists as numpy reads them); what numpy
+    cannot read, other than `ndim` axes or an entry not finite raises DomainError."""
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+        raise DomainError(f"{what} must form a {ndim}-D array of finite numbers")
+    return a
 
 
 def _dimension(n: int) -> None:
@@ -226,8 +250,9 @@ def degenerate_product(y: CPoint, j: int) -> bool:
 def circle(grid: int) -> np.ndarray:
     """The `grid` points exp(2 pi i k / grid), k = 0..grid-1, read-only and
     built once per grid size.  The one grid check: a grid that is not a
-    count of at least 8 raises DomainError, before the cache hashes it."""
-    return _roots(_count(grid, "grid", 8))
+    count in 8..2**20 raises DomainError, before the cache hashes it (the
+    roots of 2**20 take 16 MB; the largest grid in use is 8192)."""
+    return _roots(_count(grid, "grid", 8, 2**20))
 
 
 @lru_cache(maxsize=8)

@@ -40,7 +40,7 @@ from .membership import (
     costara_sup,
     in_tilde_g,
 )
-from .mobius import CPoint, _cabs, _degenerate, _number, _pair_terms, _sup_formula, binom, d_norm
+from .mobius import CPoint, _band, _cabs, _degenerate, _number, _pair_terms, _sup_formula, binom, d_norm
 
 __all__ = [
     "SchwarzProblem",
@@ -105,34 +105,22 @@ class SchurCertificate:
 
 def lift(p: SchwarzProblem) -> CPoint:
     """The branch-selected lifted point: divide the larger coordinate of each
-    pair and q by lambda0.  Odd n stays in C^n; even n lands in C^{n+1} with
-    binomial reweighting and the middle coordinate duplicated."""
+    pair and q by lambda0.  Odd n stays in C^n; even n lands in C^{n+1}
+    with the binomial weights m / (m - j), m = n + 1, and the middle
+    coordinate, a tie read DivideJ, split over the middle pair."""
     n = p.n
     lam = p.lambda0
     y = p.target
-    choices = tuple(p.branch(j) for j in range(1, n // 2 + 1))
-    if n % 2 == 1:
-        coords = list(y.coords)
-        for j in range(1, n // 2 + 1):
-            if choices[j - 1] == "DivideJ":
-                coords[j - 1] = y.y(j) / lam
-            else:
-                coords[n - 1 - j] = y.y(n - j) / lam
-        coords[n - 1] = y.q / lam
-        return CPoint(tuple(coords))
-    m = n + 1
+    m = n + 1 - n % 2
     coords = [0j] * m
-    for j in range(1, n // 2):
-        f = m / (m - j)
-        if choices[j - 1] == "DivideJ":
+    for j in range(1, n // 2 + 1):
+        if p.branch(j) == "DivideJ":
             tj, tnj = y.y(j) / lam, y.y(n - j)
         else:
             tj, tnj = y.y(j), y.y(n - j) / lam
-        coords[j - 1] = f * tj
-        coords[m - 1 - j] = f * tnj
-    f = m / (n // 2 + 1)
-    coords[n // 2 - 1] = f * (y.y(n // 2) / lam)
-    coords[n // 2] = f * y.y(n // 2)
+        if m > n:
+            tj, tnj = m / (m - j) * tj, m / (m - j) * tnj
+        coords[j - 1], coords[m - 1 - j] = tj, tnj
     coords[m - 1] = y.q / lam
     return CPoint(tuple(coords))
 
@@ -154,6 +142,7 @@ def check_condition(
     p: SchwarzProblem, cond: int, band: float = BOUNDARY_BAND
 ) -> ConditionMargin:
     """Signed margin of one numbered condition (2..11); holds iff slack >= -band."""
+    band = _band(band)
     if cond not in SCHWARZ_CONDITIONS:
         raise DomainError(f"condition must be one of {SCHWARZ_CONDITIONS}")
     n = p.n
@@ -273,7 +262,7 @@ def schur_certificates(
     """Condition (5) made constructive: per index pair, `_pair_route` at
     nu = 1, the route the slice construction takes.  A Z_j past the double
     range raises DomainError."""
-    out = []
+    band, out = _band(band), []
     for j, c, yj, ynj, row in _branch_rows(p):
         _, Z, *fields = _pair_route(c, yj, ynj, p.target.q, p.lambda0, 1.0, band, row)
         if not np.isfinite(Z).all():  # y / lambda0 past the double range at a tiny lambda0
@@ -338,6 +327,6 @@ def gn_schwarz_bound(
 ) -> ConditionMargin:
     """Necessary Schwarz bound for the symmetrized polydisc: the sup of
     Costara's function over the closed disc must not exceed |lambda0|."""
-    lam = _check_lambda0(lambda0)
+    lam, band = _check_lambda0(lambda0), _band(band)
     slack = abs(lam) - costara_sup(s0, grid)
     return ConditionMargin("costara-sup", slack >= -band, slack, abs(slack) < band)

@@ -585,3 +585,26 @@ def test_cli_exit_contract_fuzz():
     check()
     assert set(codes) == {0, 1, 2}
     assert 0 in plain_witness  # a nonconvex or noncircular witness ran to the end
+
+
+@pytest.mark.parametrize("argv, gate", [
+    (("membership", "--point", WORKED_POINT, "--band", "0.1"), lambda g: g._band(0.1)),
+    (("oracle", "--samples", "0"), lambda g: g._count(0, "samples", 1, 2**24)),
+    (("plot-slice", "--point", WORKED_POINT, "--resolution", "1"), lambda g: g._count(1, "resolution", 2, 2**11)),
+    (("oracle", "--jobs", "65", "--samples", "3"), lambda g: g._count(65, "jobs", 1, 64)),
+], ids=["band", "samples", "resolution", "jobs"])
+def test_cli_refusals_are_the_library_gates(monkeypatch, argv, gate):
+    # the CLI keeps no range of its own: each refusal is the message of the
+    # library gate's DomainError, raised before any shard, pool or raster
+    from polydisc import cli, membership, mobius
+    from polydisc.errors import DomainError
+
+    def started(*args, **kwargs):
+        raise AssertionError("the refused work started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", started)
+    monkeypatch.setattr(cli, "_oracle_shard", started)
+    monkeypatch.setattr(membership, "_tilde_g_and_g_batch", started)
+    with pytest.raises(DomainError) as info:
+        gate(mobius)
+    assert _main(argv) == (2, "", f"error: {info.value}\n")

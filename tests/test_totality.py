@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polydisc
 from polydisc import (
     CPoint,
     DiscFunction,
@@ -52,6 +53,10 @@ from polydisc import (
     symmetrize,
     worked_family,
 )
+from polydisc import herm_eig, herm_sqrt, matricial_mobius, op_norm, sampling, takagi
+from polydisc.mobius import circle
+from polydisc.schwarz import k_rho
+from test_bands import _banded_names, _probes
 
 # half of the parts log-uniform in [1e-307, 1.7e308], either sign
 _WIDE = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([1.0, -1.0]),
@@ -329,3 +334,103 @@ def test_numbers_grids_and_counts_pass_one_gate(call, value):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call(value)
+
+
+# The same one-gate rule for the band, a batch, a 2x2 matrix and the fields
+# of a disc record.  Before these gates a band outside (0, 1e-3] gave a
+# verdict (in_gamma said False for a point of G_2 at band -1), a batch with
+# a NaN row gave True and a list raised AttributeError, a matrix numpy could
+# not read let numpy's ValueError out, and a record kept a field it could
+# not use until its first evaluation or its JSON.  Each ceiling row is
+# refused before the work it would size: no pool, grid or draw is started.
+_BAND_PROBES = _probes()
+_BANDS = {"0": 0, "-1e-7": -1e-7, "2e-3": 2e-3, "1e300": 1e300, "nan": math.nan, "inf": math.inf,
+          "str": "x", "None": None, "True": True, "complex": 1e-7 + 1e-9j}
+_BATCH_CALLS = {name: getattr(polydisc, name) for name in (
+    "in_tilde_g_batch", "in_g_batch", "in_gamma_batch", "in_b_gamma_batch", "symmetrize_batch")}
+_BATCHES = {"1-D": np.array([0.5, 0.2]), "3-D": np.zeros((2, 2, 3)), "nan-row": np.array([[math.nan, 0.2]]),
+            "inf-row": np.array([[0.1, 0.2], [0.1, math.inf]]), "str": np.array([["x", "0.2"]]),
+            "ragged": [[0.5, 0.2], [0.1]], "None": None}
+_MATRIX_CALLS = {
+    "op_norm": op_norm,
+    "herm_eig": herm_eig,
+    "herm_sqrt": herm_sqrt,
+    "takagi": takagi,
+    "matricial_mobius": lambda Z: matricial_mobius(Z, np.zeros((2, 2))),
+    "k_rho": lambda Z: k_rho(Z, 0.5),
+    "default_q": lambda Z: default_q(Z, [1.0, 1.0], 0.5),
+}
+_MATRICES = {"str": "x", "ragged": [[1.0, 2.0], [3.0]]}
+_MOBIUS_DISC = build_interpolant(_STRICT, -0.8)
+_DIAGONAL_DISC = extremal_disc(CPoint((0.3, 0.0)))[1]
+_RECORDS = {
+    **{f"schur-kind-{label}": (lambda v: ScalarSchur(v), v)
+       for label, v in (("str", "x"), ("None", None), ("list", ["blaschke"]))},
+    **{f"schur-const-{label}": (lambda v: ScalarSchur("blaschke", const=v), v)
+       for label, v in (("1e400", 10**400), ("nan", math.nan), ("str", "x"))},
+    **{f"schur-zeros-{label}": (lambda v: ScalarSchur("blaschke", zeros=v), v)
+       for label, v in (("int", 5), ("list", [0.2]), ("nan", (math.nan,)), ("str", ("x",)))},
+    **{f"schur-{name}-{label}": (lambda v, name=name: ScalarSchur("np2", **{name: v}), v)
+       for name in ("a", "wa", "b", "c1", "t") for label, v in (("str", "x"), ("nan", math.nan))},
+    **{f"disc-lambda0-{label}": (lambda v: dataclasses.replace(_DISC, lambda0=v), v)
+       for label, v in (("str", "x"), ("nan", math.nan), ("1e400", 10**400))},
+    **{f"disc-d1-{label}": (lambda v: dataclasses.replace(_DISC, d1=v), v)
+       for label, v in (("str", "x"), ("nan", math.nan))},
+    **{f"disc-Z-{label}": (lambda v: dataclasses.replace(_MOBIUS_DISC, Z=v), v)
+       for label, v in (("str", "x"), ("ragged", [[0.1, 0.0], [0.0]]), ("nan", [[math.nan, 0], [0, 0]]),
+                        ("3x3", np.zeros((3, 3))))},
+    **{f"disc-U-{label}": (lambda v: dataclasses.replace(_DISC, U=v), v)
+       for label, v in (("str", "x"), ("ragged", [[1.0, 0.0], [0.0]]))},
+    **{f"disc-g-{label}": (lambda v: dataclasses.replace(_DISC, g=v), v)
+       for label, v in (("str", "x"), ("int", 5))},
+    "disc-f-str": (lambda v: dataclasses.replace(_DIAGONAL_DISC, f=v), "x"),
+}
+_CEILINGS = {  # (call, the ceiling the count may not pass)
+    "circle": (circle, 2**20),
+    "nonvanishing_falsifier": (lambda g: nonvanishing_falsifier(_STRICT, 1, g), 2**10),
+    "separating_polynomial": (lambda k: separating_polynomial(CPoint((4.0, 0.0, 0.0)), samples=k), 2**14),
+    "identity_regressions": (identity_regressions, 2**24),
+}
+_GATE_ROWS = [
+    *(pytest.param(lambda b, name=name: getattr(polydisc, name)(
+        *_BAND_PROBES[name][0], **_BAND_PROBES[name][1], band=b), v, id=f"band-{name}-{label}")
+      for name in sorted(_banded_names()) for label, v in _BANDS.items()),
+    *(pytest.param(call, v, id=f"batch-{name}-{label}")
+      for name, call in _BATCH_CALLS.items() for label, v in _BATCHES.items()),
+    *(pytest.param(call, v, id=f"matrix-{name}-{label}")
+      for name, call in _MATRIX_CALLS.items() for label, v in _MATRICES.items()),
+    *(pytest.param(call, v, id=f"record-{label}") for label, (call, v) in _RECORDS.items()),
+    *(pytest.param(call, v, id=f"ceiling-{name}-{label}")
+      for name, (call, most) in _CEILINGS.items() for label, v in (("over", most + 1), ("1e400", 10**400))),
+]
+
+
+@pytest.mark.parametrize("call, value", _GATE_ROWS)
+def test_bands_batches_matrices_and_records_pass_one_gate(call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(value)
+
+
+def test_every_band_refusal_names_the_band_range():
+    # one band gate: each public name refuses with the message the CLI prints
+    for name in sorted(_banded_names()):
+        args, kwargs, _, _ = _BAND_PROBES[name]
+        with pytest.raises(DomainError, match=r"^band must lie in \(0, 1e-3\]$"):
+            getattr(polydisc, name)(*args, **kwargs, band=-1.0)
+
+
+def test_nested_lists_read_as_their_arrays():
+    # a batch as nested lists gets the verdicts of its array, and a disc
+    # built from list matrices is the disc of their arrays
+    rng = np.random.default_rng(7)
+    y = np.array([sampling.tilde_g_point(3, rng).coords for _ in range(5)]
+                 + [sampling.exterior_point(3, rng).coords for _ in range(5)])
+    for name, call in _BATCH_CALLS.items():
+        assert call(y.tolist()).tobytes() == call(y).tobytes(), name
+    d = _MOBIUS_DISC
+    listed = DiscFunction(kind=d.kind, n=d.n, lambda0=d.lambda0, Z=d.Z.tolist(), Q0=d.Q0.tolist())
+    assert json.dumps(listed.to_json()) == json.dumps(d.to_json())
+    assert listed.values([0.1, -0.5j]).tobytes() == d.values([0.1, -0.5j]).tobytes()
+    assert ScalarSchur("blaschke", const=1).to_json() == ScalarSchur("blaschke", const=1 + 0j).to_json()
