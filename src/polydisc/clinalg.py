@@ -95,7 +95,7 @@ def _mul(A, B):
 
 
 def _inv2(a, b, c, d):
-    """Entries of the inverse of [[a, b], [c, d]], all Python scalars."""
+    """Entries of the inverse of [[a, b], [c, d]], Python scalars or arrays."""
     det = a * d - b * c
     if _vanishes(det):
         raise SingularityError("2x2 matrix is numerically singular")
@@ -281,17 +281,22 @@ def _frame(a, b, c, d):
 
 
 def _mobius_entries(z, left, right, x):
-    """The entries of M_Z(X) from the entry tuples z of Z and x of X, given
-    (left, right) = _frame(*z)."""
+    """The entries of M_Z(X) from the entry tuples z of Z and x of X (or 1-D
+    arrays of entries of modulus under 1), given (left, right) = _frame(*z)."""
     a, b, c, d = z
     x11, x12, x21, x22 = x
     one = 1.0
     # entries of modulus under 1 have every part under 1, so _scaled would
     # give e <= 0: only a larger X (or a non-finite one) is handed to it
-    try:
-        small = abs(x11) < 1.0 and abs(x12) < 1.0 and abs(x21) < 1.0 and abs(x22) < 1.0
-    except OverflowError:
-        small = False
+    if isinstance(x11, complex):
+        try:
+            small = abs(x11) < 1.0 and abs(x12) < 1.0 and abs(x21) < 1.0 and abs(x22) < 1.0
+        except OverflowError:
+            small = False
+    else:  # arrays of entries, one pass in numpy's arithmetic, never rescaled
+        small = bool((np.abs(x) < 1.0).all())
+        if not small:
+            raise DomainError("an X with an entry of modulus 1 or more is rescaled one X at a time")
     if not small:
         e, xs = _scaled(*x)
         if e > 0:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import in_tilde_gamma
-from .mobius import CPoint, _cabs, _count, binom, circle, phi
+from .mobius import CPoint, _array, _cabs, _count, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -46,7 +46,10 @@ class SeparatingPoly:
         return complex(self.values(np.array([x.coords]))[0])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        """f at every row of the (m, n) complex array pts."""
+        """f at every row of the (m, n) complex array pts (`mobius._array`)."""
+        pts = _array(pts, 2, "points")
+        if pts.shape[1] != self.n:
+            raise DomainError(f"points must have n = {self.n} columns, not {pts.shape[1]}")
         cols = pts.T
         if self._eval is not None:
             return self._eval(cols)

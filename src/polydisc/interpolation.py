@@ -37,10 +37,11 @@ from .errors import (
     DomainError,
     InfeasibleError,
     MarginalProblemError,
+    PolydiscError,
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
 from .mobius import (CPoint, _array, _cabs, _check_poles, _complex_json, _count, _degenerate, _dimension,
-                     _number, _pair_terms, binom, d_norm, degenerate_product)
+                     _number, _pair_terms, _real, binom, d_norm, degenerate_product)
 from .sampling import tilde_g_point
 from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
@@ -87,6 +88,8 @@ def _mobius(w: complex, s: complex, lam: complex, what: str, field=None) -> comp
     den = 1.0 + w.conjugate() * s
     _check_poles(den, lam, what, field)
     val = (w + s) / den
+    if not isinstance(val, complex):  # an array of s keeps numpy's arithmetic, a row not finite included
+        return val
     if not (cmath.isfinite(den) and cmath.isfinite(val)) and s:  # a huge s: divide through by it
         den = 1.0 / s + w.conjugate()
         _check_poles(den, lam, what, field)
@@ -114,7 +117,7 @@ class ScalarSchur:
     such numbers raise DomainError at construction; the numbers are stored
     as Python complex.  Called on one lambda it returns a complex, and a
     value that is not finite raises DomainError; `_at` is that call,
-    unchecked, on a lambda already checked to be a finite Python complex.
+    unchecked, on a finite Python complex lambda or elementwise on an array.
     """
 
     kind: str
@@ -243,7 +246,7 @@ def _u_v(Z: np.ndarray, alpha):
     """u(alpha) = (1-ZZ*)^{-1/2}(alpha_1 Z e_1 + alpha_2 e_2) and
     v(alpha) = -(1-Z*Z)^{-1/2}(alpha_1 e_1 + alpha_2 Z* e_2), as entry pairs."""
     a, _, c, d = z = _entries(Z)
-    a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
+    a1, a2 = alpha
     if a1 == 0 and a2 == 0:
         raise DomainError("alpha must be nonzero")
     (l11, l12, l21, l22), right = _frame(*z)
@@ -266,7 +269,10 @@ def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
     alpha, which is first scaled exactly by 2^-e, e the exponent of its
     largest |re| or |im|."""
     lam0 = _number(lambda0)
-    a1, a2 = np.asarray(alpha, dtype=complex).reshape(2).tolist()
+    alpha = _array(alpha, 1, "alpha")
+    if alpha.size != 2:
+        raise DomainError(f"alpha must hold two numbers, not {alpha.size}")
+    a1, a2 = alpha.tolist()
     e = math.frexp(max(abs(a1.real), abs(a1.imag), abs(a2.real), abs(a2.imag)))[1]
     alpha = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in (a1, a2)]
     (u1, u2), (v1, v2) = _u_v(Z, alpha)
@@ -317,8 +323,10 @@ class DiscFunction:
     (`_psi`, which checks that every coordinate is finite); `values` maps
     that evaluation over an array, so its rows equal single calls bit for
     bit, and a single call wraps its coordinates in a CPoint without
-    checking them again.  The entries of -Z, Q0, Qlin, U and the frame of
-    M_{-Z} are read at the first evaluation and kept for the disc's life.
+    checking them again.  The builders' range check hands `_psi` a 1-D array
+    of lambda instead, for unchecked (m, n) rows from one pass in numpy's
+    arithmetic.  The entries of -Z, Q0, Qlin, U and the frame of M_{-Z} are
+    read at the first evaluation and kept for the disc's life.
     """
 
     kind: str
@@ -391,6 +399,8 @@ class DiscFunction:
         y = _pi_coords(self.n, [self._core(lam)] * (self.n // 2))
         if self.swap:
             y = y[-2::-1] + y[-1:]
+        if not isinstance(lam, complex):  # the rows of a 1-D array of lambda, unchecked
+            return np.array(np.broadcast_arrays(*y)).T
         if not all(map(cmath.isfinite, y)):
             raise DomainError("disc value is not finite")
         return y
@@ -456,13 +466,22 @@ def _verify_range(disc: DiscFunction, samples: int, rng) -> None:
     the closed C7 test at BOUNDARY_BAND, the test of
     in_tilde_gamma(cond="C7").  Sample i is sqrt(r) * 0.999 * exp(2 pi i t)
     for the uniforms (r, t) at positions (2i, 2i+1) of rng.random(2 * samples),
-    rng defaulting to default_rng(0); the first failing sample is reported."""
+    rng defaulting to default_rng(0).  The rows come from one `_psi` pass
+    over the samples; where it raises or a row is not finite or fails,
+    `values` decides and the first failing sample is reported."""
     rng = rng if rng is not None else np.random.default_rng(0)
     r, t = rng.random(2 * samples).reshape(samples, 2).T
     lam = np.sqrt(r) * 0.999 * np.exp(2j * math.pi * t)
-    bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), BOUNDARY_BAND) >= -BOUNDARY_BAND))
-    if bad.size:
-        raise ConstructionError(f"disc leaves the closure at lambda={complex(lam[bad[0]])}")
+    with np.errstate(all="ignore"):
+        try:
+            rows = disc._psi(lam)
+            passed = np.isfinite(rows).all() and (_tilde_slack7_batch(rows, BOUNDARY_BAND) >= -BOUNDARY_BAND).all()
+        except PolydiscError:
+            passed = False
+    if not passed:
+        bad = np.flatnonzero(~(_tilde_slack7_batch(disc.values(lam), BOUNDARY_BAND) >= -BOUNDARY_BAND))
+        if bad.size:
+            raise ConstructionError(f"disc leaves the closure at lambda={complex(lam[bad[0]])}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +515,7 @@ def build_interpolant(
     lam0 = SchwarzProblem(lambda0=lambda0, target=y0).lambda0  # validates |lambda0| and membership
     if y0.n != 3:
         raise DomainError("build_interpolant is the n = 3 constructor")
+    nu = _real(nu, "nu must be a finite real number")
     ys = y0.swap() if abs(y0.y(2)) > abs(y0.y(1)) else y0
     if degenerate_product(ys, 1):  # the zero target included
         if nu != 1.0 or Qlin is not None:

@@ -134,16 +134,25 @@ def _count(k, what: str, least: int, most: int) -> int:
     return k
 
 
-def _band(band) -> float:
-    """The band of every public name that takes one, read by `_number`:
-    anything but a real number in (0, 1e-3] raises DomainError."""
+def _real(x, refusal: str) -> float:
+    """The real parameter x as a float: what `_number` refuses or a nonzero
+    imaginary part raises DomainError(refusal)."""
     try:
-        b = _number(band)
+        z = _number(x)
     except DomainError:
-        b = None
-    if b is None or b.imag or not 0.0 < b.real <= 1e-3:
+        z = 1j
+    if z.imag:
+        raise DomainError(refusal)
+    return z.real
+
+
+def _band(band) -> float:
+    """The band of every public name that takes one, read by `_real`:
+    anything but a real number in (0, 1e-3] raises DomainError."""
+    b = _real(band, "band must lie in (0, 1e-3]")
+    if not 0.0 < b <= 1e-3:
         raise DomainError("band must lie in (0, 1e-3]")
-    return b.real
+    return b
 
 
 def _array(x, ndim: int, what: str) -> np.ndarray:

@@ -40,7 +40,7 @@ from .membership import (
     costara_sup,
     in_tilde_g,
 )
-from .mobius import CPoint, _band, _cabs, _degenerate, _number, _pair_terms, _sup_formula, binom, d_norm
+from .mobius import CPoint, _band, _cabs, _degenerate, _number, _pair_terms, _real, _sup_formula, binom, d_norm
 
 __all__ = [
     "SchwarzProblem",
@@ -211,6 +211,7 @@ def k_rho(Z: np.ndarray, rho: float) -> np.ndarray:
     ||v(alpha)||^2 - rho^2 ||u(alpha)||^2 with a conjugated argument, so the
     alpha to feed u/v is the conjugate of an eigenvector (see _pair_route).
     """
+    rho = _real(rho, "rho must lie in [0, 1)")
     if not 0.0 <= rho < 1.0:
         raise DomainError("rho must lie in [0, 1)")
     a, b, c, d = _entries(Z)

@@ -926,20 +926,106 @@ def test_verify_range_draws_the_scalar_loop_samples(monkeypatch):
 
     disc = build_interpolant(WORKED_SHRUNK, WORKED_LAMBDA0)
     seen = []
-    values = DiscFunction.values
+    psi = DiscFunction._psi
 
-    def spy(self, lams):
-        seen.append(np.array(lams))
-        return values(self, lams)
+    def spy(self, lam):
+        if isinstance(lam, np.ndarray):
+            seen.append(lam.copy())
+        return psi(self, lam)
 
-    monkeypatch.setattr(DiscFunction, "values", spy)
+    monkeypatch.setattr(DiscFunction, "_psi", spy)
     for seed, samples in ((11, 64), (12, 32), (13, 1)):
         rng = np.random.default_rng(seed)
         _verify_range(disc, samples, rng)
         ref, ref_rng = _old_range_lams(seed, samples)
-        assert len(seen) == 1  # one batch call
+        assert len(seen) == 1  # one array call
         assert seen.pop().tobytes() == np.array(ref).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_range_pass_rows_agree_with_values(rng):
+    # the one numpy pass of the range check rounds differently from the
+    # scalar map, but only in the last digits, and never moves a verdict
+    from polydisc.membership import _tilde_slack7_batch
+
+    lams = 0.999 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    for disc in _variants(_kind_discs(rng)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = disc._psi(lams)
+        ref = disc.values(lams)
+        assert rows.shape == ref.shape == (64, disc.n)
+        assert (np.abs(rows - ref) <= 1e-13 * (1 + np.abs(ref).max(axis=1, keepdims=True))).all()
+        slack, ref_slack = (_tilde_slack7_batch(r, BOUNDARY_BAND) for r in (rows, ref))
+        assert ((slack >= -BOUNDARY_BAND) == (ref_slack >= -BOUNDARY_BAND)).all(), (disc.kind, disc.n)
+
+
+class _Draws:
+    """A generator stand-in whose draw is the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def test_verify_range_refusal_at_a_pole_is_the_scalar_one():
+    # where the numpy pass meets a pole, values decides: the refusal is the
+    # scalar map's, type, message and site
+    from polydisc.interpolation import _verify_range
+
+    # the zero at 1 / conj(l1) puts a pole of f on the second sample l1, and
+    # the draw (r, t) = (0.25, 0) lands on it exactly
+    l1 = complex(np.sqrt(0.25) * 0.999)
+    f = ScalarSchur(kind="blaschke", zeros=(1.0 / l1.conjugate(),))
+    g = ScalarSchur(kind="blaschke", zeros=(0j,))
+    pole = DiscFunction(kind="diagonal", n=3, lambda0=0.5 + 0j, f=f, g=g)
+    draws = [0.04, 0.3, 0.25, 0.0]
+    lam = np.sqrt(draws[::2]) * 0.999 * np.exp(2j * math.pi * np.array(draws[1::2]))
+    assert lam[1] == l1
+    with pytest.raises(PoleError) as ref:
+        pole.values(lam)
+    with pytest.raises(PoleError):
+        pole._psi(lam)
+    with pytest.raises(PoleError) as info:
+        _verify_range(pole, 2, _Draws(draws))
+    assert (str(info.value), info.value.at) == (str(ref.value), ref.value.at) and info.value.at == l1
+
+
+def _slice_draw(n, rng):
+    """A point of J_n with its sup-norm top, drawn with the filter of the
+    benchmark's construction sampler: top in (0.05, 0.95) and |q| at least
+    1e-3 below it."""
+    from polydisc.sampling import j_point
+
+    while True:
+        y = j_point(n, rng)
+        top = max(d_norm(j, y) for j in range(1, n))
+        if 0.05 < top < 0.95 and abs(y.q) <= top - 1e-3:
+            return y, top
+
+
+def test_builders_never_leave_the_range_pass(monkeypatch):
+    # a scalar-only operation on the pass's call tree would send every
+    # range check to values, the per-sample loop the pass replaced
+    from polydisc.distances import distance_report
+
+    rng = np.random.default_rng(2417)
+    strict = [strict_problem(rng) for _ in range(12)]  # the sampler's n = 3 filter
+    slice_points = [_slice_draw(n, rng) for n in range(2, 8) for _ in range(3)]
+
+    def refuse(self, lams):
+        raise AssertionError("a range check fell back to DiscFunction.values")
+
+    monkeypatch.setattr(DiscFunction, "values", refuse)
+    for y, lam0 in strict:
+        build_interpolant(y, lam0, rng=np.random.default_rng(1))
+    for y, top in slice_points:
+        slice_interpolant(y, min(0.97, 1.2 * top), rng=np.random.default_rng(2))
+        assert extremal_disc(y, rng=np.random.default_rng(3))[0] == top
+        assert distance_report(y, grid=256, rng=np.random.default_rng(4)).disc is not None
 
 
 def test_verify_range_names_the_first_failing_lambda():
@@ -957,6 +1043,8 @@ def test_verify_range_names_the_first_failing_lambda():
     inside = [in_tilde_gamma(disc(lam), cond="C7", band=BOUNDARY_BAND).verdict for lam in lams]
     first = inside.index(False)
     assert first > 0 and not all(not v for v in inside[first:])
+    with pytest.raises(DomainError):  # B(l) Q0 has entries of modulus past 1: values decides
+        disc._psi(np.array(lams))
     with pytest.raises(ConstructionError) as info:
         _verify_range(disc, samples, np.random.default_rng(seed))
     assert str(info.value) == f"disc leaves the closure at lambda={lams[first]}"

@@ -318,9 +318,16 @@ _COUNT_CALLS = {
     "identity_regressions": lambda k: identity_regressions(k),
 }
 _COUNTS = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "None": None, "str": "3"}
+# a real parameter passes the one real-number gate: these escaped as TypeError
+_REAL_CALLS = {
+    "nu": lambda v: build_interpolant(_STRICT, -0.8, nu=v),
+    "rho": lambda v: k_rho(np.diag([0.2, 0.1]), v),
+}
+_REALS = {"str": "x", "complex": 1j, "list": [0.5], "None": None}
 _REFUSALS = [
     pytest.param(call, v, id=f"{name}-{label}")
-    for calls, values in ((_NUMBER_CALLS, _NUMBERS), (_GRID_CALLS, _GRIDS), (_COUNT_CALLS, _COUNTS))
+    for calls, values in ((_NUMBER_CALLS, _NUMBERS), (_GRID_CALLS, _GRIDS), (_COUNT_CALLS, _COUNTS),
+                          (_REAL_CALLS, _REALS))
     for name, call in calls.items()
     for label, v in values.items()
     # phi and costara_f map over an array z by design
@@ -361,6 +368,19 @@ _MATRIX_CALLS = {
     "default_q": lambda Z: default_q(Z, [1.0, 1.0], 0.5),
 }
 _MATRICES = {"str": "x", "ragged": [[1.0, 2.0], [3.0]]}
+_SEPARATING = separating_polynomial(CPoint((4.0, 0.0, 0.0)), samples=4)
+# alpha and the points of a separating polynomial pass the array reader: the
+# first escaped as numpy's ValueError or was read as a 2-vector from a 2-D
+# array, the second raised AttributeError or evaluated a NaN row (to NaN), a
+# 1-D array or rows of another width
+_ARRAY_ARGS = {
+    "alpha": (lambda v: default_q(np.diag([0.2, 0.1]), v, 0.5),
+              {"str": "x", "three": [1.0, 2.0, 3.0], "one": [1.0], "None": None, "2-D": [[1.0, 1.0]]}),
+    "points": (lambda v: _SEPARATING.values(v),
+               {"nan-row": np.array([[math.nan, 0.0, 0.0]]), "inf-row": np.array([[0.1, math.inf, 0.0]]),
+                "1-D": np.zeros(3), "width-2": np.zeros((2, 2)), "width-4": np.zeros((1, 4)),
+                "str": "x", "None": None}),
+}
 _MOBIUS_DISC = build_interpolant(_STRICT, -0.8)
 _DIAGONAL_DISC = extremal_disc(CPoint((0.3, 0.0)))[1]
 _RECORDS = {
@@ -399,6 +419,8 @@ _GATE_ROWS = [
       for name, call in _BATCH_CALLS.items() for label, v in _BATCHES.items()),
     *(pytest.param(call, v, id=f"matrix-{name}-{label}")
       for name, call in _MATRIX_CALLS.items() for label, v in _MATRICES.items()),
+    *(pytest.param(call, v, id=f"array-{name}-{label}")
+      for name, (call, values) in _ARRAY_ARGS.items() for label, v in values.items()),
     *(pytest.param(call, v, id=f"record-{label}") for label, (call, v) in _RECORDS.items()),
     *(pytest.param(call, v, id=f"ceiling-{name}-{label}")
       for name, (call, most) in _CEILINGS.items() for label, v in (("over", most + 1), ("1e400", 10**400))),
@@ -422,8 +444,9 @@ def test_every_band_refusal_names_the_band_range():
 
 
 def test_nested_lists_read_as_their_arrays():
-    # a batch as nested lists gets the verdicts of its array, and a disc
-    # built from list matrices is the disc of their arrays
+    # a batch, an alpha or the points of a separating polynomial as nested
+    # lists give what their arrays give, and a disc built from list matrices
+    # is the disc of their arrays
     rng = np.random.default_rng(7)
     y = np.array([sampling.tilde_g_point(3, rng).coords for _ in range(5)]
                  + [sampling.exterior_point(3, rng).coords for _ in range(5)])
@@ -434,3 +457,6 @@ def test_nested_lists_read_as_their_arrays():
     assert json.dumps(listed.to_json()) == json.dumps(d.to_json())
     assert listed.values([0.1, -0.5j]).tobytes() == d.values([0.1, -0.5j]).tobytes()
     assert ScalarSchur("blaschke", const=1).to_json() == ScalarSchur("blaschke", const=1 + 0j).to_json()
+    Z, alpha = np.diag([0.2, 0.1]).astype(complex), np.array([1.0, 0.5j])
+    assert default_q(Z.tolist(), alpha.tolist(), 0.5).tobytes() == default_q(Z, alpha, 0.5).tobytes()
+    assert _SEPARATING.values(y.tolist()).tobytes() == _SEPARATING.values(y).tobytes()
