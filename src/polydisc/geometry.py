@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import in_tilde_gamma
-from .mobius import CPoint, _array, _cabs, _count, binom, circle, phi
+from .mobius import CPoint, _array, _cabs, _count, _point, binom, circle, phi
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -43,7 +43,7 @@ class SeparatingPoly:
     _eval: object = field(default=None, compare=False, repr=False)
 
     def __call__(self, x: CPoint) -> complex:
-        return complex(self.values(np.array([x.coords]))[0])
+        return complex(self.values(np.array([_point(x).coords]))[0])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """f at every row of the (m, n) complex array pts (`mobius._array`)."""
@@ -124,7 +124,7 @@ def separating_polynomial(
     forward-generated interior points.
     """
     _count(samples, "samples", 1, 2**14)  # draws samples x (3 + ~3n/2) doubles at once: ~100 MB at n = 515
-    n = y.n
+    n = _point(y).n
     rng = rng if rng is not None else np.random.default_rng(0)
     if math.inf in map(_cabs, y.coords):
         raise DomainError("a coordinate's modulus is past the double range")

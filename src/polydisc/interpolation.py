@@ -41,7 +41,7 @@ from .errors import (
 )
 from .membership import BOUNDARY_BAND, _tilde_slack7_batch
 from .mobius import (CPoint, _array, _cabs, _check_poles, _complex_json, _count, _degenerate, _dimension,
-                     _number, _pair_terms, _real, binom, d_norm, degenerate_product)
+                     _number, _pair_terms, _point, _real, binom, d_norm, degenerate_product)
 from .sampling import tilde_g_point
 from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _xj_terms, _z_nu_general, in_J_n, k_rho
 
@@ -223,7 +223,7 @@ def nu_window(y0: CPoint, lambda0: complex) -> tuple[float, float]:
     """(theta_1, theta_2), the window of admissible nu^2: the roots of
     z + 1/z = X_2.  Their product is 1 and theta_1 < 1 < theta_2, so nu = 1
     always qualifies for a strict problem."""
-    if y0.n != 3:
+    if _point(y0).n != 3:
         raise DomainError("this operation is stated for n = 3")
     lam = _check_lambda0(lambda0)
     if math.inf in map(_cabs, y0.coords):
@@ -670,7 +670,7 @@ def extremal_disc(
     when no certified disc exists at this lambda0 (|q| = lambda0, or a
     degenerate Takagi frame).
     """
-    if not any(y.coords):
+    if not any(_point(y).coords):
         zero = ScalarSchur(kind="blaschke", const=0j)
         return 0.0, DiscFunction(kind="diagonal", n=y.n, swap=False, f=zero, g=zero)
     lam0 = max(d_norm(j, y) for j in range(1, y.n))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .mobius import (
     _dimension,
     _number,
     _pair_terms,
+    _point,
     _sup_formula,
     binom,
     circle,
@@ -77,27 +78,17 @@ ALL_CONDITIONS = ("C2", "C3", "C3p", "C4", "C4p", "C5", "C5p", "C6", "C7", "C8",
 ALL_CONDITIONS_CLOSED = ALL_CONDITIONS + ("C10",)
 
 
-@dataclass(frozen=True)
-class ConditionMargin:
+class ConditionMargin(NamedTuple):
     cond_id: str
     holds: bool
     slack: float
     boundary: bool
 
     def to_json(self) -> dict:
-        slack = self.slack
-        if math.isinf(slack):  # keep reports strictly JSON-parsable
-            slack = math.copysign(1e308, slack)
-        return {
-            "cond": self.cond_id,
-            "holds": self.holds,
-            "slack": slack,
-            "boundary": self.boundary,
-        }
+        return _conditions_json((self,))[0]
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     point: CPoint
     set_id: str
     verdict: bool
@@ -115,9 +106,21 @@ class MembershipReport:
             "point": self.point.to_json(),
             "set": self.set_id,
             "verdict": self.verdict,
-            "conditions": [c.to_json() for c in self.per_condition],
+            "conditions": _conditions_json(self.per_condition),
             "recursion_trace": [p.to_json() for p in self.recursion_trace],
         }
+
+
+def _conditions_json(margins) -> list[dict]:
+    """The JSON of each margin, read straight off its fields; a +-inf slack
+    is written +-1e308, so a report stays strictly JSON-parsable."""
+    return [
+        {"cond": c, "holds": h, "slack": math.copysign(1e308, s) if s in _INFS else s, "boundary": b}
+        for c, h, s, b in margins
+    ]
+
+
+_INFS = (math.inf, -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +225,14 @@ def _closed_beta_slack(coords: tuple[complex, ...], band: float) -> float:
 def _margins(slacks: dict[str, float], conds, closed: bool, band: float) -> tuple:
     """The ConditionMargin of each of conds: open conditions hold iff
     slack > 0, closed ones iff slack >= -band; |slack| < band is boundary."""
-    pairs = zip(conds, map(slacks.__getitem__, conds))
+    pairs, new = zip(conds, map(slacks.__getitem__, conds)), tuple.__new__  # skips the field-wise __new__
     if closed:
-        return tuple([ConditionMargin(c, s >= -band, s, abs(s) < band) for c, s in pairs])
-    return tuple([ConditionMargin(c, s > 0.0, s, abs(s) < band) for c, s in pairs])
+        return tuple([new(ConditionMargin, (c, s >= -band, s, abs(s) < band)) for c, s in pairs])
+    return tuple([new(ConditionMargin, (c, s > 0.0, s, abs(s) < band)) for c, s in pairs])
 
 
 def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipReport:
-    if y.n < 2:
+    if _point(y).n < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
     avail = ALL_CONDITIONS_CLOSED if closed else ALL_CONDITIONS
     if cond == "ALL":
@@ -243,12 +246,12 @@ def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipRepor
         slacks = dict.fromkeys(("C2", "C7"), _tilde_slack7(y.coords, set_band))
     else:
         slacks = _tilde_slacks(y, set_band)
-    (auth,) = _margins(slacks, ("C7",), closed, band)
+    auth = slacks["C7"]
     return MembershipReport(
-        point=y,
-        set_id="tilde-gamma" if closed else "tilde-g",
-        verdict=auth.holds,
-        per_condition=_margins(slacks, wanted, closed, band),
+        y,
+        "tilde-gamma" if closed else "tilde-g",
+        auth >= -band if closed else auth > 0.0,
+        _margins(slacks, wanted, closed, band),
     )
 
 
@@ -342,16 +345,14 @@ def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
             verdict = False
             break
         cur = _beta_coords(cur)
-        trace.append(CPoint(cur))
+        # this level passed C7 (slack > 0, or >= -band closed) with |p| < 1, so
+        # every beta is finite and bounded by its binomial: nothing to check
+        trace.append(CPoint._unchecked(cur))
         slack = _tilde_slack7(cur, set_band)
     if verdict is None:
         verdict = _cabs(cur[0]) <= 1.0 + band if closed else _cabs(cur[0]) < 1.0
     return MembershipReport(
-        point=s,
-        set_id="gamma" if closed else "g",
-        verdict=verdict,
-        per_condition=_margins({"C7": auth}, ("C7",), closed, band),
-        recursion_trace=tuple(trace),
+        s, "gamma" if closed else "g", verdict, _margins({"C7": auth}, ("C7",), closed, band), tuple(trace)
     )
 
 
@@ -362,7 +363,7 @@ def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     beta-point lies in G_{n-1}; the base case G_1 is the unit disc.  The
     beta-points visited are recorded in recursion_trace.
     """
-    return _descent_report(s, closed=False, band=_band(band))
+    return _descent_report(_point(s), closed=False, band=_band(band))
 
 
 def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
@@ -373,7 +374,7 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
     is in Gamma_n iff it lies on the distinguished boundary, which has its
     own characterization; beyond, it is out.
     """
-    return _descent_report(s, closed=True, band=_band(band))
+    return _descent_report(_point(s), closed=True, band=_band(band))
 
 
 def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
@@ -394,7 +395,7 @@ def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
 def in_b_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> bool:
     """Distinguished boundary of Gamma_n: |p| = 1, y_j = conj(y_{n-j}) p,
     and the (n-1)/n-scaled truncation lies in Gamma_{n-1}."""
-    return _b_gamma_coords(s.coords, _band(band))
+    return _b_gamma_coords(_point(s).coords, _band(band))
 
 
 def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
@@ -579,7 +580,7 @@ def _costara_coeffs(s: CPoint) -> tuple[list[complex], list[complex]]:
 
     num_k = (-1)^{k+1} (k+1) s_{k+1},  den_k = (-1)^k (n-k) s_k,  s_0 = 1.
     """
-    n = s.n
+    n = _point(s).n
     num = [(-1.0) ** (k + 1) * (k + 1) * s.coords[k] for k in range(n)]
     den = [complex(n)] + [
         (-1.0) ** k * (n - k) * s.coords[k - 1] for k in range(1, n)
@@ -655,7 +656,7 @@ def nonvanishing_falsifier(
     nothing (the verdict stays with C7).
     """
     e = circle(_count(grid, "grid", 8, 2**10))  # grid**2 torus points are held at once
-    n = y.n
+    n = _point(y).n
     c = float(binom(n, j))
     yj, ynj, q = y.y(j), y.y(n - j), y.q
     # candidates in search order, so argmin keeps the first of equal minima:

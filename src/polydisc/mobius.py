@@ -107,6 +107,13 @@ def _number(x) -> complex:
     return z
 
 
+def _point(y) -> CPoint:
+    """y, the one reader of a caller's point: anything but a CPoint raises DomainError."""
+    if not isinstance(y, CPoint):
+        raise DomainError(f"a point must be a CPoint (type {type(y).__name__})")
+    return y
+
+
 def _complex_json(v) -> complex:
     """The complex number of a JSON pair [re, im] of exactly two real numbers,
     a bool not among them, each read by `_number`: the one reader of every
@@ -181,7 +188,7 @@ def binom(n: int, j: int) -> int:
 
 
 def _parts(y: CPoint, j: int) -> tuple[int, complex, complex, complex]:
-    n = y.n  # binom's _index refuses every j when n = 1
+    n = _point(y).n  # binom's _index refuses every j when n = 1
     return binom(n, j), y.y(j), y.y(n - j), y.q
 
 

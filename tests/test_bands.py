@@ -18,19 +18,20 @@ _UNBANDED_BUILDERS = ("nu_window", "build_interpolant", "slice_interpolant",
                       "extremal_disc", "lempert_upper", "distance_report")
 
 
-def _banded_names() -> set[str]:
-    """The public names of the package whose signature has a band."""
-    names = set()
+def _public_parameters():
+    """(name, parameters) of each public callable of the package with a signature."""
     for name, obj in vars(polydisc).items():
         if name.startswith("_") or isinstance(obj, types.ModuleType) or not callable(obj):
             continue
         try:
-            params = inspect.signature(obj).parameters
+            yield name, inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        if "band" in params:
-            names.add(name)
-    return names
+
+
+def _banded_names() -> set[str]:
+    """The public names of the package whose signature has a band."""
+    return {name for name, params in _public_parameters() if "band" in params}
 
 
 def _probes() -> dict:

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from polydisc.clinalg import op_norm
 from polydisc.errors import DomainError, PoleError, PolydiscError
 from polydisc.membership import (
+    ConditionMargin,
     _b_entries,
     _beta_coords,
     costara_f,
@@ -23,6 +25,7 @@ from polydisc.membership import (
     symmetrize,
 )
 from polydisc.mobius import CPoint, binom
+from polydisc.schwarz import SchwarzProblem, check_condition, gn_schwarz_bound
 from polydisc.sampling import (
     exterior_point,
     g_point_disc,
@@ -32,7 +35,8 @@ from polydisc.sampling import (
     unit_disc,
 )
 
-from conftest import WORKED_POINT
+from conftest import WORKED_LAMBDA0, WORKED_POINT
+from test_totality import _finite
 
 GAP_POINT = CPoint((2.5, 1.25, 0.5))
 
@@ -516,6 +520,83 @@ def test_report_json_round_trip():
     back = json.loads(blob)
     assert back["verdict"] is True
     assert {c["cond"] for c in back["conditions"]} >= {"C7", "C4", "C9"}
+
+
+# --- the report records -----------------------------------------------------
+
+
+def _report_digest() -> str:
+    """sha256 over the reports of 350 seeded points, 70 from each stratum of
+    the membership benchmark (interior, exterior, near the boundary, and the
+    symmetrized points of the disc and of the torus) at n = 2..8: the JSON of
+    in_tilde_g at ALL, C3 and C7, of in_tilde_gamma at ALL, C3, C7 and C10,
+    of in_g and in_gamma, and the in_b_gamma verdict (a PolydiscError as type
+    and message)."""
+    rng = np.random.default_rng(2525)
+    strata = (
+        lambda n: tilde_g_point(n, rng),
+        lambda n: exterior_point(n, rng),
+        lambda n: near_boundary_point(n, rng, spread=1e-6),
+        lambda n: symmetrize(g_point_disc(n, rng, rmax=0.95)),
+        lambda n: symmetrize([torus_point(rng) for _ in range(n)]),
+    )
+    calls = (
+        *(lambda y, c=c: in_tilde_g(y, c) for c in ("ALL", "C3", "C7")),
+        *(lambda y, c=c: in_tilde_gamma(y, c) for c in ("ALL", "C3", "C7", "C10")),
+        in_g,
+        in_gamma,
+        in_b_gamma,
+    )
+    h = hashlib.sha256()
+    for i in range(350):
+        y = strata[i % 5](2 + i % 7)
+        for call in calls:
+            try:
+                out = call(y)
+            except PolydiscError as exc:
+                h.update(repr((type(exc).__name__, str(exc))).encode())
+                continue
+            h.update(json.dumps(out if isinstance(out, bool) else out.to_json()).encode())
+    return h.hexdigest()
+
+
+# sha256 of _report_digest() at the commit before the reports became named
+# tuples; any change to a verdict, a margin, a trace or a byte of JSON moves it
+REPORT_DIGEST = "4a5c29d59cfedb56a5d9d8e8315c566175004eff56ca8887eecb9439f7de16c6"
+
+
+def test_report_bytes_are_pinned():
+    assert _report_digest() == REPORT_DIGEST
+
+
+def test_report_records_are_immutable():
+    rep = in_g(symmetrize([0.5, 0.3, 0.1]))
+    for record, field in ((rep, "verdict"), (rep, "recursion_trace"), (rep.per_condition[0], "slack")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(DomainError, match="no condition 'C99'"):
+        in_tilde_gamma(GAP_POINT).condition("C99")
+
+
+def test_schwarz_margins_built_positionally_read_as_by_name():
+    # check_condition and gn_schwarz_bound build their margins positionally
+    p = SchwarzProblem(lambda0=WORKED_LAMBDA0, target=WORKED_POINT)
+    margins = [check_condition(p, c) for c in range(2, 12)]
+    margins.append(gn_schwarz_bound(symmetrize([0.1, 0.2]), 0.5, grid=64))
+    for m in margins:
+        by_name = ConditionMargin(cond_id=m.cond_id, holds=m.holds, slack=m.slack, boundary=m.boundary)
+        assert by_name == m
+        assert by_name.to_json() == m.to_json() == {
+            "cond": m.cond_id, "holds": m.holds, "slack": m.slack, "boundary": m.boundary}
+
+
+def test_infinite_slack_is_written_as_the_largest_double():
+    for s in (math.inf, -math.inf):
+        assert ConditionMargin("C3", s > 0.0, s, False).to_json()["slack"] == math.copysign(1e308, s)
+    rep = in_tilde_g(CPoint((1.0, 3.0, 0.0)))  # |y_2| = binom(3, 1): D_1 is unbounded
+    assert rep.condition("C3").slack == -math.inf
+    assert {"cond": "C3", "holds": False, "slack": -1e308, "boundary": False} in rep.to_json()["conditions"]
+    assert _finite(rep) and _finite(in_gamma(GAP_POINT))
 
 
 # --- batch forms against the scalar path -------------------------------------

@@ -29,6 +29,7 @@ from polydisc import (
     check_condition,
     costara_f,
     costara_sup,
+    d_norm,
     default_q,
     dist_formula,
     distance_report,
@@ -39,6 +40,8 @@ from polydisc import (
     in_g,
     in_gamma,
     in_J_n,
+    in_tilde_g,
+    in_tilde_gamma,
     lempert_upper,
     lift,
     mobius_dist,
@@ -56,7 +59,7 @@ from polydisc import (
 from polydisc import herm_eig, herm_sqrt, matricial_mobius, op_norm, sampling, takagi
 from polydisc.mobius import circle
 from polydisc.schwarz import k_rho
-from test_bands import _banded_names, _probes
+from test_bands import _banded_names, _probes, _public_parameters
 
 # half of the parts log-uniform in [1e-307, 1.7e308], either sign
 _WIDE = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([1.0, -1.0]),
@@ -411,7 +414,55 @@ _CEILINGS = {  # (call, the ceiling the count may not pass)
     "separating_polynomial": (lambda k: separating_polynomial(CPoint((4.0, 0.0, 0.0)), samples=k), 2**14),
     "identity_regressions": (identity_regressions, 2**24),
 }
+# a point passes one gate, mobius._point: before it every public name that
+# takes a point, and a separating polynomial's call, let AttributeError
+# escape on anything but a CPoint
+_POINT_CALLS = {
+    "in_tilde_g": in_tilde_g,
+    "in_tilde_gamma": in_tilde_gamma,
+    "in_g": in_g,
+    "in_gamma": in_gamma,
+    "in_b_gamma": in_b_gamma,
+    "in_J_n": in_J_n,
+    "costara_f": lambda y: costara_f(y, 0.5),
+    "costara_sup": lambda y: costara_sup(y, 16),
+    "nonvanishing_falsifier": lambda y: nonvanishing_falsifier(y, 1, 16),
+    "phi": lambda y: phi(1, y, 0.5),
+    "d_norm": lambda y: d_norm(1, y),
+    "sup_on_torus": lambda y: sup_on_torus(1, y, 16),
+    "dist_formula": dist_formula,
+    "carath_lower": lambda y: carath_lower(y, grid=16),
+    "lempert_upper": lempert_upper,
+    "distance_report": lambda y: distance_report(y, grid=16),
+    "separating_polynomial": lambda y: separating_polynomial(y, samples=4),
+    "SchwarzProblem": lambda y: SchwarzProblem(lambda0=-0.8, target=y),
+    "gn_schwarz_bound": lambda y: gn_schwarz_bound(y, 0.5, grid=16),
+    "nu_window": lambda y: nu_window(y, -0.8),
+    "build_interpolant": lambda y: build_interpolant(y, -0.8),
+    "slice_interpolant": lambda y: slice_interpolant(y, -0.8),
+    "extremal_disc": extremal_disc,
+}
+_NON_POINTS = {"str": "x", "tuple": (0.1, 0.2, 0.3), "list": [0.1, 0.2, 0.3]}
+
+
+def _point_names() -> set[str]:
+    """The public names of the package with a parameter annotated CPoint (a
+    string under postponed annotations, a ForwardRef in a named tuple), but
+    the report record, which only the package builds, from a point it read."""
+    return {
+        name for name, params in _public_parameters()
+        if any(getattr(p.annotation, "__forward_arg__", p.annotation) == "CPoint" for p in params.values())
+    } - {"MembershipReport"}
+
+
+def test_every_point_name_has_a_gate_row():
+    assert set(_POINT_CALLS) == _point_names()
+
+
 _GATE_ROWS = [
+    *(pytest.param(call, v, id=f"point-{name}-{label}")
+      for name, call in {**_POINT_CALLS, "SeparatingPoly.__call__": _SEPARATING}.items()
+      for label, v in _NON_POINTS.items()),
     *(pytest.param(lambda b, name=name: getattr(polydisc, name)(
         *_BAND_PROBES[name][0], **_BAND_PROBES[name][1], band=b), v, id=f"band-{name}-{label}")
       for name in sorted(_banded_names()) for label, v in _BANDS.items()),
