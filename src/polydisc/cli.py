@@ -25,10 +25,11 @@ import numpy as np
 
 from . import distances, geometry, interpolation, membership, sampling, schwarz
 from .errors import DomainError, PolydiscError
-from .mobius import CPoint, _band, _count, _dimension, binom
+from .mobius import CPoint, _array, _band, _count, _dimension, binom
 
 _SETS = ("tilde-g", "tilde-gamma", "g", "gamma", "b-gamma")
 _BATCH = 8192  # points per array batch in oracle and plot-slice; bounds memory
+_STRATA = ("open", "closed", "torus")  # an oracle shard's sets: G_n, Gamma_n, b Gamma_n
 
 
 def _parse_point(text: str) -> CPoint:
@@ -187,23 +188,30 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> tuple[int, int]:
-    kind, n, count, seed = task
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for start in range(0, count, _BATCH):
-        m = min(_BATCH, count - start)
-        if kind == "open":
-            s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=0.95))
-            ok = membership.in_g_batch(s)
-        elif kind == "closed":
-            s = membership.symmetrize_batch(sampling.g_points_disc(n, rng, m, rmax=1.0))
-            ok = membership.in_gamma_batch(s, band)
-        else:
-            s = membership.symmetrize_batch(sampling.torus_points(rng, m, n))
-            ok = membership.in_b_gamma_batch(s, band)
-        bad += m - int(np.count_nonzero(ok))
-    return count, bad
+@np.errstate(all="ignore")
+def _oracle_chunk(n: int, rngs, m: int, band: float) -> tuple[np.ndarray, ...]:
+    """The verdicts of the next m draws of each stratum at dimension n (in G_n,
+    Gamma_n, b Gamma_n), the three blocks of draws symmetrized on one set of planes."""
+    z = np.concatenate((sampling.g_points_disc(n, rngs[0], m, rmax=0.95),
+                        sampling.g_points_disc(n, rngs[1], m, rmax=1.0),
+                        sampling.torus_points(rngs[2], m, n)))
+    sr, si = membership._symmetrize_planes(np.ascontiguousarray(z.real.T), np.ascontiguousarray(z.imag.T))
+    return (membership._descent(sr[:, :m], si[:, :m])[0],
+            membership._descent(sr[:, m:2 * m], si[:, m:2 * m], band)[0],
+            membership._b_gamma_planes(sr[:, 2 * m:], si[:, 2 * m:], band))
+
+
+def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> list[tuple[int, int]]:
+    """(checked, failures) of each of _STRATA at one dimension, stratum k drawing from
+    seed + k; each sampler reads its stream in order, so chunking moves no draw."""
+    n, count, seed = task
+    rngs = [np.random.default_rng(seed + k) for k in range(len(_STRATA))]
+    bad = [0] * len(_STRATA)
+    for start in range(0, count, _BATCH // 3):
+        m = min(_BATCH // 3, count - start)
+        for k, ok in enumerate(_oracle_chunk(n, rngs, m, band)):
+            bad[k] += m - int(np.count_nonzero(ok))
+    return [(count, b) for b in bad]
 
 
 def _cmd_oracle(args) -> int:
@@ -211,30 +219,25 @@ def _cmd_oracle(args) -> int:
     for n in dims:
         _dimension(n)
     jobs = _count(args.jobs, "jobs", 1, 64)  # the pool forks every worker at its start
-    shards = []
     per = max(1, args.samples // (3 * len(dims)))
-    seed = args.seed
-    for n in dims:
-        for kind in ("open", "closed", "torus"):
-            shards.append((kind, n, per, seed))
-            seed += 1
+    tasks = [(n, per, args.seed + 3 * i) for i, n in enumerate(dims)]
     shard = functools.partial(_oracle_shard, band=args.band)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(shard, shards))
+            results = list(ex.map(shard, tasks))
     else:
-        results = [shard(t) for t in shards]
+        results = [shard(t) for t in tasks]
     payload = {"strata": [], "checked": 0, "failures": 0}
-    for (kind, n, _, _), (count, bad) in zip(shards, results):
-        payload["strata"].append(
-            {"stratum": kind, "n": n, "checked": count, "failures": bad}
-        )
-        payload["checked"] += count
-        payload["failures"] += bad
+    for n, counts in zip(dims, results):
+        for kind, (count, bad) in zip(_STRATA, counts):
+            payload["strata"].append({"stratum": kind, "n": n, "checked": count, "failures": bad})
+            payload["checked"] += count
+            payload["failures"] += bad
     _emit(args, payload)
     return 0 if (payload["failures"] == 0 or not args.assert_) else 1
 
 
+@np.errstate(all="ignore")
 def _cmd_plot_slice(args) -> int:
     res = _count(args.resolution, "resolution", 2, 2**11)  # the CSV of res**2 rows is held in memory
     point = _parse_point(args.point)
@@ -246,19 +249,21 @@ def _cmd_plot_slice(args) -> int:
     im_hi = args.im_max if args.im_max is not None else span
     re_vals = [re_lo + (re_hi - re_lo) * a / (res - 1) for a in range(res)]
     im_vals = [im_lo + (im_hi - im_lo) * b / (res - 1) for b in range(res)]
+    _array([re_vals, im_vals], 2, "a batch")  # a window past the double range
     # the cells after re, per im and indexed by 2 * in_tilde_g + in_g
-    cells = [[f",{v!r},{t}" for t in ("0,0", "0,1", "1,0", "1,1")] for v in im_vals]
+    cells = [[f",{v},{t}" for t in ("0,0", "0,1", "1,0", "1,1")] for v in map(repr, im_vals)]
+    fixed = np.array(point.coords[1:])[:, None]
     lines = ["re,im,in_tilde_g,in_g"]
     rows = max(1, _BATCH // res)  # raster rows (fixed re) per batch
     for a0 in range(0, res, rows):
         block = re_vals[a0:a0 + rows]
-        y = np.tile(np.array(point.coords), (len(block) * res, 1))
-        y.real[:, 0] = np.repeat(block, res)
-        y.imag[:, 0] = np.tile(im_vals, len(block))
-        tg, gg = membership._tilde_g_and_g_batch(y)
+        re, im = np.empty((2, n, len(block) * res))
+        re[0], im[0] = np.repeat(block, res), np.tile(im_vals, len(block))
+        re[1:], im[1:] = fixed.real, fixed.imag
+        gg, tg = membership._descent(re, im)  # tg: the first level's C7 verdict
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
-        for re, row in zip(map(repr, block), codes):
-            lines.extend([re + cell[k] for cell, k in zip(cells, row)])
+        for re_text, row in zip(map(repr, block), codes):
+            lines.extend([re_text + cell[k] for cell, k in zip(cells, row)])
     _emit(args, "\n".join(lines))
     return 0
 

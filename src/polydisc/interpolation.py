@@ -500,7 +500,7 @@ def build_interpolant(
     strict data (branch-selected sup-norm strictly under |lambda0|): the
     n = 3 front end of the slice construction, run at Z_nu.
 
-    nu^2 must lie in the window of nu_window, _NU_EDGE_MARGIN inside (nu = 1 does); alpha is
+    nu > 0, with nu^2 in the window of nu_window, _NU_EDGE_MARGIN inside (nu = 1 is); alpha is
     the conjugated bottom eigenvector of K_{Z_nu}(|lambda0|) and Q(0) the
     canonical constant Q0 of default_q.  A nonzero Qlin perturbs Q to
     Q0 + lambda Qlin: both endpoints are blind to it (the Blaschke factor

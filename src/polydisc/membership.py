@@ -330,11 +330,12 @@ def _beta_coords(coords: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
-    """The recursive beta-descent of in_g (open) or in_gamma (closed); the
-    reported margin is level 0's C7 slack."""
+    """The recursive beta-descent of in_g (open) or in_gamma (closed): the margin is level
+    0's C7 slack, flagged boundary when the slack of any level computed lies within band."""
     trace: list[CPoint] = []
     cur, set_band = s.coords, band if closed else None
     auth = slack = _tilde_slack7(cur, set_band) if s.n > 1 else 1.0 - _cabs(cur[0])
+    tight = abs(slack)  # the smallest |slack| of the levels computed
     verdict: bool | None = None
     while len(cur) > 1:
         ap = _cabs(cur[-1])
@@ -349,11 +350,11 @@ def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
         # every beta is finite and bounded by its binomial: nothing to check
         trace.append(CPoint._unchecked(cur))
         slack = _tilde_slack7(cur, set_band)
+        tight = min(tight, abs(slack))
     if verdict is None:
         verdict = _cabs(cur[0]) <= 1.0 + band if closed else _cabs(cur[0]) < 1.0
-    return MembershipReport(
-        s, "gamma" if closed else "g", verdict, _margins({"C7": auth}, ("C7",), closed, band), tuple(trace)
-    )
+    margin = ConditionMargin("C7", auth >= -band if closed else auth > 0.0, auth, tight < band)
+    return MembershipReport(s, "gamma" if closed else "g", verdict, (margin,), tuple(trace))
 
 
 def in_g(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
@@ -534,17 +535,6 @@ def in_g_batch(s: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _tilde_g_and_g_batch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(in_tilde_g_batch(y), in_g_batch(y)) from one descent, whose first
-    level computes the slack in_tilde_g_batch reads."""
-    re, im = _planes(y)
-    if len(re) < 2:
-        raise DomainError("extended symmetrized polydisc needs n >= 2")
-    verdict, level0 = _descent(re, im)
-    return level0, verdict
-
-
-@np.errstate(all="ignore")
 def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     """in_gamma(s).verdict for every row of the (m, n) array s."""
     return _descent(*_planes(s), _band(band))[0]
@@ -556,10 +546,8 @@ def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
     return _b_gamma_planes(*_planes(s), _band(band))
 
 
-@np.errstate(all="ignore")
-def symmetrize_batch(z: np.ndarray) -> np.ndarray:
-    """symmetrize(z).coords for every row of the (m, n) array z."""
-    zr, zi = _planes(z)
+def _symmetrize_planes(zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The planes of symmetrize(z).coords for every point z of the planes."""
     er, ei = np.zeros((2, len(zr) + 1, zr.shape[1]))
     er[0] = 1.0
     for k, (ar, ai) in enumerate(zip(zr, zi), start=1):
@@ -567,7 +555,14 @@ def symmetrize_batch(z: np.ndarray) -> np.ndarray:
         pr, pi = ar * er[:k] - ai * ei[:k], ar * ei[:k] + ai * er[:k]
         er[1:k + 1] += pr
         ei[1:k + 1] += pi
-    return _cplx(er[1:].T, ei[1:].T)
+    return er[1:], ei[1:]
+
+
+@np.errstate(all="ignore")
+def symmetrize_batch(z: np.ndarray) -> np.ndarray:
+    """symmetrize(z).coords for every row of the (m, n) array z."""
+    er, ei = _symmetrize_planes(*_planes(z))
+    return _cplx(er.T, ei.T)
 
 
 # ---------------------------------------------------------------------------

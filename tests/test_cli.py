@@ -366,50 +366,94 @@ def test_plot_slice_bad_grid_exit_2(extra):
     assert "Traceback" not in err
 
 
-def test_oracle_shard_points_match_scalar_draws(monkeypatch):
-    from polydisc import cli, membership, sampling
+def _stratum_points(kind, n, count, seed):
+    """One oracle stratum's points, drawn one scalar call at a time from its
+    own seed and symmetrized."""
+    from polydisc import membership, sampling
 
-    seen = []
-
-    def recording(fn):
-        return lambda s, *args: seen.append(s) or fn(s, *args)
-
-    for name in ("in_g_batch", "in_gamma_batch", "in_b_gamma_batch"):
-        monkeypatch.setattr(membership, name, recording(getattr(membership, name)))
-    for n in (1, 2, 5, 8):
-        for seed, kind in enumerate(("open", "closed", "torus")):
-            seen.clear()
-            assert cli._oracle_shard((kind, n, 70, seed)) == (70, 0)
-            rng = np.random.default_rng(seed)
-            if kind == "torus":
-                draws = [[sampling.torus_point(rng) for _ in range(n)] for _ in range(70)]
-            else:
-                rmax = 0.95 if kind == "open" else 1.0
-                draws = [sampling.g_point_disc(n, rng, rmax=rmax) for _ in range(70)]
-            ref = [list(membership.symmetrize(z).coords) for z in draws]
-            assert seen[0].tolist() == ref  # the shard's first predicate call
+    rng = np.random.default_rng(seed)
+    if kind == "torus":
+        draws = [[sampling.torus_point(rng) for _ in range(n)] for _ in range(count)]
+    else:
+        rmax = 0.95 if kind == "open" else 1.0
+        draws = [sampling.g_point_disc(n, rng, rmax=rmax) for _ in range(count)]
+    return np.array([membership.symmetrize(z).coords for z in draws])
 
 
-def test_oracle_band_reaches_predicates(monkeypatch, capsys):
+@pytest.mark.parametrize("batch, count, dims", [
+    (None, 70, (1, 2, 5, 8)),
+    (48, 70, (1, 2, 5, 8)),  # 16 draws per stratum and chunk
+    (None, 8192 // 3 + 1, (2,)),  # one draw past the first chunk
+], ids=["one-chunk", "five-chunks", "two-chunks"])
+@pytest.mark.parametrize("band", [1e-7, 1e-16], ids=["band-1e-7", "band-1e-16"])  # 1e-16: mixed torus verdicts
+def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, count, dims, band):
+    # each stratum's points, chunk after chunk, are the scalar draws from its
+    # own seed, and its verdict rows are those of its public batch predicate
     from polydisc import cli, membership
 
-    bands = []
+    if batch is not None:
+        monkeypatch.setattr(cli, "_BATCH", batch)
+    points, verdicts = [], []
+    symmetrize_planes, chunk = membership._symmetrize_planes, cli._oracle_chunk
 
-    def spy(fn):
-        def wrapped(s, band=membership.BOUNDARY_BAND):
-            bands.append(band)
-            return fn(s, band)
-        return wrapped
+    def recording_planes(zr, zi):
+        points.append(symmetrize_planes(zr, zi))
+        return points[-1]
+
+    def recording_chunk(*args):
+        verdicts.append(chunk(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(membership, "_symmetrize_planes", recording_planes)
+    monkeypatch.setattr(cli, "_oracle_chunk", recording_chunk)
+    predicates = (membership.in_g_batch, lambda s: membership.in_gamma_batch(s, band),
+                  lambda s: membership.in_b_gamma_batch(s, band))
+    torus_failures = []
+    for n in dims:
+        points.clear()
+        verdicts.clear()
+        seed = 40 + 3 * n
+        failures = cli._oracle_shard((n, count, seed), band)
+        torus_failures.append(failures[2][1])
+        assert len(verdicts) == -(-count // (cli._BATCH // 3)) == len(points)
+        for k, (kind, predicate) in enumerate(zip(cli._STRATA, predicates)):
+            ref = _stratum_points(kind, n, count, seed + k)
+            ms = [len(v[k]) for v in verdicts]
+            got = np.concatenate([(sr[:, k * m:(k + 1) * m] + 1j * si[:, k * m:(k + 1) * m]).T
+                                  for (sr, si), m in zip(points, ms)])
+            assert got.tolist() == ref.tolist(), (n, kind)
+            rows = np.concatenate([v[k] for v in verdicts])
+            assert rows.tolist() == predicate(ref).tolist(), (n, kind)
+            assert failures[k] == (count, count - int(np.count_nonzero(rows)))
+    if band < 1e-7:
+        assert any(0 < f < count for f in torus_failures)
+
+
+def test_oracle_band_reaches_the_closed_strata(monkeypatch, capsys):
+    from polydisc import cli, membership
 
     # the open stratum's in_g_batch reads no band: only the closed sets take one
     assert "band" not in inspect.signature(membership.in_g_batch).parameters
-    for name in ("in_gamma_batch", "in_b_gamma_batch"):
-        monkeypatch.setattr(membership, name, spy(getattr(membership, name)))
-    assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", "--band", "1e-3"]) == 0
-    assert len(bands) >= 4 and set(bands) == {1e-3}  # a call per closed shard
-    bands.clear()
-    assert cli.main(["oracle", "--dims", "2,3", "--samples", "60"]) == 0
-    assert len(bands) >= 4 and set(bands) == {membership.BOUNDARY_BAND}
+    calls = []
+
+    def spy(name):
+        fn = getattr(membership, name)
+
+        def wrapped(re, im, band=None):
+            calls.append((name, band))
+            return fn(re, im, band)
+        return wrapped
+
+    for name in ("_descent", "_b_gamma_planes"):
+        monkeypatch.setattr(membership, name, spy(name))
+    for argv, band in ((["--band", "1e-3"], 1e-3), ([], membership.BOUNDARY_BAND)):
+        calls.clear()
+        assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", *argv]) == 0
+        # per dimension: the open descent, the closed one and the torus check
+        assert calls[:2] == [("_descent", None), ("_descent", band)]
+        assert ("_b_gamma_planes", band) in calls
+        assert {b for _, b in calls} == {None, band}
+        assert [b for _, b in calls].count(None) == 2
     capsys.readouterr()
 
 
@@ -604,7 +648,7 @@ def test_cli_refusals_are_the_library_gates(monkeypatch, argv, gate):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", started)
     monkeypatch.setattr(cli, "_oracle_shard", started)
-    monkeypatch.setattr(membership, "_tilde_g_and_g_batch", started)
+    monkeypatch.setattr(membership, "_descent", started)
     with pytest.raises(DomainError) as info:
         gate(mobius)
     assert _main(argv) == (2, "", f"error: {info.value}\n")

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from polydisc.clinalg import op_norm
 from polydisc.errors import DomainError, PoleError, PolydiscError
 from polydisc.membership import (
+    BOUNDARY_BAND,
     ConditionMargin,
     _b_entries,
     _beta_coords,
+    _tilde_slack7,
     costara_f,
     costara_sup,
     in_b_gamma,
@@ -222,6 +224,36 @@ def test_strict_inclusion_family():
         y = CPoint(tuple(coords))
         assert in_tilde_g(y).verdict
         assert not in_g(y).verdict
+
+
+def test_g_report_flags_a_deeper_level_within_band():
+    # level 0 passes C7 by 0.68, but the first beta-point's C7 slack is
+    # exactly 0: double precision cannot decide the point, and the report
+    # says so while it keeps level 0's slack
+    rep = in_g(symmetrize([0.9999999999999994, 0.1, 0.6]))
+    assert _tilde_slack7(rep.recursion_trace[0].coords) == 0.0
+    assert not rep.verdict
+    c7 = rep.condition("C7")
+    assert c7.holds and c7.boundary and c7.slack == pytest.approx(0.6768)
+
+
+def test_g_report_boundary_follows_the_deciding_level():
+    # one root 1 - d from the circle, d log-uniform in 1e-12..1e-8: the last
+    # level a descent computes is the one that decides it, and wherever its
+    # C7 slack lies within band the report is flagged boundary
+    rng = np.random.default_rng(20)
+    within = 0
+    for _ in range(150):
+        n, d = int(rng.integers(3, 9)), 10.0 ** rng.uniform(-12.0, -8.0)
+        z = [(1.0 - d) * cmath.exp(2j * math.pi * rng.random())] + [
+            0.95 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random()) for _ in range(n - 1)]
+        s = symmetrize(z)
+        for band, rep in ((None, in_g(s)), (BOUNDARY_BAND, in_gamma(s))):
+            levels = [p for p in (rep.point, *rep.recursion_trace) if p.n > 1]
+            if abs(_tilde_slack7(levels[-1].coords, band)) < BOUNDARY_BAND:
+                within += 1
+                assert rep.condition("C7").boundary, (z, rep.set_id)
+    assert within > 200
 
 
 def test_g2_equals_tilde_g2(rng):

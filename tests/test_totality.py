@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,7 @@ from polydisc import (
     lempert_upper,
     lift,
     mobius_dist,
+    noncircular_witness,
     nonvanishing_falsifier,
     np2,
     nu_window,
@@ -344,6 +346,32 @@ def test_numbers_grids_and_counts_pass_one_gate(call, value):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call(value)
+
+
+# Refusals one call reaches that no gate row above reaches, each with the
+# type and the message it must raise.
+_ONE_CALL_REFUSALS = {
+    "k_rho-rho-1": (lambda: k_rho(0.5 * np.eye(2), 1.0), DomainError, r"rho must lie in \[0, 1\)"),
+    "k_rho-unit-Z": (lambda: k_rho(np.eye(2), 0.5), DomainError, r"Z must be a strict contraction"),
+    "np2-t-2": (lambda: np2(0j, 0.1, 0.5, 0.2, t=2), DomainError, r"\|t\| must be at most 1"),
+    "check_condition-99": (lambda: check_condition(SchwarzProblem(lambda0=-0.8, target=_STRICT), 99),
+                           DomainError, r"condition must be one of \(2, 3, 4, 5, 6, 7, 8, 9, 10, 11\)"),
+    "noncircular_witness-1": (lambda: noncircular_witness(1), DomainError, r"needs n >= 2"),
+    # nu^2 = 1 lies in the nu window: only the sign refuses it
+    "build_interpolant-nu-negative": (lambda: build_interpolant(_STRICT, -0.8, nu=-1.0), DomainError,
+                                      r"nu must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, kind, message",
+                         [pytest.param(*row, id=name) for name, row in _ONE_CALL_REFUSALS.items()])
+def test_one_call_refusals_raise_their_named_error(call, kind, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolydiscError) as info:
+            call()
+    assert type(info.value) is kind
+    assert re.fullmatch(message, str(info.value))
 
 
 # The same one-gate rule for the band, a batch, a 2x2 matrix and the fields
