@@ -223,8 +223,10 @@ def _cmd_oracle(args) -> int:
     tasks = [(n, per, args.seed + 3 * i) for i, n in enumerate(dims)]
     shard = functools.partial(_oracle_shard, band=args.band)
     if jobs > 1:
+        big_first = sorted(tasks, reverse=True)  # the costliest shards start first
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(shard, tasks))
+            done = dict(zip(big_first, ex.map(shard, big_first)))
+        results = [done[t] for t in tasks]
     else:
         results = [shard(t) for t in tasks]
     payload = {"strata": [], "checked": 0, "failures": 0}

@@ -238,10 +238,14 @@ def test_oracle_sweep_clean():
 
 
 def test_oracle_sweep_parallel_matches_serial():
-    base = ("oracle", "--dims", "2,3", "--samples", "300", "--seed", "11")
+    # the pool starts the largest dimension first; the strata still follow --dims
+    base = ("oracle", "--dims", "2,5,1,2", "--samples", "240", "--seed", "1", "--band", "1e-16")
     _, out1, _ = run_cli(*base, "--jobs", "1")
     _, out2, _ = run_cli(*base, "--jobs", "2")
-    assert json.loads(out1) == json.loads(out2)
+    assert out1 == out2
+    rows = json.loads(out1)["strata"]
+    assert [r["n"] for r in rows] == [2] * 3 + [5] * 3 + [1] * 3 + [2] * 3
+    assert rows[:3] != rows[9:]  # the repeated dimension draws from its own seeds
 
 
 def test_plot_slice_header_and_shape(tmp_path):
