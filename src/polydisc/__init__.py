@@ -35,7 +35,6 @@ from .interpolation import (
     DiscFunction,
     ScalarSchur,
     identity_regressions,
-    blaschke,
     build_interpolant,
     default_q,
     extremal_disc,
@@ -51,17 +50,12 @@ from .membership import (
     costara_f,
     costara_sup,
     in_b_gamma,
-    in_b_gamma_batch,
     in_g,
-    in_g_batch,
     in_gamma,
-    in_gamma_batch,
     in_tilde_g,
-    in_tilde_g_batch,
     in_tilde_gamma,
     nonvanishing_falsifier,
     symmetrize,
-    symmetrize_batch,
 )
 from .mobius import CPoint, binom, d_norm, phi, sup_on_torus
 from .schwarz import (

@@ -242,7 +242,7 @@ def _cmd_oracle(args) -> int:
 @np.errstate(all="ignore")
 def _cmd_plot_slice(args) -> int:
     res = _count(args.resolution, "resolution", 2, 2**11)  # the CSV of res**2 rows is held in memory
-    point = _parse_point(args.point)
+    point = membership._pairs_point(_parse_point(args.point))  # the raster's first column is tilde-G_n
     n = point.n
     span = binom(n, 1) + 0.5
     re_lo = args.re_min if args.re_min is not None else -span
@@ -303,18 +303,14 @@ def _cmd_regress(args) -> int:
                 yield membership.in_tilde_gamma(y, cond="ALL", band=band).per_condition
 
     def schwarz_margins():
+        # 0.1 <= |lambda0| < 0.95, and the target's C7 slack is
+        # binom(n, j) (1 - |q|^2) (1 - fill) >= 3 (1 - 0.85^2) 0.15 > 0.12:
+        # the problem is never refused
         for n in (3, 4, 5):
-            done = 0
-            while done < max(1, args.samples // 10):
+            for _ in range(max(1, args.samples // 10)):
                 y = sampling.tilde_g_point(n, rng, margin=0.85)
                 al = 0.1 + 0.85 * rng.random()
-                try:
-                    problem = schwarz.SchwarzProblem(
-                        lambda0=al * np.exp(2j * np.pi * rng.random()), target=y
-                    )
-                except DomainError:
-                    continue
-                done += 1
+                problem = schwarz.SchwarzProblem(lambda0=al * np.exp(2j * np.pi * rng.random()), target=y)
                 yield [schwarz.check_condition(problem, c, band=band)
                        for c in (3, 4, 6, 7, 8, 9, 10, 11)]
 

@@ -48,7 +48,6 @@ from .schwarz import SchwarzProblem, _check_lambda0, _pair_route, _pi_coords, _x
 __all__ = [
     "ScalarSchur",
     "DiscFunction",
-    "blaschke",
     "nu_window",
     "default_q",
     "np2",
@@ -69,16 +68,6 @@ WORKED_FAMILY_TARGET = CPoint((1.5 + 0j, 0.75 + 0j, 0.5 + 0j))
 WORKED_FAMILY_LAMBDA0 = -0.8 + 0j
 _WF_G_AT_0 = 0.3 + 0j
 _WF_G_AT_L0 = 0.625 + 0j
-
-
-def blaschke(lambda0: complex, lam: complex) -> complex:
-    """B(l) = (lambda0 - l) / (1 - conj(lambda0) l) at one l, for |lambda0| < 1;
-    vanishes at lambda0, sends 0 to lambda0, unimodular on the circle."""
-    lambda0 = _number(lambda0)
-    if not _cabs(lambda0) < 1.0:
-        raise DomainError("lambda0 must lie in the open unit disc")
-    lam = _number(lam)
-    return _mobius(lambda0, -lam, lam, "the Blaschke factor")
 
 
 def _mobius(w: complex, s: complex, lam: complex, what: str, field=None) -> complex:

@@ -36,7 +36,6 @@ from .clinalg import _scaled, _svals, _svals_sq, _unscale
 from .errors import DomainError
 from .mobius import (
     CPoint,
-    _array,
     _band,
     _cabs,
     _check_poles,
@@ -62,11 +61,6 @@ __all__ = [
     "in_gamma",
     "in_b_gamma",
     "symmetrize",
-    "in_tilde_g_batch",
-    "in_g_batch",
-    "in_gamma_batch",
-    "in_b_gamma_batch",
-    "symmetrize_batch",
     "costara_f",
     "costara_sup",
     "nonvanishing_falsifier",
@@ -231,9 +225,15 @@ def _margins(slacks: dict[str, float], conds, closed: bool, band: float) -> tupl
     return tuple([new(ConditionMargin, (c, s > 0.0, s, abs(s) < band)) for c, s in pairs])
 
 
-def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipReport:
+def _pairs_point(y) -> CPoint:
+    """The point y, refused where it has no pair (y_j, y_{n-j}) to test."""
     if _point(y).n < 2:
         raise DomainError("extended symmetrized polydisc needs n >= 2")
+    return y
+
+
+def _tilde_report(y: CPoint, cond, closed: bool, band: float) -> MembershipReport:
+    _pairs_point(y)
     avail = ALL_CONDITIONS_CLOSED if closed else ALL_CONDITIONS
     if cond == "ALL":
         wanted = avail
@@ -297,7 +297,8 @@ def _b_entries(coords: tuple[complex, ...], j: int) -> tuple[complex, complex, c
     """The entries (y_j / C, k, k, y_{n-j} / C), C = binom(n, j), of B_j in
     condition (9), k the principal root of a d - q, so det B_j = q.  Where
     a d - q overflows, the root is taken of the pair scaled exactly by
-    (2^-e, 2^-e, 4^-e); an entry past the double range raises DomainError."""
+    (2^-e, 2^-e, 4^-e); |k|^2 <= |a| |d| + |q| keeps |k| near 2.55e308 / C
+    at most, C >= 2, so every part of k is finite."""
     n, q = len(coords), coords[-1]
     c = float(math.comb(n, j))
     a, d = coords[j - 1] / c, coords[n - 1 - j] / c
@@ -307,8 +308,6 @@ def _b_entries(coords: tuple[complex, ...], j: int) -> tuple[complex, complex, c
         f = math.ldexp(1.0, -e)
         k = cmath.sqrt(sa * sd - q * f * f)
         k = complex(_unscale(k.real, e), _unscale(k.imag, e))
-        if not cmath.isfinite(k):
-            raise DomainError(f"the off-diagonal of B_{j} is past the double range")
     return a, k, k, d
 
 
@@ -413,30 +412,15 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
 
 
 # ---------------------------------------------------------------------------
-# batch forms of the boolean core over (m, n) complex arrays
+# the boolean core on planes, for oracle, plot-slice and a disc's range check
 #
-# Each row is one point; every result equals the scalar function's on that
-# row bit for bit (up to the sign of zero, which no slack or verdict sees).
-# numpy's complex abs and product round differently from CPython's, so the
-# kernels run on (n, m) real and imaginary planes, one row per coordinate,
-# with np.hypot and CPython's real/imag product formula; squares are x * x
-# on both paths.  A descent copies its planes only to drop points.
+# Each column of the (n, m) real and imaginary planes is one point; every
+# result equals the scalar function's on it bit for bit (up to the sign of
+# zero, which no slack or verdict sees).  numpy's complex abs and product
+# round differently from CPython's, so the kernels use np.hypot and CPython's
+# real/imag product formula; squares are x * x on both paths.  A descent
+# copies its planes only to drop points.  Callers pass finite planes.
 # ---------------------------------------------------------------------------
-
-
-def _cplx(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _planes(y) -> tuple[np.ndarray, np.ndarray]:
-    """The contiguous real and imaginary planes of the batch y, read by
-    `_array` as an (m, n) array of finite numbers, n a dimension."""
-    y = _array(y, 2, "a batch")
-    _dimension(y.shape[1])
-    return np.ascontiguousarray(y.real.T), np.ascontiguousarray(y.imag.T)
 
 
 def _conj_mul(ar, ai, br, bi):
@@ -471,25 +455,17 @@ def _level(re: np.ndarray, im: np.ndarray, aq: np.ndarray, unit=None):
 
 @np.errstate(all="ignore")
 def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
-    """_tilde_slack7(y, band), the closed C7 slack, on every row of y."""
-    re, im = _planes(y)
+    """_tilde_slack7(y, band), the closed C7 slack, on every row of the
+    (m, n) array y, whose rows its callers have found finite."""
+    re, im = y.real.T, y.imag.T
     aq = np.hypot(re[-1], im[-1])
     return _level(re, im, aq, np.abs(aq - 1.0) <= band)[0]
-
-
-@np.errstate(all="ignore")
-def in_tilde_g_batch(y: np.ndarray) -> np.ndarray:
-    """in_tilde_g(y).verdict for every row of the (m, n) array y."""
-    re, im = _planes(y)
-    if len(re) < 2:
-        raise DomainError("extended symmetrized polydisc needs n >= 2")
-    return _level(re, im, np.hypot(re[-1], im[-1]))[0] > 0.0
 
 
 def _descent(re: np.ndarray, im: np.ndarray, band: float | None = None):
     """(verdict, level0): the in_g (band None) or in_gamma (closed, within
     band) verdict of every point of the planes, and the level-0 verdict C7
-    slack > 0, which is in_tilde_g_batch's (None when no level runs)."""
+    slack > 0, which is in_tilde_g's (None when no level runs)."""
     idx = np.arange(re.shape[1])
     verdict = np.zeros(idx.size, dtype=bool)
     level0 = None
@@ -528,24 +504,6 @@ def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
     return verdict
 
 
-@np.errstate(all="ignore")
-def in_g_batch(s: np.ndarray) -> np.ndarray:
-    """in_g(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s))[0]
-
-
-@np.errstate(all="ignore")
-def in_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
-    """in_gamma(s).verdict for every row of the (m, n) array s."""
-    return _descent(*_planes(s), _band(band))[0]
-
-
-@np.errstate(all="ignore")
-def in_b_gamma_batch(s: np.ndarray, band: float = BOUNDARY_BAND) -> np.ndarray:
-    """in_b_gamma(s) for every row of the (m, n) array s."""
-    return _b_gamma_planes(*_planes(s), _band(band))
-
-
 def _symmetrize_planes(zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The planes of symmetrize(z).coords for every point z of the planes."""
     er, ei = np.zeros((2, len(zr) + 1, zr.shape[1]))
@@ -556,13 +514,6 @@ def _symmetrize_planes(zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.n
         er[1:k + 1] += pr
         ei[1:k + 1] += pi
     return er[1:], ei[1:]
-
-
-@np.errstate(all="ignore")
-def symmetrize_batch(z: np.ndarray) -> np.ndarray:
-    """symmetrize(z).coords for every row of the (m, n) array z."""
-    er, ei = _symmetrize_planes(*_planes(z))
-    return _cplx(er.T, ei.T)
 
 
 # ---------------------------------------------------------------------------

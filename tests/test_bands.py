@@ -53,8 +53,6 @@ def _probes() -> dict:
         "in_g": ((g_in,), {}, *flags),
         "in_gamma": ((g_out,), {}, *flags),
         "in_b_gamma": ((torus_out,), {}, *flags),
-        "in_gamma_batch": ((np.array([g_out.coords]),), {}, *flags),
-        "in_b_gamma_batch": ((np.array([torus_out.coords]),), {}, *flags),
         "in_tilde_g": ((inside,), {"cond": "C7"}, *flags),
         "in_tilde_gamma": ((outside,), {"cond": "C7"}, *flags),
         "gn_schwarz_bound": ((g_in, costara_sup(g_in, 512) + 1e-9), {"grid": 512}, *flags),
@@ -81,7 +79,6 @@ def _result(call):
 
 def test_every_public_band_is_read():
     probes = _probes()
-    # the open verdicts (in_g_batch, in_tilde_g_batch) take no band: an open condition holds iff its slack is positive
     assert set(probes) == _banded_names()
     for name in _UNBANDED_BUILDERS:
         assert "band" not in inspect.signature(getattr(polydisc, name)).parameters, name

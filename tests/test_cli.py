@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -332,10 +331,11 @@ def test_plot_slice_matches_scalar_replay(point, window):
 
 def test_plot_slice_verdicts_equal_the_two_batch_predicates(capsys):
     # plot-slice reads in_tilde_g off the first level of the in_g descent;
-    # every cell must equal in_tilde_g_batch and in_g_batch run separately,
-    # also on slices whose pinned |q| is 1 or more
+    # every cell must equal the scalar in_tilde_g (C7) and in_g run
+    # separately, also on slices whose pinned |q| is 1 or more
     from polydisc import cli
-    from polydisc.membership import in_g_batch, in_tilde_g_batch
+    from polydisc.membership import in_g, in_tilde_g
+    from polydisc.mobius import CPoint
 
     rng = np.random.default_rng(2718)
     res, seen = 15, set()
@@ -349,14 +349,34 @@ def test_plot_slice_verdicts_equal_the_two_batch_predicates(capsys):
             span = n + 0.5
             vals = [-span + (span - -span) * a / (res - 1) for a in range(res)]
             cells = [(re, im) for re in vals for im in vals]
-            y = np.array([[complex(re, im)] + coords[1:] for re, im in cells])
-            tg, gg = in_tilde_g_batch(y), in_g_batch(y)
+            pts = [CPoint((complex(re, im), *coords[1:])) for re, im in cells]
+            tg = [in_tilde_g(p, cond="C7").verdict for p in pts]
+            gg = [in_g(p).verdict for p in pts]
             lines = ["re,im,in_tilde_g,in_g"] + [
                 f"{re!r},{im!r},{int(t)},{int(g)}" for (re, im), t, g in zip(cells, tg, gg)
             ]
             assert capsys.readouterr().out == "\n".join(lines) + "\n", (n, aq)
-            seen.update(zip(tg.tolist(), gg.tolist()))
+            seen.update(zip(tg, gg))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_plot_slice_refuses_n_1_naming_the_dimension(monkeypatch):
+    # the raster's first column is tilde-G_n, which needs n >= 2: the point
+    # is refused with in_tilde_g's message, before the window or the raster
+    from polydisc import cli, membership
+    from polydisc.errors import DomainError
+    from polydisc.mobius import CPoint
+
+    def started(*args, **kwargs):
+        raise AssertionError("the raster started")
+
+    monkeypatch.setattr(cli, "binom", started)
+    monkeypatch.setattr(membership, "_descent", started)
+    with pytest.raises(DomainError) as info:
+        membership.in_tilde_g(CPoint((0.3,)))
+    for extra in ((), ("--re-min", "-1", "--re-max", "1", "--im-min", "-1", "--im-max", "1")):
+        argv = ["plot-slice", "--point", '{"n":1,"coords":[[0.3,0]]}', *extra]
+        assert _main(argv) == (2, "", f"error: {info.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -392,8 +412,9 @@ def _stratum_points(kind, n, count, seed):
 @pytest.mark.parametrize("band", [1e-7, 1e-16], ids=["band-1e-7", "band-1e-16"])  # 1e-16: mixed torus verdicts
 def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, count, dims, band):
     # each stratum's points, chunk after chunk, are the scalar draws from its
-    # own seed, and its verdict rows are those of its public batch predicate
+    # own seed, and its verdict rows are its scalar predicate's on them
     from polydisc import cli, membership
+    from polydisc.mobius import CPoint
 
     if batch is not None:
         monkeypatch.setattr(cli, "_BATCH", batch)
@@ -410,8 +431,8 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
 
     monkeypatch.setattr(membership, "_symmetrize_planes", recording_planes)
     monkeypatch.setattr(cli, "_oracle_chunk", recording_chunk)
-    predicates = (membership.in_g_batch, lambda s: membership.in_gamma_batch(s, band),
-                  lambda s: membership.in_b_gamma_batch(s, band))
+    predicates = (lambda s: membership.in_g(s).verdict, lambda s: membership.in_gamma(s, band).verdict,
+                  lambda s: membership.in_b_gamma(s, band))
     torus_failures = []
     for n in dims:
         points.clear()
@@ -427,7 +448,7 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
                                   for (sr, si), m in zip(points, ms)])
             assert got.tolist() == ref.tolist(), (n, kind)
             rows = np.concatenate([v[k] for v in verdicts])
-            assert rows.tolist() == predicate(ref).tolist(), (n, kind)
+            assert rows.tolist() == [predicate(CPoint(tuple(s))) for s in ref.tolist()], (n, kind)
             assert failures[k] == (count, count - int(np.count_nonzero(rows)))
     if band < 1e-7:
         assert any(0 < f < count for f in torus_failures)
@@ -436,8 +457,6 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
 def test_oracle_band_reaches_the_closed_strata(monkeypatch, capsys):
     from polydisc import cli, membership
 
-    # the open stratum's in_g_batch reads no band: only the closed sets take one
-    assert "band" not in inspect.signature(membership.in_g_batch).parameters
     calls = []
 
     def spy(name):
@@ -526,6 +545,37 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("set_id", ["tilde-gamma", "gamma", "b-gamma"])
+def test_membership_closed_sets_print_the_library_payload(set_id):
+    # each set prints the library's payload, and --assert exits 1 on a point
+    # outside it; b-gamma's verdict is a bare bool, so the CLI builds its payload
+    from polydisc import membership
+    from polydisc.mobius import CPoint
+
+    torus = '{"n":2,"coords":[[0,0],[-1,0]]}'  # symmetrize((1, -1)), in b Gamma_2
+    outside = '{"n":3,"coords":[[4,0],[0,0],[0,0]]}'  # |y_1| > binom(3, 1)
+    verdicts = set()
+    for point_json in (WORKED_POINT, torus, outside):
+        point = CPoint.from_json(json.loads(point_json))
+        if set_id == "b-gamma":
+            verdict = membership.in_b_gamma(point)
+            payload = {"point": point.to_json(), "set": "b-gamma", "verdict": verdict}
+        else:
+            rep = {"tilde-gamma": membership.in_tilde_gamma, "gamma": membership.in_gamma}[set_id](point)
+            payload, verdict = rep.to_json(), rep.verdict
+        for assert_ in ((), ("--assert",)):
+            got = _main(["membership", "--set", set_id, "--point", point_json, *assert_])
+            code = 1 if assert_ and not verdict else 0
+            assert got == (code, json.dumps(payload, indent=2) + "\n", ""), (point_json, assert_)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_schwarz_lambda0_of_three_parts_exit_2():
+    argv = ["schwarz", "--point", WORKED_POINT, "--lambda0", "1,2,3"]
+    assert _main(argv) == (2, "", "error: expected 're' or 're,im'\n")
+
+
 def test_interpolate_worked_family_takes_its_own_lambda0():
     base = ("interpolate", "--point", WORKED_POINT, "--worked-family", "--t", "0.5", "--eval=0.2,0")
     runs = [_main(base + extra) for extra in ((), ("--lambda0=-0.8,0",), ("--lambda0=-0.8",))]
@@ -533,7 +583,7 @@ def test_interpolate_worked_family_takes_its_own_lambda0():
 
 
 def test_regress_lets_a_crash_through(monkeypatch):
-    # a failed draw is a DomainError; anything else is a fault and must surface
+    # the Schwarz sampler catches nothing: a fault in a draw must surface
     from polydisc import schwarz
 
     real, calls = schwarz.SchwarzProblem, []

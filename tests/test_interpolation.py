@@ -21,8 +21,8 @@ from polydisc.interpolation import (
     DiscFunction,
     ScalarSchur,
     _u_v,
+    _mobius,
     identity_regressions,
-    blaschke,
     build_interpolant,
     default_q,
     extremal_disc,
@@ -64,12 +64,17 @@ def strict_problem(rng, margin_lo=1.05, margin_hi=1.45):
 # --- scalar pieces -----------------------------------------------------------
 
 
+def _blaschke(lambda0, lam):
+    """The Blaschke factor at lambda0, mu_{lambda0}(-l), as a disc evaluates it."""
+    return _mobius(lambda0, -lam, lam, "the Blaschke factor")
+
+
 def test_blaschke_values():
-    assert blaschke(WORKED_LAMBDA0, WORKED_LAMBDA0) == 0
-    assert blaschke(WORKED_LAMBDA0, 0.0) == WORKED_LAMBDA0
+    assert _blaschke(WORKED_LAMBDA0, WORKED_LAMBDA0) == 0
+    assert _blaschke(WORKED_LAMBDA0, 0.0) == WORKED_LAMBDA0
     for k in range(32):
         z = cmath.exp(2j * math.pi * k / 32)
-        assert abs(blaschke(WORKED_LAMBDA0, z)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(_blaschke(WORKED_LAMBDA0, z)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moebius_factors_at_a_huge_lambda():
@@ -77,7 +82,7 @@ def test_moebius_factors_at_a_huge_lambda():
     # overflows; dividing through by lambda gives the limit 1 / conj(a)
     lam = 1.7e308 + 1.7e308j
     limit = 1.0 / (0.7 - 0.7j)
-    assert abs(blaschke(0.7 + 0.7j, lam) - limit) <= 1e-15
+    assert abs(_blaschke(0.7 + 0.7j, lam) - limit) <= 1e-15
     assert abs(ScalarSchur(kind="blaschke", zeros=(0.7 + 0.7j,))(lam) + limit) <= 1e-15
     assert abs(np2(0, 0.3, -0.8, 0.625, t=0.5)(lam) - 10.0 / 3.0) <= 1e-14
     # a value past the double range is refused, not returned
@@ -891,7 +896,7 @@ def test_values_rows_are_single_evaluations_bit_for_bit(rng):
 
 def test_values_match_the_defining_formula(rng):
     # psi = pi_n(F, ..., F) with F(l) = M_{-Z}(B(l) Q(l)) diag(l, 1), written
-    # out with the scalar blaschke and matricial_mobius; pi_n puts
+    # out with the reference Blaschke factor and matricial_mobius; pi_n puts
     # binom(n, j) F_11 at j and binom(n, j) F_22 at n-j (the middle one
     # averaged for even n), det F last
     discs = [d for d in _variants(_kind_discs(rng)) if d.kind == "matrix_mobius"]
@@ -900,7 +905,7 @@ def test_values_match_the_defining_formula(rng):
         vals = disc.values(lams)
         for lam, row in zip(lams, vals):
             Q = disc.Q0 if disc.Qlin is None else disc.Q0 + lam * disc.Qlin
-            F = matricial_mobius(-disc.Z, blaschke(disc.lambda0, lam) * Q) @ np.diag([lam, 1.0])
+            F = matricial_mobius(-disc.Z, _ref_blaschke(disc.lambda0, lam) * Q) @ np.diag([lam, 1.0])
             n = disc.n
             ref = np.zeros(n, dtype=complex)
             for j in range(1, n // 2 + 1):
@@ -1082,7 +1087,7 @@ def test_disc_evaluation_errors_stay_polydisc_errors():
     with pytest.raises(PoleError) as info:
         g(2.0)  # 1 - conj(0.5) * 2 = 0
     assert info.value.at == 2.0
-    for evaluate in (g, disc, disc.core, lambda lam: blaschke(WORKED_LAMBDA0, lam)):
+    for evaluate in (g, disc, disc.core):
         with pytest.raises(DomainError):
             evaluate(np.array([0.0, 2.0]))  # one lambda at a time
     family = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.5))
@@ -1259,7 +1264,7 @@ def test_pole_messages_and_sites():
                 evaluate(lam)
             assert (str(info.value), info.value.at) == (message, lam)
     with pytest.raises(PoleError, match=r"^the Blaschke factor has a pole at z=\(2\+0j\)$"):
-        blaschke(0.5, 2.0)
+        _blaschke(0.5 + 0j, 2.0 + 0j)
     with pytest.raises(PoleError, match=r"^a Schur step has a pole at z=\(-2\+0j\)$"):
         g(-2.0)
     with pytest.raises(PoleError, match=r"^Phi_1 has a pole at z=\(1\.5\+0j\)$"):
@@ -1319,8 +1324,6 @@ def test_mobius_kernel_is_the_three_automorphisms_bit_for_bit():
     # written out with its own overflow retake: values to the bit (signed
     # zeros included), pole messages and .at.  B is drawn at lambda0 in the
     # open disc, where it is defined and evaluated
-    from polydisc.interpolation import _mobius
-
     rng = np.random.default_rng(20261019)
 
     def draw():  # zero, in and near the disc, or a modulus from 1e-320 to 1e308

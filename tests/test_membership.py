@@ -444,15 +444,13 @@ def test_nonvanishing_falsifier_overflow_raises():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_large_q_is_outside_without_overflow(n):
     # above |q| ~ 1.34e154, |q|^2 is inf: the C7 slack is -inf, no OverflowError
-    from polydisc.membership import in_tilde_g_batch
-
     for big in (1.4e154, 1e200, 1e308):
         y = CPoint((0.5,) * (n - 1) + (big,))
         rep = in_tilde_g(y, cond="C7")
         assert rep.verdict is False and rep.condition("C7").slack == -math.inf
         assert in_g(y).verdict is False
         assert in_gamma(y).verdict is False
-        assert in_tilde_g_batch(np.array([y.coords])).tolist() == [False]
+        assert _kernel_verdicts(np.array([y.coords]))[1].tolist() == [False]
 
 
 # --- scaling ----------------------------------------------------------------
@@ -530,9 +528,7 @@ def test_tilde_reports_total_on_finite_doubles(raw):
     # the bytes read as doubles (NaN as 0, +-inf as +-the largest double)
     # cover the whole finite range, n = 2..8; any such point gives a
     # PolydiscError or reports whose JSON is strict, whose decided
-    # conditions agree with the verdict, and whose verdict is the batch row's
-    from polydisc.membership import in_tilde_g_batch
-
+    # conditions agree with the verdict, and whose verdict is the plane kernel's
     coords = np.nan_to_num(np.frombuffer(raw[: len(raw) // 16 * 16], dtype=complex))
     y = CPoint(tuple(coords.tolist()))
     try:
@@ -543,7 +539,7 @@ def test_tilde_reports_total_on_finite_doubles(raw):
         json.dumps(rep.to_json(), allow_nan=False)
         for m in rep.per_condition:
             assert m.boundary or m.holds == rep.verdict, (rep.set_id, m, coords)
-    assert in_tilde_g_batch(np.array([y.coords])).tolist() == [reports[0].verdict]
+    assert _kernel_verdicts(np.array([y.coords]))[1].tolist() == [reports[0].verdict]
 
 
 def test_report_json_round_trip():
@@ -667,43 +663,68 @@ def test_batch_slack_bit_identical(n, rng):
     assert _tilde_slack7_batch(y, band).tolist() == ref
 
 
+def _planes(y):
+    """The contiguous (n, m) real and imaginary planes of the (m, n) array y,
+    as oracle and plot-slice build them."""
+    return np.ascontiguousarray(y.real.T), np.ascontiguousarray(y.imag.T)
+
+
+def _kernel_verdicts(y, band=1e-7):
+    """The plane kernels the product runs, on the rows of the (m, n) array y
+    and under np.errstate(all="ignore") as its callers run them: the in_g
+    verdicts, the level-0 C7 verdicts of that descent (in_tilde_g's; None
+    where no level runs), and the in_gamma and in_b_gamma verdicts at band."""
+    from polydisc.membership import _b_gamma_planes, _descent
+
+    re, im = _planes(y)
+    with np.errstate(all="ignore"):
+        g, tilde = _descent(re, im)
+        return g, tilde, _descent(re, im, band)[0], _b_gamma_planes(re, im, band)
+
+
 def _open_slack7_batch(y):
-    """The C7 slack in_tilde_g_batch reads: the first level of the descent."""
-    from polydisc.membership import _level, _planes
+    """The C7 slack the open descent reads at level 0."""
+    from polydisc.membership import _level
 
     re, im = _planes(y)
     with np.errstate(all="ignore"):  # the C7 slack of a huge point overflows
         return _level(re, im, np.hypot(re[-1], im[-1]))[0]
 
 
+def _symmetrized(z):
+    """The (m, n) real and imaginary parts of symmetrize of each row of z,
+    off the plane kernel."""
+    from polydisc.membership import _symmetrize_planes
+
+    with np.errstate(all="ignore"):
+        er, ei = _symmetrize_planes(*_planes(z))
+    return er.T.tolist(), ei.T.tolist()
+
+
+def _parts(points):
+    """The real and imaginary parts of the coordinates of each point."""
+    points = list(points)
+    return [[c.real for c in p] for p in points], [[c.imag for c in p] for p in points]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batch_verdicts_match_scalar(n, rng):
-    from polydisc.membership import (
-        _beta_coords,
-        _cplx,
-        _level,
-        _planes,
-        in_b_gamma_batch,
-        in_g_batch,
-        in_gamma_batch,
-        in_tilde_g_batch,
-        symmetrize_batch,
-    )
+    from polydisc.membership import _beta_coords, _level
 
     pts = _batch_points(n, rng)
     y = np.array([p.coords for p in pts])
-    assert in_tilde_g_batch(y).tolist() == [in_tilde_g(p, cond="C7").verdict for p in pts]
-    assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
-    assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
-    assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+    g, tilde, gamma, b_gamma = _kernel_verdicts(y)
+    assert tilde.tolist() == [in_tilde_g(p, cond="C7").verdict for p in pts]
+    assert g.tolist() == [in_g(p).verdict for p in pts]
+    assert gamma.tolist() == [in_gamma(p).verdict for p in pts]
+    assert b_gamma.tolist() == [in_b_gamma(p) for p in pts]
     inner = [p for p in pts if abs(p.q) < 1.0]
     re, im = _planes(np.array([p.coords for p in inner]))
     with np.errstate(all="ignore"):  # the C7 slack of a huge point overflows
         _, dr, di, w = _level(re, im, np.hypot(re[-1], im[-1]))  # the next level is D / w
-    betas = _cplx((dr / w).T, (di / w).T)
-    assert betas.tolist() == [list(_beta_coords(p.coords)) for p in inner]
+    assert ((dr / w).T.tolist(), (di / w).T.tolist()) == _parts(_beta_coords(p.coords) for p in inner)
     z = np.array([g_point_disc(n, rng, rmax=2.0) for _ in range(50)])
-    assert symmetrize_batch(z).tolist() == [list(symmetrize(list(w)).coords) for w in z]
+    assert _symmetrized(z) == _parts(symmetrize(list(w)).coords for w in z)
 
 
 def _uniform_batches(n, rng, m=40):
@@ -724,23 +745,17 @@ def _uniform_batches(n, rng, m=40):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batch_uniform_batches_match_scalar(n, rng):
-    from polydisc.membership import (
-        _tilde_slack7,
-        _tilde_slack7_batch,
-        in_b_gamma_batch,
-        in_g_batch,
-        in_gamma_batch,
-        in_tilde_g_batch,
-        symmetrize_batch,
-    )
+    from polydisc.membership import _tilde_slack7, _tilde_slack7_batch
 
     for pts in _uniform_batches(n, rng):
         y = np.array([p.coords for p in pts], dtype=complex).reshape(len(pts), n)
-        assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
-        assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
-        assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+        g, tilde, gamma, b_gamma = _kernel_verdicts(y)
+        assert g.tolist() == [in_g(p).verdict for p in pts]
+        assert gamma.tolist() == [in_gamma(p).verdict for p in pts]
+        assert b_gamma.tolist() == [in_b_gamma(p) for p in pts]
+        if n > 1 and pts:  # an empty batch runs no level
+            assert tilde.tolist() == [in_tilde_g(p, "C7").verdict for p in pts]
         if n > 1:
-            assert in_tilde_g_batch(y).tolist() == [in_tilde_g(p, "C7").verdict for p in pts]
             ref = [_tilde_slack7(p.coords) for p in pts]
             assert _open_slack7_batch(y).tolist() == ref
             ref = [_tilde_slack7(p.coords, 1e-7) for p in pts]
@@ -748,25 +763,21 @@ def test_batch_uniform_batches_match_scalar(n, rng):
     inner = [g_point_disc(n, rng, rmax=0.95) for _ in range(40)]
     outer = [[(1.2 + rng.random()) * torus_point(rng) for _ in range(n)] for _ in range(40)]
     for z in (inner, outer, inner[:1], []):
-        batch = symmetrize_batch(np.array(z, dtype=complex).reshape(len(z), n))
-        assert batch.tolist() == [list(symmetrize(w).coords) for w in z]
+        batch = _symmetrized(np.array(z, dtype=complex).reshape(len(z), n))
+        assert batch == _parts(symmetrize(w).coords for w in z)
 
 
 def test_batch_verdicts_one_coordinate():
-    from polydisc.membership import (
-        in_b_gamma_batch,
-        in_g_batch,
-        in_gamma_batch,
-        in_tilde_g_batch,
-    )
-
     y = np.array([[0.5], [1.0], [1j], [1.5]])
     pts = [CPoint(tuple(row)) for row in y]
-    with pytest.raises(DomainError):
-        in_tilde_g_batch(y)
-    assert in_g_batch(y).tolist() == [in_g(p).verdict for p in pts]
-    assert in_gamma_batch(y).tolist() == [in_gamma(p).verdict for p in pts]
-    assert in_b_gamma_batch(y).tolist() == [in_b_gamma(p) for p in pts]
+    g, tilde, gamma, b_gamma = _kernel_verdicts(y)
+    assert tilde is None  # no level of the descent runs at n = 1
+    for p in pts:
+        with pytest.raises(DomainError, match="needs n >= 2"):
+            in_tilde_g(p)
+    assert g.tolist() == [in_g(p).verdict for p in pts]
+    assert gamma.tolist() == [in_gamma(p).verdict for p in pts]
+    assert b_gamma.tolist() == [in_b_gamma(p) for p in pts]
 
 
 def test_batch_samplers_equal_scalar_draws():

@@ -229,17 +229,7 @@ def test_dimension_is_bounded_to_1_through_515():
     # n = 516 as a domain error (from 517 on, OverflowError escaped)
     from polydisc.geometry import noncircular_witness
     from polydisc.interpolation import DiscFunction, np2, worked_family
-    from polydisc.membership import (
-        in_b_gamma_batch,
-        in_g,
-        in_g_batch,
-        in_gamma_batch,
-        in_tilde_g,
-        in_tilde_g_batch,
-        in_tilde_gamma,
-        symmetrize,
-        symmetrize_batch,
-    )
+    from polydisc.membership import in_g, in_tilde_g, in_tilde_gamma, symmetrize
     from polydisc.schwarz import SchwarzProblem, check_condition
 
     disc = worked_family(np2(0.0, 0.3, -0.8, 0.625, t=0.4 - 0.1j)).to_json()
@@ -253,7 +243,6 @@ def test_dimension_is_bounded_to_1_through_515():
         for cond in range(2, 12):
             yield lambda cond=cond: check_condition(SchwarzProblem(0.5, CPoint(coords)), cond)
         yield lambda: in_g(CPoint(coords))
-        yield lambda: in_tilde_g_batch(np.array([coords]))
         yield lambda: noncircular_witness(n)
         yield lambda: DiscFunction.from_json({**disc, "n": n})(0.3)
 
@@ -265,11 +254,8 @@ def test_dimension_is_bounded_to_1_through_515():
     for n in (1030, 10**20):
         with pytest.raises(DomainError, match="dimension"):
             DiscFunction.from_json({**disc, "n": n})
-    # no coordinate at all: the batch descents indexed an empty plane
-    empty = np.zeros((1, 0), dtype=complex)
-    for call in (lambda: CPoint(()), lambda: symmetrize([]), lambda: in_g_batch(empty),
-                 lambda: in_gamma_batch(empty), lambda: in_b_gamma_batch(empty),
-                 lambda: symmetrize_batch(empty)):
+    # no coordinate at all
+    for call in (lambda: CPoint(()), lambda: symmetrize([])):
         with pytest.raises(DomainError, match="dimension n=0"):
             call()
 

@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polydisc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polydisc"
 
 
 def _private_definitions(tree):
@@ -47,6 +48,51 @@ def test_every_private_helper_is_used():
         if refs[name] == _references(node)[name]  # read only inside its own definition
     ]
     assert orphans == []
+
+
+def _exported(tree) -> list[str]:
+    """The names in a module's __all__."""
+    return [
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+
+
+def _definition(tree, name):
+    """The module-level node that defines name."""
+    for node in tree.body:
+        if getattr(node, "name", None) == name:
+            return node
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(getattr(t, "id", None) == name for t in targets):
+            return node
+    raise AssertionError(f"{name} is exported but not defined")
+
+
+# kept public with no product caller: the necessary Schwarz bound for G_n
+# (Costara's sup against |lambda0|), which no other public name states
+_PUBLIC_WITHOUT_CALLER = {"gn_schwarz_bound"}
+
+
+def test_every_public_name_is_run_by_the_product():
+    # a public name that only tests call is a second copy of a fact the
+    # product runs elsewhere: delete it, so each fact keeps the one function
+    # the product runs.  A name counts as run where the package (outside its
+    # own definition, __all__ and __init__), a script or the benchmark reads it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    for path in sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]):
+        refs += _references(ast.parse(path.read_text()))
+    unrun = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _exported(tree)
+        if refs[name] == _references(_definition(tree, name))[name] and name not in _PUBLIC_WITHOUT_CALLER
+    ]
+    assert unrun == []
 
 
 def _unread_parameters(tree):

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 import polydisc
 from polydisc import (
     CPoint,
+    DegenerateProblemError,
     DiscFunction,
     DomainError,
+    MarginalProblemError,
     PolydiscError,
     ScalarSchur,
     SchwarzProblem,
-    blaschke,
     build_interpolant,
     carath_lower,
     check_condition,
@@ -101,7 +102,6 @@ def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
     yield "symmetrize", lambda: symmetrize(y.coords)
     yield "phi", lambda: phi(j, y, z)
     yield "costara_f", lambda: costara_f(y, z)
-    yield "blaschke", lambda: blaschke(z, w)
     yield "np2", lambda: np2(z, w, y.y(1), y.q, r)
     yield "mobius_dist", lambda: mobius_dist(z, w)
     yield "in_J_n", lambda: in_J_n(y)
@@ -128,7 +128,6 @@ def _calls(y: CPoint, z: complex, w: complex, j: int, r: float):
 @example([1e308, 1e200, 1e308], 1e100 + 1e100j, 0.5, 1, 0.5)  # phi: inf + nan j
 @example([1e200, 0.5, 0.2], 1e200, 0.5, 1, 0.5)  # costara_f: nan
 @example([0.5, 0.5, 0.2], 1e300 + 1e300j, 0.5, 1, 0.5)  # costara_f: nan
-@example([0.5, 0.5, 0.2], 1e308 + 1e308j, 0.5, 1, 0.5)  # blaschke: -inf j
 @example([1e200, 1e200, 0.5], 0.5, 0.5, 1, 0.5)  # a d of B_1 overflows
 @example([1.54e308j, 0.5j], 0.5, 0.5, 1, 0.5)  # a beta past the double range
 @example([0.3, 0.2, 0.1], 1e-200, 0.5, 1, 0.5)  # |lambda0|^2 = 0
@@ -257,14 +256,6 @@ def test_json_pairs_are_two_real_numbers(case):
         decode(obj)
 
 
-def test_blaschke_needs_lambda0_in_the_disc():
-    # B is unimodular on the circle only for |lambda0| < 1: at lambda0 = 2,
-    # B(0.3) would read 4.25
-    for lam0 in (2.0, 1.0, -1j, 1e308 + 1e308j):
-        with pytest.raises(DomainError, match="open unit disc"):
-            blaschke(lam0, 0.3)
-
-
 def test_b_matrices_off_diagonal_past_the_product_range():
     # a d = 1.1e399 overflows, its root 3.33e199 does not
     from polydisc.membership import _b_entries
@@ -296,7 +287,6 @@ _NUMBER_CALLS = {
     "gn_schwarz_bound": lambda v: gn_schwarz_bound(symmetrize([0.1, 0.2]), v, grid=16),
     "default_q": lambda v: default_q(np.diag([0.2, 0.1]).astype(complex), [1.0, 1.0], v),
     "np2": lambda v: np2(v, 0.3, -0.8, 0.625),
-    "blaschke": lambda v: blaschke(0.5, v),
     "mobius_dist": lambda v: mobius_dist(v, 0),
     "phi": lambda v: phi(1, _STRICT, v),
     "costara_f": lambda v: costara_f(_STRICT, v),
@@ -360,6 +350,24 @@ _ONE_CALL_REFUSALS = {
     # nu^2 = 1 lies in the nu window: only the sign refuses it
     "build_interpolant-nu-negative": (lambda: build_interpolant(_STRICT, -0.8, nu=-1.0), DomainError,
                                       r"nu must be positive"),
+    **{f"{name}-n-1": (lambda f=f: f(CPoint((0.5,))), DomainError,
+                       r"extended symmetrized polydisc needs n >= 2")
+       for name, f in (("in_tilde_g", in_tilde_g), ("in_tilde_gamma", in_tilde_gamma))},
+    "nu_window-n-4": (lambda: nu_window(CPoint((0.4, 0.3, 0.2, 0.1)), 0.9), DomainError,
+                      r"this operation is stated for n = 3"),
+    "nu_window-degenerate": (lambda: nu_window(CPoint((0.3, 0.3, 0.01)), 0.9), DegenerateProblemError,
+                             r"y_1 y_2 = 9 q: use the diagonal construction"),
+    "build_interpolant-n-4": (lambda: build_interpolant(CPoint((0.4, 0.3, 0.2, 0.1)), 0.9), DomainError,
+                              r"build_interpolant is the n = 3 constructor"),
+    # y_1 y_2 = 9 q, and the diagonal's sup-norm 0.3 equals |lambda0|
+    "build_interpolant-degenerate-on-the-bound": (
+        lambda: build_interpolant(CPoint((0.9, 0.9, 0.09)), 0.3), MarginalProblemError,
+        r"degenerate data sits on the Schwarz bound"),
+    "build_interpolant-Qlin": (
+        lambda: build_interpolant(CPoint((0.675, 0.3375, 0.225)), -0.8, Qlin=np.eye(2)), DomainError,
+        r"Q0 \+ lambda Qlin can leave the Schur class"),
+    "worked_family-g0": (lambda: worked_family(np2(0, 0.5, -0.8, 0.625)), DomainError,
+                         r"family requires g\(0\) = 3/10"),
 }
 
 
@@ -384,11 +392,6 @@ def test_one_call_refusals_raise_their_named_error(call, kind, message):
 _BAND_PROBES = _probes()
 _BANDS = {"0": 0, "-1e-7": -1e-7, "2e-3": 2e-3, "1e300": 1e300, "nan": math.nan, "inf": math.inf,
           "str": "x", "None": None, "True": True, "complex": 1e-7 + 1e-9j}
-_BATCH_CALLS = {name: getattr(polydisc, name) for name in (
-    "in_tilde_g_batch", "in_g_batch", "in_gamma_batch", "in_b_gamma_batch", "symmetrize_batch")}
-_BATCHES = {"1-D": np.array([0.5, 0.2]), "3-D": np.zeros((2, 2, 3)), "nan-row": np.array([[math.nan, 0.2]]),
-            "inf-row": np.array([[0.1, 0.2], [0.1, math.inf]]), "str": np.array([["x", "0.2"]]),
-            "ragged": [[0.5, 0.2], [0.1]], "None": None}
 _MATRIX_CALLS = {
     "op_norm": op_norm,
     "herm_eig": herm_eig,
@@ -494,8 +497,6 @@ _GATE_ROWS = [
     *(pytest.param(lambda b, name=name: getattr(polydisc, name)(
         *_BAND_PROBES[name][0], **_BAND_PROBES[name][1], band=b), v, id=f"band-{name}-{label}")
       for name in sorted(_banded_names()) for label, v in _BANDS.items()),
-    *(pytest.param(call, v, id=f"batch-{name}-{label}")
-      for name, call in _BATCH_CALLS.items() for label, v in _BATCHES.items()),
     *(pytest.param(call, v, id=f"matrix-{name}-{label}")
       for name, call in _MATRIX_CALLS.items() for label, v in _MATRICES.items()),
     *(pytest.param(call, v, id=f"array-{name}-{label}")
@@ -523,14 +524,12 @@ def test_every_band_refusal_names_the_band_range():
 
 
 def test_nested_lists_read_as_their_arrays():
-    # a batch, an alpha or the points of a separating polynomial as nested
-    # lists give what their arrays give, and a disc built from list matrices
-    # is the disc of their arrays
+    # an alpha or the points of a separating polynomial as nested lists give
+    # what their arrays give, and a disc built from list matrices is the disc
+    # of their arrays
     rng = np.random.default_rng(7)
     y = np.array([sampling.tilde_g_point(3, rng).coords for _ in range(5)]
                  + [sampling.exterior_point(3, rng).coords for _ in range(5)])
-    for name, call in _BATCH_CALLS.items():
-        assert call(y.tolist()).tobytes() == call(y).tobytes(), name
     d = _MOBIUS_DISC
     listed = DiscFunction(kind=d.kind, n=d.n, lambda0=d.lambda0, Z=d.Z.tolist(), Q0=d.Q0.tolist())
     assert json.dumps(listed.to_json()) == json.dumps(d.to_json())
