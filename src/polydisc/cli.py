@@ -188,30 +188,51 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+def _oracle_planes(n: int, rngs, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The symmetrized planes of the next m draws of each stratum at dimension n.
+    The temporaries go at return, before the descents allocate, which lowers
+    the chunk's peak heap and so what glibc trims and faults back per chunk."""
+    zr, zi = np.empty((2, n, 3 * m))
+    for k, z in enumerate((sampling.g_points_disc(n, rngs[0], m, rmax=0.95),
+                           sampling.g_points_disc(n, rngs[1], m, rmax=1.0),
+                           sampling.torus_points(rngs[2], m, n))):
+        zr[:, k * m:(k + 1) * m], zi[:, k * m:(k + 1) * m] = z.real.T, z.imag.T
+    sr, si = membership._symmetrize_planes(zr, zi)
+    return [(sr[:, k * m:(k + 1) * m], si[:, k * m:(k + 1) * m]) for k in range(len(_STRATA))]
+
+
 @np.errstate(all="ignore")
-def _oracle_chunk(n: int, rngs, m: int, band: float) -> tuple[np.ndarray, ...]:
-    """The verdicts of the next m draws of each stratum at dimension n (in G_n,
-    Gamma_n, b Gamma_n), the three blocks of draws symmetrized on one set of planes."""
-    z = np.concatenate((sampling.g_points_disc(n, rngs[0], m, rmax=0.95),
-                        sampling.g_points_disc(n, rngs[1], m, rmax=1.0),
-                        sampling.torus_points(rngs[2], m, n)))
-    sr, si = membership._symmetrize_planes(np.ascontiguousarray(z.real.T), np.ascontiguousarray(z.imag.T))
-    return (membership._descent(sr[:, :m], si[:, :m])[0],
-            membership._descent(sr[:, m:2 * m], si[:, m:2 * m], band)[0],
-            membership._b_gamma_planes(sr[:, 2 * m:], si[:, 2 * m:], band))
+def _oracle_chunk(segments, band: float) -> list[tuple[np.ndarray, ...]]:
+    """The verdicts (in G_n, Gamma_n, b Gamma_n) of the next m draws of each
+    stream of every segment (n, rngs, m), from one open and one closed descent,
+    the closed one also taking the truncations of b Gamma_n's residual steps."""
+    strata = [_oracle_planes(n, rngs, m) for n, rngs, m in segments]
+    steps = [membership._b_gamma_step(*torus, band) for _, _, torus in strata]
+    truncations = [t for _, t in steps if t is not None]
+    cuts = np.cumsum([m for *_, m in segments] + [t[0].shape[1] for t in truncations])[:-1]
+    g = np.split(membership._descent([s[0] for s in strata])[0], cuts[:len(segments) - 1])
+    gamma = np.split(membership._descent([s[1] for s in strata] + truncations, band)[0], cuts)
+    truncated = iter(gamma[len(segments):])  # in the order of their segments
+    for ok, t in steps:
+        if t is not None:
+            ok[ok] = next(truncated)
+    return [(a, b, ok) for a, b, (ok, _) in zip(g, gamma, steps)]
 
 
-def _oracle_shard(task, band: float = membership.BOUNDARY_BAND) -> list[tuple[int, int]]:
-    """(checked, failures) of each of _STRATA at one dimension, stratum k drawing from
-    seed + k; each sampler reads its stream in order, so chunking moves no draw."""
-    n, count, seed = task
-    rngs = [np.random.default_rng(seed + k) for k in range(len(_STRATA))]
-    bad = [0] * len(_STRATA)
-    for start in range(0, count, _BATCH // 3):
-        m = min(_BATCH // 3, count - start)
-        for k, ok in enumerate(_oracle_chunk(n, rngs, m, band)):
-            bad[k] += m - int(np.count_nonzero(ok))
-    return [(count, b) for b in bad]
+def _oracle_shard(group, band: float = membership.BOUNDARY_BAND) -> list[list[tuple[int, int]]]:
+    """(checked, failures) of each of _STRATA for each entry (n, count, seed) of
+    group, stratum k drawing from seed + k, at most _BATCH // 3 draws per stratum
+    and chunk; each sampler reads its stream in order, so chunking moves no draw."""
+    rngs = [[np.random.default_rng(seed + k) for k in range(len(_STRATA))] for _, _, seed in group]
+    bad = [[0] * len(_STRATA) for _ in group]
+    edges = np.cumsum([0] + [count for _, count, _ in group]).tolist()
+    for lo in range(0, edges[-1], _BATCH // 3):
+        hi = lo + _BATCH // 3
+        segs = [(i, min(hi, e) - max(lo, s)) for i, (s, e) in enumerate(zip(edges, edges[1:])) if s < hi and lo < e]
+        chunk = _oracle_chunk([(group[i][0], rngs[i], m) for i, m in segs], band)
+        for (i, m), verdicts in zip(segs, chunk):
+            bad[i] = [b + m - int(np.count_nonzero(ok)) for b, ok in zip(bad[i], verdicts)]
+    return [[(count, b) for b in row] for (_, count, _), row in zip(group, bad)]
 
 
 def _cmd_oracle(args) -> int:
@@ -221,17 +242,20 @@ def _cmd_oracle(args) -> int:
     jobs = _count(args.jobs, "jobs", 1, 64)  # the pool forks every worker at its start
     per = max(1, args.samples // (3 * len(dims)))
     tasks = [(n, per, args.seed + 3 * i) for i, n in enumerate(dims)]
+    groups = [[] for _ in range(min(jobs, len(tasks)))]
+    for t in sorted(tasks, reverse=True):  # largest first, to the group of least sum of n
+        min(groups, key=lambda g: sum(n for n, _, _ in g)).append(t)
+    work = [sorted(g, key=tasks.index) for g in groups]  # a shard's time is about linear in n
     shard = functools.partial(_oracle_shard, band=args.band)
-    if jobs > 1:
-        big_first = sorted(tasks, reverse=True)  # the costliest shards start first
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            done = dict(zip(big_first, ex.map(shard, big_first)))
-        results = [done[t] for t in tasks]
+    if len(work) > 1:
+        with ProcessPoolExecutor(max_workers=len(work)) as ex:
+            done = list(ex.map(shard, work))
     else:
-        results = [shard(t) for t in tasks]
+        done = [shard(work[0])]
+    results = dict(zip(sum(work, []), sum(done, [])))
     payload = {"strata": [], "checked": 0, "failures": 0}
-    for n, counts in zip(dims, results):
-        for kind, (count, bad) in zip(_STRATA, counts):
+    for n, task in zip(dims, tasks):
+        for kind, (count, bad) in zip(_STRATA, results[task]):
             payload["strata"].append({"stratum": kind, "n": n, "checked": count, "failures": bad})
             payload["checked"] += count
             payload["failures"] += bad
@@ -262,7 +286,7 @@ def _cmd_plot_slice(args) -> int:
         re, im = np.empty((2, n, len(block) * res))
         re[0], im[0] = np.repeat(block, res), np.tile(im_vals, len(block))
         re[1:], im[1:] = fixed.real, fixed.imag
-        gg, tg = membership._descent(re, im)  # tg: the first level's C7 verdict
+        gg, tg = membership._descent([(re, im)])  # tg: the first level's C7 verdict
         codes = (2 * tg + gg).reshape(len(block), res).tolist()
         for re_text, row in zip(map(repr, block), codes):
             lines.extend([re_text + cell[k] for cell, k in zip(cells, row)])
@@ -400,8 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = _subcommand(subs, "oracle", _cmd_oracle, "forward-oracle soundness sweep",
                     "output", "band", "seed", "samples", "assert")
-    s.add_argument("--dims", default="2,3,4,5")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--dims", default="2,3,4,5", help="comma-separated dimensions, each 1..515 (repeats allowed)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, 1..64: the entries are dealt, largest first, into min(jobs, entries) "
+                   "shards of about equal sum of n; 1 runs one in-process shard")
 
     s = _subcommand(subs, "plot-slice", _cmd_plot_slice, "CSV membership raster over y_1",
                     "point", "output")

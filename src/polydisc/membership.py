@@ -419,7 +419,8 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
 # zero, which no slack or verdict sees).  numpy's complex abs and product
 # round differently from CPython's, so the kernels use np.hypot and CPython's
 # real/imag product formula; squares are x * x on both paths.  A descent
-# copies its planes only to drop points.  Callers pass finite planes.
+# copies its planes to join the points of a height and to drop points.
+# Callers pass finite planes.
 # ---------------------------------------------------------------------------
 
 
@@ -462,19 +463,27 @@ def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
     return _level(re, im, aq, np.abs(aq - 1.0) <= band)[0]
 
 
-def _descent(re: np.ndarray, im: np.ndarray, band: float | None = None):
-    """(verdict, level0): the in_g (band None) or in_gamma (closed, within
-    band) verdict of every point of the planes, and the level-0 verdict C7
-    slack > 0, which is in_tilde_g's (None when no level runs)."""
-    idx = np.arange(re.shape[1])
-    verdict = np.zeros(idx.size, dtype=bool)
-    level0 = None
-    while len(re) > 1 and idx.size:
+def _descent(pairs, band: float | None = None):
+    """(verdict, level0): the in_g (band None) or in_gamma (closed, within band)
+    verdict of every point of the (re, im) plane pairs, in input order, and at
+    its first level C7 slack > 0, in_tilde_g's verdict (False with one row).
+    One level runs per height, the pairs of that height joining the survivors."""
+    ends = np.cumsum([r.shape[1] for r, _ in pairs])
+    verdict, level0 = np.zeros((2, ends[-1]), dtype=bool)
+    idx, (re, im) = np.arange(0), np.empty((2, max(len(r) for r, _ in pairs), 0))
+    for h in range(len(re), 0, -1):
+        new = [(k, pairs[k]) for k, (r, _) in enumerate(pairs) if len(r) == h]
+        fresh = sum(r.shape[1] for _, (r, _) in new)  # joined after the survivors
+        if fresh:
+            idx = np.concatenate([idx] + [np.arange(ends[k] - r.shape[1], ends[k]) for k, (r, _) in new])
+            re, im = (np.concatenate(p, axis=1) for p in zip((re, im), *(pair for _, pair in new)))
+        if h == 1 or not idx.size:
+            continue
         aq = np.hypot(re[-1], im[-1])
         # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
         slack, dr, di, w = _level(re, im, aq)
-        if level0 is None:
-            level0 = slack > 0.0
+        if fresh:
+            level0[idx[-fresh:]] = slack[-fresh:] > 0.0
         if band is not None:
             keep = ~(aq > 1.0 + band)
             unit = keep & (np.abs(aq - 1.0) <= band)
@@ -491,17 +500,25 @@ def _descent(re: np.ndarray, im: np.ndarray, band: float | None = None):
     return verdict, level0
 
 
-def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
+def _b_gamma_step(re: np.ndarray, im: np.ndarray, band: float):
+    """(ok, truncation): where |p| = 1 and y_j = conj(y_{n-j}) p hold within
+    band, and the planes of those points' (n-1)/n-scaled truncations, in b
+    Gamma_n iff they lie in Gamma_{n-1} (None at n = 1: ok decides)."""
     n, a = len(re), np.hypot(re, im)
     if n == 1:
-        return np.abs(a[0] - 1.0) <= band
+        return np.abs(a[0] - 1.0) <= band, None
     ok = ~(np.abs(a[-1] - 1.0) > band)
     _, dr, di, _ = _level(re, im, a[-1])  # the forced relation's residual is |D|
     ok &= ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
     factor = np.array([[(n - j) / n] for j in range(1, n)])
-    verdict = np.zeros(ok.size, dtype=bool)
-    verdict[ok] = _descent(factor * re[:-1, ok], factor * im[:-1, ok], band)[0]
-    return verdict
+    return ok, (factor * re[:-1, ok], factor * im[:-1, ok])
+
+
+def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
+    ok, truncation = _b_gamma_step(re, im, band)
+    if truncation is not None:
+        ok[ok] = _descent([truncation], band)[0]
+    return ok
 
 
 def _symmetrize_planes(zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

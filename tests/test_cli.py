@@ -247,6 +247,39 @@ def test_oracle_sweep_parallel_matches_serial():
     assert rows[:3] != rows[9:]  # the repeated dimension draws from its own seeds
 
 
+@pytest.mark.parametrize("jobs, groups", [
+    (2, [[5], [2, 1, 2]]),
+    (3, [[5], [1, 2], [2]]),
+    (8, [[5], [2], [2], [1]]),
+], ids=["jobs-2", "jobs-3", "jobs-8"])
+def test_oracle_deals_entries_largest_first_into_groups(monkeypatch, jobs, groups):
+    # min(jobs, entries) shards: largest n first, each entry to the shard of
+    # least sum of n so far, each shard in --dims order; the report is --jobs 1's
+    from polydisc import cli
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            seen.append([[n for n, _, _ in group] for group in work])
+            return map(fn, work)
+
+    argv = ["oracle", "--dims", "2,5,1,2", "--samples", "240", "--seed", "1", "--band", "1e-16"]
+    serial = _main(argv + ["--jobs", "1"])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert _main(argv + ["--jobs", str(jobs)]) == serial
+    assert seen == [len(groups), groups]
+
+
 def test_plot_slice_header_and_shape(tmp_path):
     out_file = tmp_path / "slice.csv"
     code, _, _ = run_cli(
@@ -269,6 +302,18 @@ def test_regress_command():
     assert max(rep["identities"]["max_rel_err"].values()) < 1e-9
     assert rep["membership_equivalence"]["disagreements"] == 0
     assert rep["schwarz_equivalence"]["disagreements"] == 0
+
+
+def test_tally_counts_checked_skipped_and_disagreeing_lists():
+    # a decided list disagrees unless all its verdicts agree; a list with a
+    # boundary flag is skipped, whatever its verdicts
+    from polydisc.cli import _tally
+    from polydisc.membership import ConditionMargin
+
+    disagree = [ConditionMargin("C7", True, 0.5, False), ConditionMargin("C9", False, -0.25, False)]
+    agree = [ConditionMargin("C7", False, -0.5, False), ConditionMargin("C9", False, -0.25, False)]
+    boundary = [ConditionMargin("C7", True, 1e-9, True), ConditionMargin("C9", False, -0.25, False)]
+    assert _tally([disagree, agree, boundary]) == {"checked": 2, "skipped_boundary": 1, "disagreements": 1}
 
 
 def test_determinism_byte_identical():
@@ -404,13 +449,15 @@ def _stratum_points(kind, n, count, seed):
     return np.array([membership.symmetrize(z).coords for z in draws])
 
 
-@pytest.mark.parametrize("batch, count, dims", [
-    (None, 70, (1, 2, 5, 8)),
-    (48, 70, (1, 2, 5, 8)),  # 16 draws per stratum and chunk
-    (None, 8192 // 3 + 1, (2,)),  # one draw past the first chunk
-], ids=["one-chunk", "five-chunks", "two-chunks"])
+@pytest.mark.parametrize("batch, count, groups, layout", [
+    (None, 70, ((1,), (2,), (5,), (8,)), [[1], [2], [5], [8]]),
+    (48, 70, ((1,), (2,), (5,), (8,)), [[1]] * 5 + [[2]] * 5 + [[5]] * 5 + [[8]] * 5),  # 16 draws per chunk
+    (None, 8192 // 3 + 1, ((2,),), [[2], [2]]),  # one draw past the first chunk
+    (None, 70, ((2, 5, 1, 2),), [[2, 5, 1, 2]]),  # several heights, a repeated n and n = 1
+    (150, 70, ((3, 5),), [[3], [3, 5], [5]]),  # 50 draws per chunk: the second straddles two entries
+], ids=["one-chunk", "five-chunks", "two-chunks", "mixed-chunk", "straddling-chunk"])
 @pytest.mark.parametrize("band", [1e-7, 1e-16], ids=["band-1e-7", "band-1e-16"])  # 1e-16: mixed torus verdicts
-def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, count, dims, band):
+def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, count, groups, layout, band):
     # each stratum's points, chunk after chunk, are the scalar draws from its
     # own seed, and its verdict rows are its scalar predicate's on them
     from polydisc import cli, membership
@@ -418,65 +465,74 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
 
     if batch is not None:
         monkeypatch.setattr(cli, "_BATCH", batch)
-    points, verdicts = [], []
+    points, chunks = [], []
     symmetrize_planes, chunk = membership._symmetrize_planes, cli._oracle_chunk
 
     def recording_planes(zr, zi):
         points.append(symmetrize_planes(zr, zi))
         return points[-1]
 
-    def recording_chunk(*args):
-        verdicts.append(chunk(*args))
-        return verdicts[-1]
+    def recording_chunk(segments, band):
+        chunks.append((segments, chunk(segments, band)))
+        return chunks[-1][1]
 
     monkeypatch.setattr(membership, "_symmetrize_planes", recording_planes)
     monkeypatch.setattr(cli, "_oracle_chunk", recording_chunk)
     predicates = (lambda s: membership.in_g(s).verdict, lambda s: membership.in_gamma(s, band).verdict,
                   lambda s: membership.in_b_gamma(s, band))
-    torus_failures = []
-    for n in dims:
+    torus_failures, chunk_dims = [], []
+    for dims in groups:
         points.clear()
-        verdicts.clear()
-        seed = 40 + 3 * n
-        failures = cli._oracle_shard((n, count, seed), band)
-        torus_failures.append(failures[2][1])
-        assert len(verdicts) == -(-count // (cli._BATCH // 3)) == len(points)
-        for k, (kind, predicate) in enumerate(zip(cli._STRATA, predicates)):
-            ref = _stratum_points(kind, n, count, seed + k)
-            ms = [len(v[k]) for v in verdicts]
-            got = np.concatenate([(sr[:, k * m:(k + 1) * m] + 1j * si[:, k * m:(k + 1) * m]).T
-                                  for (sr, si), m in zip(points, ms)])
-            assert got.tolist() == ref.tolist(), (n, kind)
-            rows = np.concatenate([v[k] for v in verdicts])
-            assert rows.tolist() == [predicate(CPoint(tuple(s))) for s in ref.tolist()], (n, kind)
-            assert failures[k] == (count, count - int(np.count_nonzero(rows)))
+        chunks.clear()
+        group = [(n, count, 40 + 3 * i + 7 * n) for i, n in enumerate(dims)]
+        failures = cli._oracle_shard(group, band)
+        # one segment per symmetrize pass; an entry's rngs are one list throughout
+        segments = [seg for segs, _ in chunks for seg in segs]
+        assert len(points) == len(segments) and len(chunks) == -(-count * len(dims) // (cli._BATCH // 3))
+        assert all(sum(m for *_, m in segs) <= cli._BATCH // 3 for segs, _ in chunks)
+        owners = list(dict.fromkeys(id(rngs) for _, rngs, _ in segments))
+        chunk_dims += [[group[owners.index(id(rngs))][0] for _, rngs, _ in segs] for segs, _ in chunks]
+        verdicts = [v for _, vs in chunks for v in vs]
+        for e, (n, _, seed) in enumerate(group):
+            mine = [i for i, (_, rngs, _) in enumerate(segments) if owners.index(id(rngs)) == e]
+            assert sum(segments[i][2] for i in mine) == count
+            for k, (kind, predicate) in enumerate(zip(cli._STRATA, predicates)):
+                ref = _stratum_points(kind, n, count, seed + k)
+                got = np.concatenate([(points[i][0][:, k * m:(k + 1) * m] + 1j * points[i][1][:, k * m:(k + 1) * m]).T
+                                      for i, m in ((i, segments[i][2]) for i in mine)])
+                assert got.tolist() == ref.tolist(), (n, kind)
+                rows = np.concatenate([verdicts[i][k] for i in mine])
+                assert rows.tolist() == [predicate(CPoint(tuple(s))) for s in ref.tolist()], (n, kind)
+                assert failures[e][k] == (count, count - int(np.count_nonzero(rows)))
+            torus_failures.append(failures[e][2][1])
+    assert chunk_dims == layout  # the n of each segment, chunk by chunk
     if band < 1e-7:
         assert any(0 < f < count for f in torus_failures)
 
 
 def test_oracle_band_reaches_the_closed_strata(monkeypatch, capsys):
+    # per chunk: b Gamma_n's residual step of each entry, then one open descent,
+    # which reads no band, and one closed descent, which reads the band
     from polydisc import cli, membership
 
     calls = []
 
-    def spy(name):
+    def spy(name, band_of):
         fn = getattr(membership, name)
 
-        def wrapped(re, im, band=None):
-            calls.append((name, band))
-            return fn(re, im, band)
+        def wrapped(*args):
+            calls.append((name, band_of(*args)))
+            return fn(*args)
         return wrapped
 
-    for name in ("_descent", "_b_gamma_planes"):
-        monkeypatch.setattr(membership, name, spy(name))
+    monkeypatch.setattr(membership, "_descent", spy("_descent", lambda pairs, band=None: band))
+    monkeypatch.setattr(membership, "_b_gamma_step", spy("_b_gamma_step", lambda re, im, band: band))
     for argv, band in ((["--band", "1e-3"], 1e-3), ([], membership.BOUNDARY_BAND)):
         calls.clear()
         assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", *argv]) == 0
-        # per dimension: the open descent, the closed one and the torus check
-        assert calls[:2] == [("_descent", None), ("_descent", band)]
-        assert ("_b_gamma_planes", band) in calls
+        assert calls[:4] == [("_b_gamma_step", band)] * 2 + [("_descent", None), ("_descent", band)]
         assert {b for _, b in calls} == {None, band}
-        assert [b for _, b in calls].count(None) == 2
+        assert [b for _, b in calls].count(None) == 1
     capsys.readouterr()
 
 

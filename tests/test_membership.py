@@ -671,15 +671,16 @@ def _planes(y):
 
 def _kernel_verdicts(y, band=1e-7):
     """The plane kernels the product runs, on the rows of the (m, n) array y
-    and under np.errstate(all="ignore") as its callers run them: the in_g
-    verdicts, the level-0 C7 verdicts of that descent (in_tilde_g's; None
-    where no level runs), and the in_gamma and in_b_gamma verdicts at band."""
+    as one pair of planes and under np.errstate(all="ignore") as its callers
+    run them: the in_g verdicts, the level-0 C7 verdicts of that descent
+    (in_tilde_g's; False where no level runs), and the in_gamma and in_b_gamma
+    verdicts at band."""
     from polydisc.membership import _b_gamma_planes, _descent
 
     re, im = _planes(y)
     with np.errstate(all="ignore"):
-        g, tilde = _descent(re, im)
-        return g, tilde, _descent(re, im, band)[0], _b_gamma_planes(re, im, band)
+        g, tilde = _descent([(re, im)])
+        return g, tilde, _descent([(re, im)], band)[0], _b_gamma_planes(re, im, band)
 
 
 def _open_slack7_batch(y):
@@ -767,17 +768,84 @@ def test_batch_uniform_batches_match_scalar(n, rng):
         assert batch == _parts(symmetrize(w).coords for w in z)
 
 
-def test_batch_verdicts_one_coordinate():
+def test_batch_verdicts_one_coordinate(monkeypatch):
+    from polydisc import membership
+
+    def level(*args):
+        raise AssertionError("a level of the descent ran at n = 1")
+
     y = np.array([[0.5], [1.0], [1j], [1.5]])
     pts = [CPoint(tuple(row)) for row in y]
+    monkeypatch.setattr(membership, "_level", level)
     g, tilde, gamma, b_gamma = _kernel_verdicts(y)
-    assert tilde is None  # no level of the descent runs at n = 1
+    monkeypatch.undo()
+    assert tilde.tolist() == [False] * 4  # no level, so no C7 verdict
     for p in pts:
         with pytest.raises(DomainError, match="needs n >= 2"):
             in_tilde_g(p)
     assert g.tolist() == [in_g(p).verdict for p in pts]
     assert gamma.tolist() == [in_gamma(p).verdict for p in pts]
     assert b_gamma.tolist() == [in_b_gamma(p) for p in pts]
+
+
+def _mixed_points(n, rng, per=12):
+    """Seeded points at dimension n: interior, exterior, |q| within 1e-9 of 1
+    (either side) and symmetrized torus points."""
+    pts = []
+    for _ in range(per):
+        pts.append(symmetrize(g_point_disc(n, rng, rmax=0.95)))
+        pts.append(exterior_point(n, rng) if n > 1 else CPoint((1.5 * torus_point(rng),)))
+        for side in (-1.0, 1.0):
+            z = [torus_point(rng) for _ in range(n)]
+            z[0] *= 1.0 + side * 1e-9 * rng.random()
+            pts.append(symmetrize(z))
+        pts.append(symmetrize([torus_point(rng) for _ in range(n)]))
+    return pts
+
+
+@pytest.mark.parametrize("band", [None, 1e-7, 1e-16], ids=["open", "band-1e-7", "band-1e-16"])
+def test_mixed_descent_equals_per_pair_calls_and_scalar_predicates(band, rng):
+    # plane pairs of heights 1..8, out of order and with repeated heights:
+    # one descent over all of them gives, in input order, the verdicts and
+    # level-0 C7 verdicts of one call per pair, bit for bit, and the scalar
+    # in_g (open) or in_gamma (at band); fed the truncations of b Gamma_n's
+    # residual steps as further pairs, the closed descent gives in_b_gamma
+    from polydisc.membership import _b_gamma_step, _descent
+
+    blocks = []
+    for n in (3, 1, 8, 2, 5, 7, 4, 6):
+        pts = _mixed_points(n, rng)
+        blocks += [pts[:25], pts[25:]]  # two pairs of each height
+    blocks = blocks[1::2] + blocks[::2]
+    pairs = [_planes(np.array([p.coords for p in pts])) for pts in blocks]
+    flat = [p for pts in blocks for p in pts]
+    with np.errstate(all="ignore"):
+        verdict, level0 = _descent(pairs, band)
+        singles = [_descent([pair], band) for pair in pairs]
+    assert verdict.tolist() == [b for v, _ in singles for b in v.tolist()]
+    assert level0.tolist() == [b for _, t in singles for b in t.tolist()]
+    if band is None:
+        assert verdict.tolist() == [in_g(p).verdict for p in flat]
+    else:
+        assert verdict.tolist() == [in_gamma(p, band).verdict for p in flat]
+    assert level0.tolist() == [p.n > 1 and in_tilde_g(p, cond="C7").verdict for p in flat]
+    assert len(set(verdict.tolist())) == len(set(level0.tolist())) == 2
+    if band is None:
+        return
+    with np.errstate(all="ignore"):
+        steps = [_b_gamma_step(re, im, band) for re, im in pairs]
+        truncations = [t for _, t in steps if t is not None]
+        closed = _descent(pairs + truncations, band)[0]
+    assert closed[:len(flat)].tolist() == verdict.tolist()
+    cuts = np.cumsum([t[0].shape[1] for t in truncations])[:-1]
+    truncated = iter(np.split(closed[len(flat):], cuts))
+    b_gamma = []
+    for ok, t in steps:
+        if t is not None:
+            ok[ok] = next(truncated)
+        b_gamma += ok.tolist()
+    assert b_gamma == [in_b_gamma(p, band) for p in flat]
+    assert 0 < sum(b_gamma) < len(flat)
 
 
 def test_batch_samplers_equal_scalar_draws():
