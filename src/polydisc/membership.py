@@ -466,23 +466,28 @@ def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
 def _descent(pairs, band: float | None = None):
     """(verdict, level0): the in_g (band None) or in_gamma (closed, within band)
     verdict of every point of the (re, im) plane pairs, in input order, and at
-    its first level C7 slack > 0, in_tilde_g's verdict (False with one row).
+    its first level C7 slack > 0, in_tilde_g's verdict (False at one row).
     One level runs per height, the pairs of that height joining the survivors."""
-    ends = np.cumsum([r.shape[1] for r, _ in pairs])
-    verdict, level0 = np.zeros((2, ends[-1]), dtype=bool)
-    idx, (re, im) = np.arange(0), np.empty((2, max(len(r) for r, _ in pairs), 0))
-    for h in range(len(re), 0, -1):
-        new = [(k, pairs[k]) for k, (r, _) in enumerate(pairs) if len(r) == h]
-        fresh = sum(r.shape[1] for _, (r, _) in new)  # joined after the survivors
-        if fresh:
-            idx = np.concatenate([idx] + [np.arange(ends[k] - r.shape[1], ends[k]) for k, (r, _) in new])
-            re, im = (np.concatenate(p, axis=1) for p in zip((re, im), *(pair for _, pair in new)))
+    joins, end = {}, 0  # by height: the indices and planes of its pairs' points
+    for r, i in pairs:
+        if r.shape[1]:
+            joins.setdefault(len(r), []).append((np.arange(end, end + r.shape[1]), r, i))
+        end += r.shape[1]
+    verdict, level0 = np.zeros(end, dtype=bool), np.zeros(end, dtype=bool)
+    top = max(joins, default=1)
+    idx, re, im = np.arange(0), np.empty((top, 0)), np.empty((top, 0))  # the points still descending
+    for h in range(top, 0, -1):
+        new = joins.get(h)
+        if new:  # after the survivors, so level 0 reads the last `fresh` columns
+            fresh = sum(len(k) for k, _, _ in new)
+            parts = [(idx, re, im)] + new if idx.size else new
+            idx, re, im = (np.concatenate(p, axis=-1) for p in zip(*parts)) if len(parts) > 1 else parts[0]
         if h == 1 or not idx.size:
             continue
         aq = np.hypot(re[-1], im[-1])
         # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
         slack, dr, di, w = _level(re, im, aq)
-        if fresh:
+        if new:
             level0[idx[-fresh:]] = slack[-fresh:] > 0.0
         if band is not None:
             keep = ~(aq > 1.0 + band)
