@@ -468,19 +468,17 @@ def _descent(pairs, band: float | None = None):
     verdict of every point of the (re, im) plane pairs, in input order, and at
     its first level C7 slack > 0, in_tilde_g's verdict (False at one row).
     One level runs per height, the pairs of that height joining the survivors."""
-    joins, end = {}, 0  # by height: the indices and planes of its pairs' points
+    joins, end = {}, 0  # by height: the first column and the planes of its pairs
     for r, i in pairs:
-        if r.shape[1]:
-            joins.setdefault(len(r), []).append((np.arange(end, end + r.shape[1]), r, i))
+        joins.setdefault(len(r), []).append((end, r, i))
         end += r.shape[1]
     verdict, level0 = np.zeros(end, dtype=bool), np.zeros(end, dtype=bool)
-    top = max(joins, default=1)
-    idx, re, im = np.arange(0), np.empty((top, 0)), np.empty((top, 0))  # the points still descending
-    for h in range(top, 0, -1):
+    idx = np.arange(0)  # the points still descending, and their planes
+    for h in range(max(joins), 0, -1):
         new = joins.get(h)
-        if new:  # after the survivors, so level 0 reads the last `fresh` columns
-            fresh = sum(len(k) for k, _, _ in new)
-            parts = [(idx, re, im)] + new if idx.size else new
+        if new:  # after the survivors, so level 0 reads the columns from `old`
+            old, parts = idx.size, [(np.arange(s, s + r.shape[1]), r, i) for s, r, i in new]
+            parts = [(idx, re, im)] + parts if old else parts
             idx, re, im = (np.concatenate(p, axis=-1) for p in zip(*parts)) if len(parts) > 1 else parts[0]
         if h == 1 or not idx.size:
             continue
@@ -488,7 +486,7 @@ def _descent(pairs, band: float | None = None):
         # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
         slack, dr, di, w = _level(re, im, aq)
         if new:
-            level0[idx[-fresh:]] = slack[-fresh:] > 0.0
+            level0[idx[old:]] = slack[old:] > 0.0
         if band is not None:
             keep = ~(aq > 1.0 + band)
             unit = keep & (np.abs(aq - 1.0) <= band)
