@@ -243,9 +243,9 @@ def _cmd_oracle(args) -> int:
     per = max(1, args.samples // (3 * len(dims)))
     tasks = [(n, per, args.seed + 3 * i) for i, n in enumerate(dims)]
     groups = [[] for _ in range(min(jobs, len(tasks)))]
-    for t in sorted(tasks, reverse=True):  # largest first, to the group of least sum of n
+    for t in sorted(tasks, reverse=True):  # largest first, to the least sum of n: time is about linear in n
         min(groups, key=lambda g: sum(n for n, _, _ in g)).append(t)
-    work = [sorted(g, key=tasks.index) for g in groups]  # a shard's time is about linear in n
+    work = [sorted(g, key=tasks.index) for g in groups]  # each shard in --dims order
     shard = functools.partial(_oracle_shard, band=args.band)
     if len(work) > 1:
         with ProcessPoolExecutor(max_workers=len(work)) as ex:

@@ -473,7 +473,7 @@ def _descent(pairs, band: float | None = None):
         joins.setdefault(len(r), []).append((end, r, i))
         end += r.shape[1]
     verdict, level0 = np.zeros(end, dtype=bool), np.zeros(end, dtype=bool)
-    idx = np.arange(0)  # the points still descending, and their planes
+    idx = np.arange(0)  # the points still descending; re and im, their planes, come with the first join
     for h in range(max(joins), 0, -1):
         new = joins.get(h)
         if new:  # after the survivors, so level 0 reads the columns from `old`
