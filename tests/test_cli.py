@@ -484,7 +484,7 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
     for dims in groups:
         points.clear()
         chunks.clear()
-        group = [(n, count, 40 + 3 * i + 7 * n) for i, n in enumerate(dims)]
+        group = [(n, count, 40 + 3 * n + 9 * i) for i, n in enumerate(dims)]  # the old per-n seeds at i = 0
         failures = cli._oracle_shard(group, band)
         # one segment per symmetrize pass; an entry's rngs are one list throughout
         segments = [seg for segs, _ in chunks for seg in segs]
