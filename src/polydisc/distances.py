@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .interpolation import DiscFunction, extremal_disc
 from .membership import in_tilde_g
-from .mobius import CPoint, _cabs, _number, circle, d_norm, phi
+from .mobius import CPoint, _abs_phi, _cabs, _number, circle, d_norm
 from .schwarz import in_J_n
 
 __all__ = [
@@ -80,7 +80,7 @@ def carath_lower(y: CPoint, grid: int = 4096) -> tuple[float, int, complex]:
         raise DomainError("point must lie in the open domain")
     best = (0.0, 1, 1.0 + 0j)
     for j in range(1, y.n):
-        vals = np.abs(phi(j, y, omegas))
+        vals = _abs_phi(y, (j,), omegas, 1.0)[0]
         k = int(np.argmax(vals))
         if vals[k] > best[0]:
             best = (float(vals[k]), j, complex(omegas[k]))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .membership import in_tilde_gamma
-from .mobius import CPoint, _array, _cabs, _count, _point, binom, circle, phi
+from .mobius import CPoint, _abs_phi, _array, _cabs, _count, _point, binom, circle
 from .sampling import tilde_g_points
 
 __all__ = [
@@ -90,13 +90,11 @@ def _find_witness(y: CPoint) -> tuple[int, complex, float]:
     (small |z| keeps the truncation degree of the separating polynomial
     low); that largest value is the witness, the first (j, angle) on ties.
     """
-    vr = np.empty((y.n // 2, 1024))  # |Phi_j| on one ring, indexed (j - 1, angle)
     peaks = []
     for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
         zr = r * circle(1024)
-        # the coordinate bounds hold: |y_{n-j} z| < binom, so Phi_j has no pole here
-        for j in range(1, y.n // 2 + 1):
-            np.abs(phi(j, y, zr), out=vr[j - 1])
+        # |Phi_j| indexed (j - 1, angle); the coordinate bounds rule out a pole
+        vr = _abs_phi(y, range(1, y.n // 2 + 1), zr, r)
         i, k = np.unravel_index(np.argmax(vr), vr.shape)
         if vr[i, k] > 1.0 + 1e-6:
             return int(i) + 1, complex(zr[k]), float(vr[i, k])

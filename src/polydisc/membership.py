@@ -625,19 +625,24 @@ def nonvanishing_falsifier(
     n = _point(y).n
     c = float(binom(n, j))
     yj, ynj, q = y.y(j), y.y(n - j), y.q
-    # candidates in search order, so argmin keeps the first of equal minima:
-    # (1, 1), the torus grid, then per radius and angle the zero curve in
-    # both variable roles, dropping points where its denominator vanishes
+    # candidates in search order, so argmin keeps the first of equal minima: the
+    # torus grid (row z, column w, from (1, 1)), then per radius and angle the zero
+    # curve in both variable roles, dropping points where its denominator vanishes
     w = np.array([0.0, 0.5, 0.9, 1.0])[:, None, None] * e[:, None]
     den = c * q * w - np.array([yj, ynj])
     ok = np.abs(den) > 1e-300
     z = (np.array([ynj, yj]) * w - c) / np.where(ok, den, 1.0)
     z /= np.maximum(np.abs(z), 1.0)  # projected into the closed disc
     w, first = np.broadcast_to(w, z.shape), np.array([True, False])
-    zs = np.concatenate(([1.0], np.repeat(e, grid), np.where(first, z, w)[ok]))
-    ws = np.concatenate(([1.0], np.tile(e, grid), np.where(first, w, z)[ok]))
-    vals = np.abs(c - yj * zs - ynj * ws + c * q * zs * ws)
+    zs, ws = np.where(first, z, w)[ok], np.where(first, w, z)[ok]
+    g = e.size  # a Python int: a numpy grid count could wrap in g * g
+    t = g * g
+    vals = np.empty(t + zs.size)
+    np.abs((c - yj * e)[:, None] - (ynj * e)[None, :] + (c * q * e)[:, None] * e[None, :],
+           out=vals[:t].reshape(g, g))
+    np.abs(c - yj * zs - ynj * ws + c * q * zs * ws, out=vals[t:])
     k = int(np.argmin(vals))
     if math.isnan(vals[k]):
         raise DomainError("minimum is not a number: g overflows on the grid")
-    return float(vals[k]), complex(zs[k]), complex(ws[k])
+    zk, wk = (e[k // g], e[k % g]) if k < t else (zs[k - t], ws[k - t])
+    return float(vals[k]), complex(zk), complex(wk)

@@ -299,6 +299,21 @@ def _check_poles(den, z, what: str, *fields) -> None:
         raise PoleError(f"{what.format(*fields)} has a pole at z={at}", at=at)
 
 
+def _moebius(j, c, yj, ynj, q, z, radius: float):
+    """(c q z - y_j) / (y_{n-j} z - c) at z, a scalar or an array of points
+    of modulus at most `radius` (inf: unknown).  The pole scan runs unless
+    |y_{n-j}| radius < c (1 - 1e-12) keeps |den| above about 1e-12 c.  The
+    array arithmetic runs in place, so a grid call holds two temporaries."""
+    den = ynj * z
+    den -= c
+    if not _cabs(ynj) * radius < c * (1 - 1e-12):
+        _check_poles(den, z, "Phi_{}", j)
+    val = c * q * z
+    val -= yj
+    val /= den
+    return val
+
+
 @np.errstate(all="ignore")
 def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     """Phi_j(z, y) at a point z, or elementwise over an array of points; the
@@ -308,12 +323,21 @@ def phi(j: int, y: CPoint, z: complex | np.ndarray) -> complex | np.ndarray:
     z = z if isinstance(z, (np.ndarray, np.generic)) else _number(z)  # numpy input keeps numpy arithmetic
     if degenerate_product(y, j):
         return yj / c if np.ndim(z) == 0 else np.full(np.shape(z), yj / c)
-    den = ynj * z - c
-    _check_poles(den, z, "Phi_{}", j)
-    val = (c * q * z - yj) / den
+    val = _moebius(j, c, yj, ynj, q, z, math.inf)
     if np.ndim(z) == 0 and not cmath.isfinite(val):  # the grid oracles test a whole array
         raise DomainError(f"Phi_{j} is not finite at z={complex(z)}")
     return val
+
+
+@np.errstate(all="ignore")
+def _abs_phi(y: CPoint, js, z: np.ndarray, radius: float) -> np.ndarray:
+    """|Phi_j(z, y)| over the points z, of modulus at most `radius`, for
+    each valid index j of js: one row per j of a (len(js), len(z)) array."""
+    out = np.empty((len(js), len(z)))
+    for row, j in zip(out, js):  # a degenerate row takes phi's constant branch
+        val = phi(j, y, z) if degenerate_product(y, j) else _moebius(j, *_parts(y, j), z, radius)
+        np.abs(val, out=row)
+    return out
 
 
 def d_norm(j: int, y: CPoint) -> float:
@@ -340,14 +364,13 @@ def _sup_formula(c, a, b, cross, k, degen: bool):
     return (c * cross + k) / (c * c - b * b)
 
 
-@np.errstate(all="ignore")
 def sup_on_torus(j: int, y: CPoint, grid: int) -> float:
     """Brute-force oracle for D_j: max of |Phi_j| over the points circle(grid)."""
     e = circle(grid)
     c, _, ynj, _ = _parts(y, j)
-    if not degenerate_product(y, j) and _cabs(ynj) >= c:
+    if _cabs(ynj) >= c and not degenerate_product(y, j):
         raise DomainError("sup is infinite: |y_{n-j}| >= binom(n, j)")
-    sup = float(np.abs(phi(j, y, e)).max())
+    sup = float(_abs_phi(y, (j,), e, 1.0)[0].max())
     if not math.isfinite(sup):
         raise DomainError("sup is not finite: Phi_j overflows on the grid")
     return sup

@@ -89,6 +89,31 @@ def test_carath_lower_matches_scalar_loop(rng):
         assert j == -best[1] and abs(om - omegas[-best[2]]) <= 1e-15
 
 
+def test_carath_lower_is_bit_identical_to_a_phi_loop(rng):
+    # the block's argmax against one public phi call per index, keeping the
+    # first j, then the first omega, of the largest; compared with ==
+    from polydisc.mobius import circle, phi
+
+    def loop(y, grid):
+        best = (0.0, 1, 1.0 + 0j)
+        for j in range(1, y.n):
+            vals = np.abs(phi(j, y, circle(grid)))
+            k = int(np.argmax(vals))
+            if vals[k] > best[0]:
+                best = (float(vals[k]), j, complex(circle(grid)[k]))
+        return math.atanh(min(best[0], 1.0 - 1e-16)), best[1], best[2]
+
+    # n = 2, the middle index of n = 4, degenerate pairs (the constant
+    # branch), the all-zero block and seeded J_n and domain points
+    cases = [CPoint((1.0, 0.3)), CPoint((0.4, 1.2, 0.2, 0.05)), CPoint((1.0, 0.25)),
+             CPoint((0.9, 0.9, 0.09)), CPoint((0, 0, 0)), WORKED_POINT]
+    cases += [j_point(int(rng.integers(2, 8)), rng) for _ in range(30)]
+    cases += [tilde_g_point(int(rng.integers(2, 8)), rng) for _ in range(30)]
+    for y in cases:
+        for grid in (8, 256, 4096):
+            assert carath_lower(y, grid) == loop(y, grid)
+
+
 def test_carath_never_exceeds_formula(rng):
     for _ in range(40):
         n = int(rng.choice([2, 3, 5]))

@@ -2,11 +2,12 @@ import cmath
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from polydisc import geometry
+from polydisc import geometry, mobius
 from polydisc.errors import ConstructionError, DomainError, PoleError, PolydiscError
 from polydisc.geometry import (
     noncircular_witness,
@@ -126,25 +127,25 @@ def test_separating_monomial_certificate_matches_scalar_loop():
 
 
 def test_witness_search_propagates_errors(monkeypatch):
-    def broken(j, y, z):
+    def broken(y, js, z, radius):
         raise PoleError("injected")
 
-    monkeypatch.setattr(geometry, "phi", broken)
+    monkeypatch.setattr(geometry, "_abs_phi", broken)
     with pytest.raises(PoleError):
         separating_polynomial(CPoint((3j, 3j, 1j)), samples=10)
 
 
 def test_witness_search_stops_at_the_first_witness_radius(monkeypatch):
-    # one ring of 1024 angles per (j, radius), up to the radius of the
-    # witness and no further
+    # one call per radius, carrying a row of 1024 angles for each
+    # j <= n // 2, up to the radius of the witness and no further
     radii = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999)
     points = []
 
-    def counting(j, y, z):
-        points.append(np.size(z))
-        return phi(j, y, z)
+    def counting(y, js, z, radius):
+        points.append((len(js), np.size(z)))
+        return mobius._abs_phi(y, js, z, radius)
 
-    monkeypatch.setattr(geometry, "phi", counting)
+    monkeypatch.setattr(geometry, "_abs_phi", counting)
     rng = np.random.default_rng(5)
     seen = set()
     while len(seen) < 4:
@@ -155,8 +156,46 @@ def test_witness_search_stops_at_the_first_witness_radius(monkeypatch):
         points.clear()
         _, z, _ = geometry._find_witness(y)
         ring = radii.index(round(abs(z), 4)) + 1
-        assert points == [1024] * (n // 2 * ring)
+        assert points == [(n // 2, 1024)] * ring
         seen.add(ring)
+
+
+def _witness_loop(y):
+    """_find_witness as one public phi call per (j, ring)."""
+    vr = np.empty((y.n // 2, 1024))
+    peaks = []
+    for r in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        zr = r * circle(1024)
+        for j in range(1, y.n // 2 + 1):
+            np.abs(phi(j, y, zr), out=vr[j - 1])
+        i, k = np.unravel_index(np.argmax(vr), vr.shape)
+        if vr[i, k] > 1.0 + 1e-6:
+            return int(i) + 1, complex(zr[k]), float(vr[i, k])
+        peaks.append(vr[i, k])
+    return f"best {np.max(peaks):.6g}"
+
+
+def test_witness_search_is_bit_identical_to_a_phi_loop():
+    # exterior points with every coordinate bound holding, compared with ==:
+    # n = 2, the middle index of an even n, and a degenerate pair j = 1 of
+    # n = 4 (its constant row never wins), beside seeded points
+    rng = np.random.default_rng(29)
+    cases = [CPoint((1.9j, 0.95j)), CPoint((0.1, 5.5j, 0.1, 0.2j))]
+    cases += [CPoint((0.5, 5.5j, 3.2, 0.1)), CPoint((0.5, 5.9j, 3.2, 0.1))]  # y_1 y_3 = 16 q
+    # no witness: the largest value stays under 1 + 1e-6 on every ring
+    cases.append(tilde_gamma_boundary_point(3, np.random.default_rng(2)).scale(1.0 + 1e-9))
+    while len(cases) < 40:
+        n = int(rng.integers(2, 8))
+        y = exterior_point(n, rng)
+        if all(abs(y.y(j)) <= binom(n, j) for j in range(1, n)) and abs(y.q) <= 1.0:
+            cases.append(y)
+    for y in cases:
+        try:
+            got = geometry._find_witness(y)
+        except ConstructionError as err:
+            got = re.search(r"best [^)]*", str(err)).group()
+        assert got == _witness_loop(y)
+    assert all(isinstance(_witness_loop(y), tuple) for y in cases[:4])
 
 
 def test_no_witness_reports_the_best_value_over_all_radii():

@@ -26,7 +26,7 @@ from polydisc.membership import (
     nonvanishing_falsifier,
     symmetrize,
 )
-from polydisc.mobius import CPoint, binom
+from polydisc.mobius import CPoint, binom, circle
 from polydisc.schwarz import SchwarzProblem, check_condition, gn_schwarz_bound
 from polydisc.sampling import (
     exterior_point,
@@ -520,6 +520,55 @@ def test_nonvanishing_falsifier_matches_scalar_loop(rng):
         assert abs(g - val) <= 1e-12 * (1.0 + c)
         assert abs(z) <= 1.0 + 1e-12 and abs(w) <= 1.0 + 1e-12
         assert val <= _falsifier_loop(y, j, 64) + 1e-12
+
+
+def _falsifier_flat(y, j, grid):
+    """The falsifier over one flat candidate list: (1, 1), np.repeat/np.tile
+    of the torus, then the zero curve, as concatenated arrays."""
+    e = circle(grid)
+    c = float(binom(y.n, j))
+    yj, ynj, q = y.y(j), y.y(y.n - j), y.q
+    w = np.array([0.0, 0.5, 0.9, 1.0])[:, None, None] * e[:, None]
+    den = c * q * w - np.array([yj, ynj])
+    ok = np.abs(den) > 1e-300
+    z = (np.array([ynj, yj]) * w - c) / np.where(ok, den, 1.0)
+    z /= np.maximum(np.abs(z), 1.0)
+    w, first = np.broadcast_to(w, z.shape), np.array([True, False])
+    zs = np.concatenate(([1.0], np.repeat(e, grid), np.where(first, z, w)[ok]))
+    ws = np.concatenate(([1.0], np.tile(e, grid), np.where(first, w, z)[ok]))
+    vals = np.abs(c - yj * zs - ynj * ws + c * q * zs * ws)
+    k = int(np.argmin(vals))
+    return "nan" if math.isnan(vals[k]) else (float(vals[k]), complex(zs[k]), complex(ws[k]))
+
+
+@np.errstate(all="ignore")
+def test_nonvanishing_falsifier_is_bit_identical_to_a_flat_search(rng):
+    # compared with ==: ties at (1, 1), an empty zero curve (q = y_j =
+    # y_{n-j} = 0), a zero on the curve, overflow, and seeded points of
+    # every magnitude
+    cases = [(CPoint((0, 0, 0)), 1), (CPoint((1.0, 0.25)), 1), (CPoint((3.5, 0.0, 0.0)), 1),
+             (WORKED_POINT, 2), (CPoint((0.0, 1e308)), 1), (CPoint((2.0, 1.0)), 1)]
+    for _ in range(120):
+        n = int(rng.integers(2, 8))
+        y = tilde_g_point(n, rng) if rng.random() < 0.5 else exterior_point(n, rng)
+        y = y.scale(10.0 ** rng.uniform(-200, 200)) if rng.random() < 0.3 else y
+        cases.append((y, int(rng.integers(1, n))))
+    for y, j in cases:
+        for grid in (8, 64):
+            try:
+                got = nonvanishing_falsifier(y, j, grid)
+            except DomainError:
+                got = "nan"
+            assert got == _falsifier_flat(y, j, grid)
+
+
+@pytest.mark.parametrize("grid", [np.uint8(64), np.int8(64), np.int16(200)])
+def test_nonvanishing_falsifier_takes_small_numpy_grid_counts(grid):
+    # grid * grid wraps in these types (to 0, 0 and -25536); the torus block
+    # is sized from the circle, so the search equals the int grid's
+    for y, j in ((WORKED_POINT, 2), (CPoint((2.0, 1.0)), 1), (CPoint((0.3, 0.2, 0.1)), 1)):
+        got = nonvanishing_falsifier(y, j, grid)
+        assert got == nonvanishing_falsifier(y, j, int(grid)) == _falsifier_flat(y, j, int(grid))
 
 
 @settings(max_examples=1000, deadline=None)

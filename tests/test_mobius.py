@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydisc import mobius
 from polydisc.errors import DomainError, PoleError
-from polydisc.mobius import CPoint, binom, d_norm, phi, sup_on_torus
+from polydisc.mobius import CPoint, binom, circle, d_norm, phi, sup_on_torus
 from polydisc.sampling import tilde_g_point, unit_disc
 
 from conftest import WORKED_POINT
@@ -157,6 +158,61 @@ def test_sup_on_torus_matches_scalar_loop(rng):
         assert abs(sup_on_torus(j, y, 64) - ref) <= 1e-14 * (1.0 + ref)
     # degenerate with |y_{n-j}| >= binom: the constant map, no DomainError
     assert sup_on_torus(1, CPoint((4.0, 4.0)), 64) == 2.0
+
+
+def _near_binom_point(n, j, rng):
+    """A point of C^n whose |y_{n-j}| lies within 1e-13 relative below
+    binom(n, j), its pair (y_j, y_{n-j}, q) not degenerate."""
+    c = [complex(unit_disc(rng)) for _ in range(n)]
+    c[n - j - 1] = binom(n, j) * (1.0 - 5e-14) * cmath.exp(2j * math.pi * rng.random())
+    return CPoint(tuple(c))
+
+
+def test_sup_on_torus_is_bit_identical_to_a_phi_loop(rng):
+    # the shared |Phi_j| path against the public phi over the same grid,
+    # compared with ==: n = 2, the middle index, degenerate pairs, points
+    # near |y_{n-j}| = binom (where the pole scan runs) and seeded points
+    cases = [(CPoint((1.5, 0.5)), 1), (CPoint((0.4, 2.0, 0.1, 0.05)), 2)]
+    cases += [(CPoint((1.0, 0.25)), 1), (CPoint((4.0, 4.0)), 1), (CPoint((0.9, 0.9, 0.09)), 1)]
+    # a tiny degenerate pair, whose |y_1 / 2| as a Python abs is 1 ulp off numpy's
+    cases.append((CPoint((-2.8311298429170266e-171 - 2.753108678040634e-171j, 0j)), 1))
+    cases += [(_near_binom_point(n, j, rng), j) for n, j in ((2, 1), (3, 1), (4, 2), (5, 3))]
+    while len(cases) < 60:
+        n = int(rng.integers(2, 9))
+        y = tilde_g_point(n, rng).scale(1.0 + rng.random())
+        j = int(rng.integers(1, n))
+        if abs(y.y(n - j)) < binom(n, j):
+            cases.append((y, j))
+    for y, j in cases:
+        for grid in (8, 64, 8192):
+            assert sup_on_torus(j, y, grid) == float(np.abs(phi(j, y, circle(grid))).max())
+
+
+def test_near_binom_rows_run_the_pole_scan(monkeypatch, rng):
+    scans = []
+
+    def counting(den, z, what, *fields):
+        scans.append(fields)
+        return check(den, z, what, *fields)
+
+    check = mobius._check_poles
+    monkeypatch.setattr(mobius, "_check_poles", counting)
+    y = _near_binom_point(4, 1, rng)
+    assert sup_on_torus(1, y, 64) == float(np.abs(phi(1, y, circle(64))).max())
+    assert sup_on_torus(2, y, 64) == float(np.abs(phi(2, y, circle(64))).max())
+    # phi always scans; the grid path only for j = 1, whose |y_3| nears binom
+    assert scans == [(1,), (1,), (2,)]
+
+
+def test_shared_path_raises_the_pole_error_phi_raises():
+    # y_1 = binom(2, 1): the row of Phi_1 has its pole at z = 1, a grid point
+    y, e = CPoint((2.0, 0.5)), circle(64)
+    with pytest.raises(PoleError) as ref:
+        phi(1, y, e)
+    with pytest.raises(PoleError) as info:
+        mobius._abs_phi(y, (1,), e, 1.0)
+    assert str(info.value) == str(ref.value) == "Phi_1 has a pole at z=(1+0j)"
+    assert info.value.at == ref.value.at == 1.0
 
 
 def test_sup_on_torus_unbounded_branch():

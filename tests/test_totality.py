@@ -368,6 +368,16 @@ _ONE_CALL_REFUSALS = {
         r"Q0 \+ lambda Qlin can leave the Schur class"),
     "worked_family-g0": (lambda: worked_family(np2(0, 0.5, -0.8, 0.625)), DomainError,
                          r"family requires g\(0\) = 3/10"),
+    # |f_s| passes the double range on the grid, though every coefficient is finite
+    **{f"costara_sup-grid-{grid}": (
+        lambda grid=grid: costara_sup(CPoint((2.1208340515676713e+294 + 1.769381242000228e+294j,
+                                              -1.7835636393050255e+291 - 7.74997838254843e+291j,
+                                              -3.4181337124713065e+307 + 4.092362376395085e+307j)), grid),
+        DomainError, r"sup is not finite: f_s overflows on the grid") for grid in (64, 4096)},
+    # the denominator's root 0.5 is in the disc, and Horner's rule on the
+    # numerator there passes the double range to NaN
+    "costara_sup-pole": (lambda: costara_sup(CPoint((0.0, -1.475e307, -5.9e307, 4.25e307))), DomainError,
+                         r"the numerator of f_s overflows at a pole"),
 }
 
 
