@@ -203,20 +203,13 @@ def _oracle_planes(n: int, rngs, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @np.errstate(all="ignore")
 def _oracle_chunk(segments, band: float) -> list[tuple[np.ndarray, ...]]:
-    """The verdicts (in G_n, Gamma_n, b Gamma_n) of the next m draws of each
-    stream of every segment (n, rngs, m), from one open and one closed descent,
-    the closed one also taking the truncations of b Gamma_n's residual steps."""
-    strata = [_oracle_planes(n, rngs, m) for n, rngs, m in segments]
-    steps = [membership._b_gamma_step(*torus, band) for _, _, torus in strata]
-    truncations = [t for _, t in steps if t is not None]
-    cuts = np.cumsum([m for *_, m in segments] + [t[0].shape[1] for t in truncations])[:-1]
-    g = np.split(membership._descent([s[0] for s in strata])[0], cuts[:len(segments) - 1])
-    gamma = np.split(membership._descent([s[1] for s in strata] + truncations, band)[0], cuts)
-    truncated = iter(gamma[len(segments):])  # in the order of their segments
-    for ok, t in steps:
-        if t is not None:
-            ok[ok] = next(truncated)
-    return [(a, b, ok) for a, b, (ok, _) in zip(g, gamma, steps)]
+    """The verdicts (in G_n, Gamma_n, b Gamma_n) of the next m draws of each stream
+    of every segment (n, rngs, m), from one open and one closed descent."""
+    opened, closed, torus = zip(*[_oracle_planes(n, rngs, m) for n, rngs, m in segments])
+    cuts = np.cumsum([m for *_, m in segments] * 2)[:-1]
+    g = np.split(membership._descent(opened)[0], cuts[:len(segments) - 1])
+    gamma = np.split(membership._descent(closed, band, torus)[0], cuts)
+    return list(zip(g, gamma, gamma[len(segments):]))
 
 
 def _oracle_shard(group, band: float = membership.BOUNDARY_BAND) -> list[list[tuple[int, int]]]:

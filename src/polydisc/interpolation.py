@@ -252,9 +252,10 @@ def _u_v(Z: np.ndarray, alpha):
 def default_q(Z: np.ndarray, alpha, lambda0: complex) -> np.ndarray:
     """The canonical constant Q_0 = u v* / (lambda0 ||u||^2), satisfying the
     closure contract Q_0* conj(lambda0) u = v; contractive whenever alpha
-    makes ||v||^2 - |lambda0|^2 ||u||^2 nonpositive.  When u vanishes (the
-    [Z]_22 = 0 corner) the zero matrix is returned, which freezes the
-    composed function at the constant Z.  Q_0 is blind to the scale of
+    makes ||v||^2 - |lambda0|^2 ||u||^2 nonpositive.  u vanishes where
+    [Z]_11 = 0 and alpha_2 = -alpha_1 [Z]_21; there, if [Z]_22 = 0, the zero
+    matrix is returned, which freezes the composed function at the constant
+    Z, and otherwise the problem is refused.  Q_0 is blind to the scale of
     alpha, which is first scaled exactly by 2^-e, e the exponent of its
     largest |re| or |im|."""
     lam0 = _number(lambda0)

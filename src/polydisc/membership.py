@@ -419,8 +419,8 @@ def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:
 # zero, which no slack or verdict sees).  numpy's complex abs and product
 # round differently from CPython's, so the kernels use np.hypot and CPython's
 # real/imag product formula; squares are x * x on both paths.  A descent
-# copies its planes to join the points of a height and to drop points.
-# Callers pass finite planes.
+# copies its planes to join the points of a height and to drop points; the
+# closed one composes b Gamma_n itself.  Callers pass finite planes.
 # ---------------------------------------------------------------------------
 
 
@@ -435,15 +435,19 @@ def _binoms(n: int) -> np.ndarray:
     return np.array([[float(math.comb(n, j))] for j in range(1, n // 2 + 1)])
 
 
+def _numerators(re: np.ndarray, im: np.ndarray):
+    """The planes of the beta numerators D_j = y_j - conj(y_{n-j}) q, j = 1..n-1."""
+    br, bi = _conj_mul(re[-2::-1], im[-2::-1], re[-1], im[-1])
+    return re[:-1] - br, im[:-1] - bi
+
+
 def _level(re: np.ndarray, im: np.ndarray, aq: np.ndarray, unit=None):
     """One level of the beta-descent on planes with n >= 2 rows and |q| = aq:
-    the C7 slack of every point, the planes of the beta numerators
-    D_j = y_j - conj(y_{n-j}) q (j = 1..n-1) and w = 1 - |q|^2, the next
-    level being D / w.  The C7 cross terms are |D_{n-j}| + |D_j|, in
-    `_tilde_slack7`'s order; where the mask `unit` holds, binom(n, j) -
-    |y_j| joins them."""
-    br, bi = _conj_mul(re[-2::-1], im[-2::-1], re[-1], im[-1])
-    dr, di = re[:-1] - br, im[:-1] - bi
+    the C7 slack of every point, the planes of its numerators D and
+    w = 1 - |q|^2, the next level being D / w.  The C7 cross terms are
+    |D_{n-j}| + |D_j|, in `_tilde_slack7`'s order; where the mask `unit`
+    holds, binom(n, j) - |y_j| joins them."""
+    dr, di = _numerators(re, im)
     a = np.hypot(dr, di)
     h, c, w = len(re) // 2, _binoms(len(re)), 1.0 - aq * aq
     s = c * w - (a[::-1][:h] + a[:h])
@@ -463,27 +467,34 @@ def _tilde_slack7_batch(y: np.ndarray, band: float) -> np.ndarray:
     return _level(re, im, aq, np.abs(aq - 1.0) <= band)[0]
 
 
-def _descent(pairs, band: float | None = None):
+def _descent(pairs, band: float | None = None, b_pairs=()):
     """(verdict, level0): the in_g (band None) or in_gamma (closed, within band)
-    verdict of every point of the (re, im) plane pairs, in input order, and at
-    its first level C7 slack > 0, in_tilde_g's verdict (False at one row).
-    One level runs per height, the pairs of that height joining the survivors."""
-    joins, end = {}, 0  # by height: the first column and the planes of its pairs
-    for r, i in pairs:
-        joins.setdefault(len(r), []).append((end, r, i))
-        end += r.shape[1]
+    verdict of each point of the (re, im) plane pairs and then, closed, the
+    in_b_gamma verdict of each point of b_pairs, in input order; and at its first
+    level C7 slack > 0, in_tilde_g's verdict (False at one row and in b_pairs).
+    One level runs per height on the survivors, that height's pairs and the
+    truncations that passed b Gamma's step above (on b_pairs and |q| = 1 points)."""
+    joins, end = {}, 0  # by height: the indices and planes of its pairs, then of its b_pairs
+    for k, group in enumerate((pairs, b_pairs)):
+        for r, i in group:
+            joins.setdefault(len(r), ([], []))[k].append((np.arange(end, end + r.shape[1]), r, i))
+            end += r.shape[1]
     verdict, level0 = np.zeros(end, dtype=bool), np.zeros(end, dtype=bool)
-    idx = np.arange(0)  # the points still descending; re and im, their planes, come with the first join
+    idx, (re, im), truncated = np.arange(0), [np.zeros((1, 0))] * 2, []  # the points still descending
     for h in range(max(joins), 0, -1):
-        new = joins.get(h)
-        if new:  # after the survivors, so level 0 reads the columns from `old`
-            old, parts = idx.size, [(np.arange(s, s + r.shape[1]), r, i) for s, r, i in new]
-            parts = [(idx, re, im)] + parts if old else parts
+        new, asked = joins.get(h, ((), ()))
+        if new or truncated:  # after the survivors and truncations, so level 0 reads the columns from `old`
+            old = idx.size + sum(t[0].size for t in truncated) if truncated else idx.size
+            parts = [(idx, re, im), *truncated, *new] if idx.size else [*truncated, *new]
             idx, re, im = (np.concatenate(p, axis=-1) for p in zip(*parts)) if len(parts) > 1 else parts[0]
+        truncated = []
+        for ix, r, i in asked:
+            ok, t = _b_gamma_step(r, i, band)
+            truncated.append((ix[ok], *t))
         if h == 1 or not idx.size:
             continue
         aq = np.hypot(re[-1], im[-1])
-        # the closed C7 clause at |q| = 1 is moot: those points go to b Gamma
+        # the closed C7 clause at |q| = 1 is moot: those points take b Gamma's step
         slack, dr, di, w = _level(re, im, aq)
         if new:
             level0[idx[old:]] = slack[old:] > 0.0
@@ -491,7 +502,8 @@ def _descent(pairs, band: float | None = None):
             keep = ~(aq > 1.0 + band)
             unit = keep & (np.abs(aq - 1.0) <= band)
             if unit.any():
-                verdict[idx[unit]] = _b_gamma_planes(re[:, unit], im[:, unit], band)
+                ok, t = _b_gamma_step(re[:, unit], im[:, unit], band)
+                truncated.append((idx[unit][ok], *t))
             keep &= ~unit & ~(slack < -band)
         else:
             keep = ~((aq >= 1.0) | (slack <= 0.0))
@@ -500,28 +512,20 @@ def _descent(pairs, band: float | None = None):
         re, im = dr / w, di / w
     a = np.hypot(re[0], im[0])
     verdict[idx] = (a <= 1.0 + band) if band is not None else (a < 1.0)
+    for ix, _, _ in truncated:  # b Gamma_1's step passed them, and Gamma_0 holds every truncation
+        verdict[ix] = True
     return verdict, level0
 
 
 def _b_gamma_step(re: np.ndarray, im: np.ndarray, band: float):
     """(ok, truncation): where |p| = 1 and y_j = conj(y_{n-j}) p hold within
     band, and the planes of those points' (n-1)/n-scaled truncations, in b
-    Gamma_n iff they lie in Gamma_{n-1} (None at n = 1: ok decides)."""
+    Gamma_n iff they lie in Gamma_{n-1} (at n = 1, planes of no rows)."""
     n, a = len(re), np.hypot(re, im)
-    if n == 1:
-        return np.abs(a[0] - 1.0) <= band, None
-    ok = ~(np.abs(a[-1] - 1.0) > band)
-    _, dr, di, _ = _level(re, im, a[-1])  # the forced relation's residual is |D|
-    ok &= ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
-    factor = np.array([[(n - j) / n] for j in range(1, n)])
+    dr, di = _numerators(re, im)  # the forced relation's residual is |D|
+    ok = ~(np.abs(a[-1] - 1.0) > band) & ~(np.hypot(dr, di) > band * (1.0 + a.max(axis=0))).any(axis=0)
+    factor = np.arange(n - 1, 0, -1)[:, None] / n
     return ok, (factor * re[:-1, ok], factor * im[:-1, ok])
-
-
-def _b_gamma_planes(re: np.ndarray, im: np.ndarray, band: float) -> np.ndarray:
-    ok, truncation = _b_gamma_step(re, im, band)
-    if truncation is not None:
-        ok[ok] = _descent([truncation], band)[0]
-    return ok
 
 
 def _symmetrize_planes(zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

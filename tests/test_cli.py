@@ -511,8 +511,8 @@ def test_oracle_shard_verdicts_match_the_batch_predicates(monkeypatch, batch, co
 
 
 def test_oracle_band_reaches_the_closed_strata(monkeypatch, capsys):
-    # per chunk: b Gamma_n's residual step of each entry, then one open descent,
-    # which reads no band, and one closed descent, which reads the band
+    # per chunk: one open descent, which reads no band, and one closed
+    # descent, which reads the band and decides the torus stratum too
     from polydisc import cli, membership
 
     calls = []
@@ -525,12 +525,11 @@ def test_oracle_band_reaches_the_closed_strata(monkeypatch, capsys):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(membership, "_descent", spy("_descent", lambda pairs, band=None: band))
-    monkeypatch.setattr(membership, "_b_gamma_step", spy("_b_gamma_step", lambda re, im, band: band))
+    monkeypatch.setattr(membership, "_descent", spy("_descent", lambda pairs, band=None, b_pairs=(): band))
     for argv, band in ((["--band", "1e-3"], 1e-3), ([], membership.BOUNDARY_BAND)):
         calls.clear()
         assert cli.main(["oracle", "--dims", "2,3", "--samples", "60", *argv]) == 0
-        assert calls[:4] == [("_b_gamma_step", band)] * 2 + [("_descent", None), ("_descent", band)]
+        assert calls == [("_descent", None), ("_descent", band)]
         assert {b for _, b in calls} == {None, band}
         assert [b for _, b in calls].count(None) == 1
     capsys.readouterr()

@@ -127,6 +127,17 @@ def test_lempert_upper_zero():
     assert up == 0.0 and disc is not None
 
 
+def test_lempert_upper_sentinel_where_no_extremal_disc():
+    # at (0, 1/2) no extremal disc is built: the bound is the sentinel +inf
+    # with no disc, and the report writes it as 1e+308 with a null disc
+    import json
+
+    y = CPoint((0j, 0.5))
+    assert lempert_upper(y) == (math.inf, None)
+    text = json.dumps(distance_report(y, rng=np.random.default_rng(0)).to_json())
+    assert '"lempert_upper": 1e+308' in text and '"disc": null' in text
+
+
 def test_lempert_pinch_shrunk_worked():
     y = WORKED_POINT.scale(0.9)
     up, disc = lempert_upper(y)

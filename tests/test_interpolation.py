@@ -242,6 +242,10 @@ def test_default_q_zero_cases():
     Z = np.zeros((2, 2))
     Q0 = default_q(Z, (0.0, 1.0), 0.5)  # v = 0 -> Q0 = 0 rank-one formula
     assert np.allclose(Q0, 0)
+    # u(alpha) = 0, as [Z]_11 = 0 and alpha_2 = -alpha_1 [Z]_21: with [Z]_22 = 0
+    # the zero matrix (with [Z]_22 nonzero, a refusal in test_totality.py)
+    Z = np.array([[0, 0.3], [0.2, 0]], dtype=complex)
+    assert default_q(Z, [1, -0.2], 0.5).tobytes() == np.zeros((2, 2), dtype=complex).tobytes()
 
 
 # --- build_interpolant -------------------------------------------------------

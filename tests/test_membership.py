@@ -724,12 +724,12 @@ def _kernel_verdicts(y, band=1e-7):
     run them: the in_g verdicts, the level-0 C7 verdicts of that descent
     (in_tilde_g's; False where no level runs), and the in_gamma and in_b_gamma
     verdicts at band."""
-    from polydisc.membership import _b_gamma_planes, _descent
+    from polydisc.membership import _descent
 
     re, im = _planes(y)
     with np.errstate(all="ignore"):
         g, tilde = _descent([(re, im)])
-        return g, tilde, _descent([(re, im)], band)[0], _b_gamma_planes(re, im, band)
+        return g, tilde, _descent([(re, im)], band)[0], _descent([], band, [(re, im)])[0]
 
 
 def _open_slack7_batch(y):
@@ -857,9 +857,10 @@ def test_mixed_descent_equals_per_pair_calls_and_scalar_predicates(band, rng):
     # plane pairs of heights 1..8, out of order and with repeated heights:
     # one descent over all of them gives, in input order, the verdicts and
     # level-0 C7 verdicts of one call per pair, bit for bit, and the scalar
-    # in_g (open) or in_gamma (at band); fed the truncations of b Gamma_n's
-    # residual steps as further pairs, the closed descent gives in_b_gamma
-    from polydisc.membership import _b_gamma_step, _descent
+    # in_g (open) or in_gamma (at band); asked for b Gamma_n on the same
+    # pairs, the closed descent gives in_b_gamma after them, with level-0
+    # verdicts False
+    from polydisc.membership import _descent
 
     blocks = []
     for n in (3, 1, 8, 2, 5, 7, 4, 6):
@@ -882,19 +883,45 @@ def test_mixed_descent_equals_per_pair_calls_and_scalar_predicates(band, rng):
     if band is None:
         return
     with np.errstate(all="ignore"):
-        steps = [_b_gamma_step(re, im, band) for re, im in pairs]
-        truncations = [t for _, t in steps if t is not None]
-        closed = _descent(pairs + truncations, band)[0]
+        closed, closed0 = _descent(pairs, band, pairs)
     assert closed[:len(flat)].tolist() == verdict.tolist()
-    cuts = np.cumsum([t[0].shape[1] for t in truncations])[:-1]
-    truncated = iter(np.split(closed[len(flat):], cuts))
-    b_gamma = []
-    for ok, t in steps:
-        if t is not None:
-            ok[ok] = next(truncated)
-        b_gamma += ok.tolist()
+    assert closed0.tolist() == level0.tolist() + [False] * len(flat)
+    b_gamma = closed[len(flat):].tolist()
     assert b_gamma == [in_b_gamma(p, band) for p in flat]
     assert 0 < sum(b_gamma) < len(flat)
+
+
+@pytest.mark.parametrize("band", [1e-7, 1e-16], ids=["band-1e-7", "band-1e-16"])
+def test_closed_descent_composes_b_gamma_in_one_call(band, monkeypatch, rng):
+    # pairs holding |q| = 1 points, whether asked for Gamma_n or for
+    # b Gamma_n, run b Gamma's residual step inside the one descent called:
+    # the truncations that pass go on in its own loop, not in a second call
+    from polydisc import membership
+
+    descent, calls = membership._descent, []
+
+    def counted(pairs, band, b_pairs):
+        calls.append(band)
+        return descent(pairs, band, b_pairs)
+
+    monkeypatch.setattr(membership, "_descent", counted)
+    blocks = [_mixed_points(n, rng) for n in (1, 2, 3, 5, 8)]
+    pairs = [_planes(np.array([p.coords for p in pts])) for pts in blocks]
+    flat = [p for pts in blocks for p in pts]
+    with np.errstate(all="ignore"):
+        verdict, level0 = membership._descent(pairs, band, pairs[::-1])
+    assert calls == [band]
+    assert verdict.tolist() == ([in_gamma(p, band).verdict for p in flat]
+                                + [in_b_gamma(p, band) for pts in blocks[::-1] for p in pts])
+    assert not level0[len(flat):].any()
+    assert sum(abs(abs(p.q) - 1.0) <= band and in_gamma(p, band).verdict for p in flat) > 0
+    for pts in blocks:  # only b Gamma pairs, n = 1 included
+        calls.clear()
+        with np.errstate(all="ignore"):
+            alone = membership._descent([], band, [_planes(np.array([p.coords for p in pts]))])
+        assert calls == [band]
+        assert alone[0].tolist() == [in_b_gamma(p, band) for p in pts]
+        assert not alone[1].any()
 
 
 def test_batch_samplers_equal_scalar_draws():

@@ -242,3 +242,15 @@ def test_only_circle_checks_a_grid():
             and any(isinstance(n, ast.Name) and n.id == "grid" for n in ast.walk(node))
         ]
     assert found == []
+
+
+def test_only_membership_composes_b_gamma():
+    # the closed descent is the one place that runs b Gamma_n's residual
+    # step and continues its truncations in Gamma_{n-1}: a module that reads
+    # the step composes b Gamma a second time, and must stitch its verdicts
+    readers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "membership.py" and _references(ast.parse(path.read_text()))["_b_gamma_step"]
+    ]
+    assert readers == []

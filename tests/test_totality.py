@@ -374,6 +374,9 @@ _ONE_CALL_REFUSALS = {
                                               -1.7835636393050255e+291 - 7.74997838254843e+291j,
                                               -3.4181337124713065e+307 + 4.092362376395085e+307j)), grid),
         DomainError, r"sup is not finite: f_s overflows on the grid") for grid in (64, 4096)},
+    # u(alpha) = 0, as [Z]_11 = 0 and alpha_2 = -alpha_1 [Z]_21, and [Z]_22 is nonzero
+    "default_q-u-zero": (lambda: default_q(np.array([[0, 0.3], [0.2, 0.5]], dtype=complex), [1, -0.2], 0.5),
+                         DegenerateProblemError, r"u\(alpha\) = 0 with \[Z\]_22 nonzero"),
     # the denominator's root 0.5 is in the disc, and Horner's rule on the
     # numerator there passes the double range to NaN
     "costara_sup-pole": (lambda: costara_sup(CPoint((0.0, -1.475e307, -5.9e307, 4.25e307))), DomainError,
