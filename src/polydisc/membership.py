@@ -329,28 +329,36 @@ def _beta_coords(coords: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 def _descent_report(s: CPoint, closed: bool, band: float) -> MembershipReport:
-    """The recursive beta-descent of in_g (open) or in_gamma (closed): the margin is level
-    0's C7 slack, flagged boundary when the slack of any level computed lies within band."""
+    """The beta-descent of in_g (open) or in_gamma (closed): the margin is level 0's C7
+    slack, flagged boundary when the slack of any level computed lies within band.  At a
+    closed level with |p| = 1 within band, b Gamma's step runs in the loop: a residual of
+    y_j = conj(y_{n-j}) p above band * (1 + max |y|) decides False, and otherwise the
+    (n-1)/n-scaled truncation goes on in Gamma_{n-1}, unrecorded in the trace and margin."""
     trace: list[CPoint] = []
-    cur, set_band = s.coords, band if closed else None
+    cur, set_band, record = s.coords, band if closed else None, True
     auth = slack = _tilde_slack7(cur, set_band) if s.n > 1 else 1.0 - _cabs(cur[0])
-    tight = abs(slack)  # the smallest |slack| of the levels computed
-    verdict: bool | None = None
+    tight = abs(slack)  # the smallest |slack| of the levels recorded
+    verdict = False
     while len(cur) > 1:
         ap = _cabs(cur[-1])
         if closed and abs(ap - 1.0) <= band:
-            verdict = _b_gamma_coords(cur, band)
+            n, p = len(cur), cur[-1]
+            scale = 1.0 + max(_cabs(c) for c in cur)
+            if any(_cabs(cur[j - 1] - cur[n - 1 - j].conjugate() * p) > band * scale for j in range(1, n)):
+                break
+            cur, record = tuple((n - j) / n * cur[j - 1] for j in range(1, n)), False
+        elif (ap > 1.0 + band or slack < -band) if closed else (ap >= 1.0 or slack <= 0.0):
             break
-        if (ap > 1.0 + band or slack < -band) if closed else (ap >= 1.0 or slack <= 0.0):
-            verdict = False
-            break
-        cur = _beta_coords(cur)
-        # this level passed C7 (slack > 0, or >= -band closed) with |p| < 1, so
-        # every beta is finite and bounded by its binomial: nothing to check
-        trace.append(CPoint._unchecked(cur))
+        else:
+            cur = _beta_coords(cur)
+            # this level passed C7 (slack > 0, or >= -band closed) with |p| < 1, so
+            # every beta is finite and bounded by its binomial: nothing to check
+            if record:
+                trace.append(CPoint._unchecked(cur))
         slack = _tilde_slack7(cur, set_band)
-        tight = min(tight, abs(slack))
-    if verdict is None:
+        if record:
+            tight = min(tight, abs(slack))
+    else:
         verdict = _cabs(cur[0]) <= 1.0 + band if closed else _cabs(cur[0]) < 1.0
     margin = ConditionMargin("C7", auth >= -band if closed else auth > 0.0, auth, tight < band)
     return MembershipReport(s, "gamma" if closed else "g", verdict, (margin,), tuple(trace))
@@ -371,31 +379,18 @@ def in_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> MembershipReport:
 
     For |p| inside the unit circle: s in Gamma_n iff s in tilde-Gamma_n and
     the beta-point is in Gamma_{n-1}.  At |p| = 1 (within band) the point
-    is in Gamma_n iff it lies on the distinguished boundary, which has its
-    own characterization; beyond, it is out.
+    lies in b Gamma_n = Gamma_n with |p| = 1, so the descent takes b Gamma's
+    step in its own loop; beyond, it is out.
     """
     return _descent_report(_point(s), closed=True, band=_band(band))
 
 
-def _b_gamma_coords(coords: tuple[complex, ...], band: float) -> bool:
-    n = len(coords)
-    if n == 1:
-        return abs(_cabs(coords[0]) - 1.0) <= band
-    p = coords[-1]
-    if abs(_cabs(p) - 1.0) > band:
-        return False
-    scale = 1.0 + max(_cabs(c) for c in coords)
-    for j in range(1, n):
-        if _cabs(coords[j - 1] - coords[n - 1 - j].conjugate() * p) > band * scale:
-            return False
-    scaled = tuple((n - j) / n * coords[j - 1] for j in range(1, n))
-    return _descent_report(CPoint(scaled), True, band).verdict
-
-
 def in_b_gamma(s: CPoint, band: float = BOUNDARY_BAND) -> bool:
-    """Distinguished boundary of Gamma_n: |p| = 1, y_j = conj(y_{n-j}) p,
-    and the (n-1)/n-scaled truncation lies in Gamma_{n-1}."""
-    return _b_gamma_coords(_point(s).coords, _band(band))
+    """Distinguished boundary of Gamma_n, which is Gamma_n with |p| = 1: at
+    |p| = 1 within band, y_j = conj(y_{n-j}) p and the (n-1)/n-scaled
+    truncation lies in Gamma_{n-1}, as in_gamma's descent decides."""
+    s, band = _point(s), _band(band)
+    return abs(_cabs(s.q) - 1.0) <= band and _descent_report(s, True, band).verdict
 
 
 def symmetrize(z: list[complex] | tuple[complex, ...]) -> CPoint:

@@ -924,6 +924,104 @@ def test_closed_descent_composes_b_gamma_in_one_call(band, monkeypatch, rng):
         assert not alone[1].any()
 
 
+# --- inclusive edges of the closed sets --------------------------------------
+
+EDGE_BAND = 2.0 ** -20
+
+# dyadic points at EDGE_BAND on which every modulus, residual and slack is
+# exact in doubles: (coords, in Gamma_2, in b Gamma_2)
+EDGE_POINTS = {
+    "unit-q": ((1.0, 1 + 2.0 ** -20), True, True),  # | |q| - 1 | = band
+    "slack": ((1 + 2.0 ** -21, 0.0), True, False),  # closed C7 slack = -band
+    "residual": ((2.0 ** -20, -1.0), True, True),  # |y_1 - conj(y_1) q| = band (1 + max |y|)
+}
+
+
+@pytest.mark.parametrize("key", EDGE_POINTS)
+def test_closed_sets_include_their_band_edges(key):
+    # "within band" is inclusive: a point exactly band away from the set, by
+    # |q|, by the C7 slack or by the forced relation, is in it on the scalar
+    # path and on the planes; the open G_2 holds none of them
+    coords, gamma, b_gamma = EDGE_POINTS[key]
+    p = CPoint(coords)
+    assert in_gamma(p, EDGE_BAND).verdict is gamma
+    assert in_b_gamma(p, EDGE_BAND) is b_gamma
+    assert not in_g(p, EDGE_BAND).verdict
+    g, _, g_planes, b_planes = _kernel_verdicts(np.array([coords]), EDGE_BAND)
+    assert (g.tolist(), g_planes.tolist(), b_planes.tolist()) == ([False], [gamma], [b_gamma])
+
+
+def test_closed_c7_slack_at_its_band_edges():
+    # the closed C7 slack is exactly -band at the "slack" point, so its
+    # condition holds; at |q| = 1 - band the unit clause binom(2, 1) - |y_1|
+    # joins the min and decides (without it the slack is about -5e-12)
+    from polydisc.membership import _tilde_slack7_batch
+
+    for coords, slack, holds in (((1 + 2.0 ** -21, 0.0), -EDGE_BAND, True),
+                                 ((2 + 2.0 ** -19, 1 - 2.0 ** -20), -2.0 ** -19, False)):
+        margin = ConditionMargin("C7", holds, slack, False)
+        p = CPoint(coords)
+        assert in_tilde_gamma(p, "C7", EDGE_BAND).per_condition == (margin,)
+        assert in_tilde_gamma(p, "C7", EDGE_BAND).verdict is holds
+        assert in_gamma(p, EDGE_BAND).per_condition == (margin,)
+        assert _tilde_slack7_batch(np.array([coords]), EDGE_BAND).tolist() == [slack]
+
+
+def test_one_coordinate_margin_is_one_minus_the_modulus():
+    # G_1 and Gamma_1 are the unit disc, open and closed: the margin of s_1 is
+    # 1 - |s_1|, exact at these dyadic points; the closed disc alone keeps
+    # |s_1| = 1 + band, and |s_1| = 1 only within band
+    b = EDGE_BAND
+    for s1 in (0.25, -0.25j):
+        for rep in (in_g(CPoint((s1,)), b), in_gamma(CPoint((s1,)), b)):
+            assert rep.verdict and rep.per_condition == (ConditionMargin("C7", True, 0.75, False),)
+    for s1, g, gamma in (((1 + b), (False, False, -b, False), (True, True, -b, False)),
+                         (1.0, (False, False, 0.0, True), (True, True, 0.0, True))):
+        for rep, (verdict, holds, slack, boundary) in ((in_g(CPoint((s1,)), b), g),
+                                                       (in_gamma(CPoint((s1,)), b), gamma)):
+            assert rep.verdict is verdict
+            assert rep.per_condition == (ConditionMargin("C7", holds, slack, boundary),)
+        planes = _kernel_verdicts(np.array([[s1]], dtype=complex), b)
+        assert [v.tolist() for v in planes] == [[g[0]], [False], [gamma[0]], [True]]
+        assert in_b_gamma(CPoint((s1,)), b)
+
+
+def test_open_descent_rejects_a_zero_c7_slack():
+    # G_n is open: a level whose C7 slack is exactly 0 rejects, on the scalar
+    # path and on the planes, although this point's next level rounds to
+    # |beta_1| = 1 - 2**-53 and would pass the disc test
+    coords = (-0.3714576074945742 + 0.16548898298807888j, -0.018551663167935217 - 0.8467650648595673j)
+    assert _tilde_slack7(coords) == 0.0 and abs(_beta_coords(coords)[0]) < 1.0
+    rep = in_g(CPoint(coords))
+    assert not rep.verdict and rep.per_condition == (ConditionMargin("C7", False, 0.0, True),)
+    g, tilde, _, _ = _kernel_verdicts(np.array([coords]))
+    assert (g.tolist(), tilde.tolist()) == ([False], [False])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_b_gamma_is_gamma_where_p_is_unimodular(n, rng):
+    # b Gamma_n = Gamma_n with |p| = 1, two-sided on the scalar predicates and
+    # on the plane descent: torus points lie in both sets; one root pulled in
+    # by u < 0.99 stays in Gamma_n and leaves b Gamma_n; one root pushed out
+    # by 1 + d and one pulled in by 1 + d keep |p| = 1 and leave both
+    torus, inner, pushed = [], [], []
+    for _ in range(30):
+        z = [torus_point(rng) for _ in range(n)]
+        torus.append(symmetrize(z))
+        z[0] *= 0.99 * rng.random()
+        inner.append(symmetrize(z))
+        d = 10.0 ** rng.uniform(-3.0, -1.0)
+        z = [torus_point(rng) for _ in range(n)]
+        z[0], z[1] = z[0] * (1 + d), z[1] / (1 + d)
+        pushed.append(symmetrize(z))
+    for pts, gamma, b_gamma in ((torus, True, True), (inner, True, False), (pushed, False, False)):
+        assert [in_gamma(p).verdict for p in pts] == [gamma] * len(pts)
+        assert [in_b_gamma(p) for p in pts] == [b_gamma] * len(pts)
+        _, _, g_planes, b_planes = _kernel_verdicts(np.array([p.coords for p in pts]))
+        assert g_planes.tolist() == [gamma] * len(pts)
+        assert b_planes.tolist() == [b_gamma] * len(pts)
+
+
 def test_batch_samplers_equal_scalar_draws():
     from polydisc.sampling import g_points_disc, torus_points
 

@@ -254,3 +254,16 @@ def test_only_membership_composes_b_gamma():
         if path.name != "membership.py" and _references(ast.parse(path.read_text()))["_b_gamma_step"]
     ]
     assert readers == []
+
+
+def test_only_the_scalar_predicates_read_the_scalar_descent():
+    # the scalar descent takes b Gamma's step in its own loop: in_g, in_gamma
+    # and in_b_gamma are its only readers, and it never calls itself, so no
+    # second function composes b Gamma_n from it
+    readers = [
+        f"{path.name}:{getattr(node, 'name', node.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if _references(node)["_descent_report"]
+    ]
+    assert readers == ["membership.py:in_g", "membership.py:in_gamma", "membership.py:in_b_gamma"]
