@@ -960,30 +960,31 @@ def test_closed_c7_slack_at_its_band_edges():
     for coords, slack, holds in (((1 + 2.0 ** -21, 0.0), -EDGE_BAND, True),
                                  ((2 + 2.0 ** -19, 1 - 2.0 ** -20), -2.0 ** -19, False)):
         margin = ConditionMargin("C7", holds, slack, False)
-        p = CPoint(coords)
-        assert in_tilde_gamma(p, "C7", EDGE_BAND).per_condition == (margin,)
-        assert in_tilde_gamma(p, "C7", EDGE_BAND).verdict is holds
-        assert in_gamma(p, EDGE_BAND).per_condition == (margin,)
+        rep = in_tilde_gamma(CPoint(coords), "C7", EDGE_BAND)
+        assert rep.verdict is holds and rep.per_condition == (margin,)
+        assert in_gamma(CPoint(coords), EDGE_BAND).per_condition == (margin,)
         assert _tilde_slack7_batch(np.array([coords]), EDGE_BAND).tolist() == [slack]
 
 
-def test_one_coordinate_margin_is_one_minus_the_modulus():
-    # G_1 and Gamma_1 are the unit disc, open and closed: the margin of s_1 is
-    # 1 - |s_1|, exact at these dyadic points; the closed disc alone keeps
-    # |s_1| = 1 + band, and |s_1| = 1 only within band
-    b = EDGE_BAND
-    for s1 in (0.25, -0.25j):
-        for rep in (in_g(CPoint((s1,)), b), in_gamma(CPoint((s1,)), b)):
-            assert rep.verdict and rep.per_condition == (ConditionMargin("C7", True, 0.75, False),)
-    for s1, g, gamma in (((1 + b), (False, False, -b, False), (True, True, -b, False)),
-                         (1.0, (False, False, 0.0, True), (True, True, 0.0, True))):
-        for rep, (verdict, holds, slack, boundary) in ((in_g(CPoint((s1,)), b), g),
-                                                       (in_gamma(CPoint((s1,)), b), gamma)):
-            assert rep.verdict is verdict
-            assert rep.per_condition == (ConditionMargin("C7", holds, slack, boundary),)
-        planes = _kernel_verdicts(np.array([[s1]], dtype=complex), b)
-        assert [v.tolist() for v in planes] == [[g[0]], [False], [gamma[0]], [True]]
-        assert in_b_gamma(CPoint((s1,)), b)
+@pytest.mark.parametrize("s1, slack, boundary, in_g_verdict", [
+    (0.25, 0.75, False, True),
+    (-0.25j, 0.75, False, True),
+    (1.0, 0.0, True, False),
+    (1 + EDGE_BAND, -EDGE_BAND, False, False),
+])
+def test_one_coordinate_margin_is_one_minus_the_modulus(s1, slack, boundary, in_g_verdict):
+    # G_1 and Gamma_1 are the open and closed unit disc: the margin of s_1
+    # is 1 - |s_1|, exact at these dyadic points; the closed disc keeps
+    # |s_1| = 1 + band, and b Gamma_1 keeps the last two
+    p = CPoint((s1,))
+    g, gamma = in_g(p, EDGE_BAND), in_gamma(p, EDGE_BAND)
+    assert g.verdict is in_g_verdict and gamma.verdict
+    assert g.per_condition == (ConditionMargin("C7", in_g_verdict, slack, boundary),)
+    assert gamma.per_condition == (ConditionMargin("C7", True, slack, boundary),)
+    b_gamma = abs(s1) >= 1.0
+    assert in_b_gamma(p, EDGE_BAND) is b_gamma
+    planes = _kernel_verdicts(np.array([[s1]], dtype=complex), EDGE_BAND)
+    assert [v.tolist() for v in planes] == [[in_g_verdict], [False], [True], [b_gamma]]
 
 
 def test_open_descent_rejects_a_zero_c7_slack():
