@@ -9,9 +9,10 @@ Annotations are not mutated.  Each site is named by its function, the
 stripped source line and the operator pair (with `#k` for the k-th such pair
 on that line), so a record can be compared across commits.
 
-A survivor named in the `--equivalent` file (a JSON object of site name ->
-one-line argument) is written as equivalent; any other survivor is written
-as unexplained and the script exits 1.  Example:
+`--sites` runs only the sites it names.  A survivor named in the
+`--equivalent` file (a JSON object of site name -> one-line argument) is
+written as equivalent; any other survivor is written as unexplained and the
+script exits 1.  Example:
 
     python scripts/mutation_probe.py --module src/polydisc/membership.py \\
         --functions _descent_report,_b_gamma_step \\
@@ -129,9 +130,11 @@ def _pytest(copy: Path, tests: list[str], timeout: float) -> str:
     """'passed', 'failed' (a test failed, or a test module failed to import),
     'timeout' or 'error' (any other pytest exit) of the test subset in copy.
     No bytecode is written: a mutant of the same size and second would
-    otherwise load the cached bytecode of the one before."""
+    otherwise load the cached bytecode of the one before.  Asserts run
+    plain: a verdict is only pass or fail, and without cached bytecode the
+    rewriting of every plugin module would double each run's start-up."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain", *tests]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -160,25 +163,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--module", required=True, help="path of the module, relative to the repository")
     ap.add_argument("--functions", required=True, help="comma-separated module-level function names")
-    ap.add_argument("--tests", nargs="+", help="pytest paths or ids, relative to the repository")
-    ap.add_argument("--sites", help="comma-separated site indices to run (default: all)")
-    ap.add_argument("--list", action="store_true", help="print the sites with their indices and exit")
+    ap.add_argument("--tests", nargs="+", required=True, help="pytest paths or ids, relative to the repository")
+    ap.add_argument("--sites", nargs="+", help="names of the sites to run (default: all)")
     ap.add_argument("--equivalent", help="JSON object: site name -> why the mutant is equivalent")
     ap.add_argument("--workers", type=int, default=2, help="copies run at once (1..8)")
-    ap.add_argument("--out", help="where to write the JSON record")
+    ap.add_argument("--out", required=True, help="where to write the JSON record")
     args = ap.parse_args(argv)
-    if not args.list and not (args.tests and args.out):
-        ap.error("--tests and --out are required unless --list is given")
     if not 1 <= args.workers <= 8:
         raise SystemExit("--workers must lie in 1..8")
     names = args.functions.split(",")
     source = (ROOT / args.module).read_text()
     sites = enumerate_sites(source, names)
-    if args.list:
-        for i, s in enumerate(sites):
-            print(f"{i:4d}  line {s['line']:4d}  {s['site']}")
-        return 0
-    chosen = [int(i) for i in args.sites.split(",")] if args.sites else list(range(len(sites)))
+    index = {s["site"]: i for i, s in enumerate(sites)}
+    unknown = [name for name in args.sites or [] if name not in index]
+    if unknown:
+        raise SystemExit(f"no site named {'; '.join(unknown)}")
+    chosen = [index[name] for name in args.sites] if args.sites else list(range(len(sites)))
     why = json.loads(Path(args.equivalent).read_text()) if args.equivalent else {}
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copies = [Path(tmp) / f"w{k}" for k in range(min(args.workers, len(chosen)) or 1)]
